@@ -16,11 +16,17 @@ Commands
 ``table2``    regenerate Table 2 (GeForce 6800 / AGP) with its plot
 ``table3``    regenerate Table 3 (GeForce 7800 / PCIe) with its plot
 ``ops``       stream-operation counts of the program variants
+``profile``   per-level cost profile of one sort
 
 ``sort``, ``ops``, and ``profile`` take ``--engine`` to dispatch through
 any registered backend (see ``backends``); ``--engine auto`` (the library
 default) routes through the planner, and ``plan`` shows what it would
 pick and why.
+
+Every subcommand is an :class:`repro.ops.Op` whose options are declared
+as :class:`repro.ops.Param` tuples and checked by :func:`repro.ops.bind`.
+The ``store`` and ``fleet`` actions are the shared table
+:data:`repro.ops.OPS` that the NDJSON socket serves too.
 
 Examples::
 
@@ -44,6 +50,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -51,26 +58,35 @@ import numpy as np
 import repro
 from repro.exec import EXEC_TIERS
 from repro.analysis import figures as fig
+from repro.analysis.cluster_report import format_pool_health
 from repro.analysis.plots import timing_plot
 from repro.analysis.timing import (
     format_timing_table,
     table2_rows,
     table3_rows,
 )
+from repro.fleet import FleetObserver, replay
+from repro.obs import analyze_pool_health, save_health_html
+from repro import ops
+from repro.ops import OPS, Op, Param, bind
+from repro.store import SortedStore
 from repro.workloads.generators import DISTRIBUTIONS, generate_keys
+from repro.workloads.traces import Trace
 
 
-def _engine_for_sort_args(args: argparse.Namespace) -> str:
-    """Resolve ``--engine`` (falling back to the legacy variant flags)."""
-    if args.engine:
-        return args.engine
-    variants = {
-        ("overlapped", True): "abisort",
-        ("overlapped", False): "abisort-overlapped",
-        ("sequential", True): "abisort-sequential-optimized",
-        ("sequential", False): "abisort-sequential",
-    }
-    return variants[(args.schedule, not args.no_optimized)]
+def _gpu_host(gpu: str):
+    """``--gpu``: the 6800 on Table 2's AGP host, or the 7800 on Table 3's
+    PCIe host -- the (GPU, host) pair of one paper system."""
+    from repro.stream.gpu_model import (
+        AGP_SYSTEM,
+        GEFORCE_6800_ULTRA,
+        GEFORCE_7800_GTX,
+        PCIE_SYSTEM,
+    )
+
+    if gpu == "6800":
+        return GEFORCE_6800_ULTRA, AGP_SYSTEM
+    return GEFORCE_7800_GTX, PCIE_SYSTEM
 
 
 def cmd_sort(args: argparse.Namespace) -> int:
@@ -80,28 +96,23 @@ def cmd_sort(args: argparse.Namespace) -> int:
     comes from the engine's own cost model (one dispatch per GPU), so the
     CLI agrees with the telemetry every other surface reports.
     """
-    from repro.stream.gpu_model import (
-        AGP_SYSTEM,
-        GEFORCE_6800_ULTRA,
-        GEFORCE_7800_GTX,
-    )
-
     keys = generate_keys(args.dist, args.n, seed=args.seed)
-    engine = _engine_for_sort_args(args)
     # The 6800 leg pairs the GPU with its Table-2 AGP host (as `plan` and
     # `cluster` do), so a planned dispatch here matches `plan --gpu 6800`.
+    gpu6800, agp = _gpu_host("6800")
+    gpu7800, _pcie = _gpu_host("7800")
     result = repro.sort(
         repro.SortRequest(
             keys=keys,
-            gpu=GEFORCE_6800_ULTRA,
-            host=AGP_SYSTEM,
+            gpu=gpu6800,
+            host=agp,
             exec_tier=args.exec_tier,
         ),
-        engine=engine,
+        engine=args.engine,
     )
     t = result.telemetry
     print(f"sorted {args.n} pairs ({args.dist}, seed {args.seed}) with "
-          f"engine {engine!r}; first keys: {result.keys[:4]}")
+          f"engine {args.engine!r}; first keys: {result.keys[:4]}")
     if result.plan is not None:
         served = result.engine + (
             f" on {result.plan.devices} devices" if result.plan.devices else ""
@@ -112,11 +123,11 @@ def cmd_sort(args: argparse.Namespace) -> int:
           f"{t.kernel_instances}  bytes moved: {t.bytes_moved / 1e6:.1f} MB")
     if result.machine is not None:
         t7800 = repro.sort(
-            repro.SortRequest(keys=keys, gpu=GEFORCE_7800_GTX), engine=engine
+            repro.SortRequest(keys=keys, gpu=gpu7800), engine=args.engine
         ).telemetry
         for gpu, ms in (
-            (GEFORCE_6800_ULTRA, t.modeled_gpu_ms),
-            (GEFORCE_7800_GTX, t7800.modeled_gpu_ms),
+            (gpu6800, t.modeled_gpu_ms),
+            (gpu7800, t7800.modeled_gpu_ms),
         ):
             print(f"modeled on {gpu.name}: {ms:.2f} ms")
     else:
@@ -153,17 +164,8 @@ def cmd_backends(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     """``cluster``: run one sharded sort and print the pipeline schedule."""
     from repro.analysis.cluster_report import format_sharded_result
-    from repro.stream.gpu_model import (
-        AGP_SYSTEM,
-        GEFORCE_6800_ULTRA,
-        GEFORCE_7800_GTX,
-        PCIE_SYSTEM,
-    )
 
-    if args.gpu == "6800":
-        gpu, host = GEFORCE_6800_ULTRA, AGP_SYSTEM
-    else:
-        gpu, host = GEFORCE_7800_GTX, PCIE_SYSTEM
+    gpu, host = _gpu_host(args.gpu)
     keys = generate_keys(args.dist, args.n, seed=args.seed)
     result = repro.sort(
         repro.SortRequest(
@@ -223,17 +225,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         instrument,
         serve_forever,
     )
-    from repro.stream.gpu_model import (
-        AGP_SYSTEM,
-        GEFORCE_6800_ULTRA,
-        GEFORCE_7800_GTX,
-        PCIE_SYSTEM,
-    )
 
-    if args.gpu == "6800":
-        gpu, host_model = GEFORCE_6800_ULTRA, AGP_SYSTEM
-    else:
-        gpu, host_model = GEFORCE_7800_GTX, PCIE_SYSTEM
+    gpu, host_model = _gpu_host(args.gpu)
     config = ServiceConfig(
         devices=args.devices,
         gpu=gpu,
@@ -260,8 +253,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = SortService(config)
     store = None
     if args.store is not None:
-        from repro.store import SortedStore
-
         store = SortedStore(
             args.store, gpu=gpu, host=host_model, exec_tier=args.exec_tier
         )
@@ -290,142 +281,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store(args: argparse.Namespace) -> int:
-    """``store``: operate a persistent sorted store directory.
-
-    Sub-actions: ``insert`` persists a generated workload as one sorted
-    run, ``query`` answers a key range, ``topk`` the k smallest pairs,
-    ``compact`` runs a (planner-driven by default) compaction, and
-    ``stats`` prints the lifetime telemetry.  The directory is created on
-    first use and reopened -- exactly as last committed -- afterwards.
-    """
-    from repro.analysis.cluster_report import format_store_stats
-    from repro.store import SortedStore
-
-    store = SortedStore(args.path, exec_tier=args.exec_tier)
-    if args.action == "insert":
-        keys = generate_keys(args.dist, args.n, seed=args.seed)
-        meta = store.insert(keys, engine=args.engine)
-        print(
-            f"inserted {args.n} pairs ({args.dist}, seed {args.seed}) as "
-            f"{meta.name} [{meta.min_key:.4f}, {meta.max_key:.4f}]; "
-            f"store now {store.run_count} runs / {len(store)} pairs"
-        )
-    elif args.action == "query":
-        hits = store.range(args.lo, args.hi)
-        shown = ", ".join(f"{k:.4f}" for k in hits["key"][:8])
-        more = "..." if hits.shape[0] > 8 else ""
-        print(
-            f"range [{args.lo}, {args.hi}]: {hits.shape[0]} pairs "
-            f"from {store.run_count} runs: {shown}{more}"
-        )
-    elif args.action == "topk":
-        hits = store.top_k(args.k)
-        shown = ", ".join(f"{k:.4f}" for k in hits["key"][:8])
-        more = "..." if hits.shape[0] > 8 else ""
-        print(f"top {args.k}: {hits.shape[0]} pairs: {shown}{more}")
-    elif args.action == "compact":
-        if args.explain and store.run_count >= 2:
-            print(store.compaction_plan().explain())
-        report = store.compact(fan_in=args.fan_in, devices=args.devices)
-        if report is None:
-            print(f"nothing to compact ({store.run_count} run(s))")
-        else:
-            print(report.summary())
-    else:  # stats
-        print(format_store_stats(store.stats, title=f"store {args.path}"))
-    return 0
-
-
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """``fleet``: multi-tenant trace generation, replay, and comparison.
-
-    Sub-actions: ``generate`` writes a named scenario trace as NDJSON,
-    ``replay`` runs one trace (a file or a named scenario) under one
-    policy and prints the per-tenant report, ``compare`` replays the same
-    trace under every built-in policy side by side, and ``policies``
-    lists the built-ins.  Everything is virtual-time and seeded, so two
-    replays of the same trace print identical numbers.
-
-    ``replay`` takes ``--metrics-out`` (virtual-time metrics NDJSON,
-    sampled as the replay advances) and ``--trace-out`` (per-job spans as
-    Chrome trace JSON) -- a :class:`~repro.fleet.FleetObserver` rides the
-    replay and captures both.
-    """
-    import json as _json
-
-    from repro.analysis.cluster_report import format_fleet_report
-    from repro.fleet import Autoscaler, FleetObserver, compare_policies, replay
-    from repro.fleet.policy import POLICIES
-    from repro.workloads.traces import Trace, scenario_trace
-
-    if args.action == "policies":
-        for name in sorted(POLICIES):
-            print(f"{name:<16} {POLICIES[name].__doc__.splitlines()[0]}")
-        return 0
-
-    if args.action == "generate":
-        trace = scenario_trace(
-            args.scenario, seed=args.seed, duration_ms=args.duration_ms
-        )
-        path = trace.save(args.out)
-        print(
-            f"wrote {len(trace)} requests / {len(trace.tenants)} tenants "
-            f"({trace.name!r}, seed {trace.seed}) to {path}"
-        )
-        return 0
-
-    if args.trace is not None:
-        trace = Trace.load(args.trace)
-    else:
-        trace = scenario_trace(
-            args.scenario, seed=args.seed, duration_ms=args.duration_ms
-        )
-    autoscaler = None
-    if args.autoscale:
-        autoscaler = Autoscaler(
-            min_devices=args.min_devices, max_devices=args.max_devices
-        )
-    if args.action == "replay":
-        observer = None
-        if args.metrics_out is not None or args.trace_out is not None:
-            observer = FleetObserver(metrics_path=args.metrics_out)
-        report = replay(
-            trace,
-            args.policy,
-            devices=args.devices,
-            autoscaler=autoscaler,
-            queue_bound=args.queue_bound,
-            observer=observer,
-        )
-        if args.json:
-            print(_json.dumps(report.to_json(), indent=2))
-        else:
-            print(format_fleet_report(report))
-        if observer is not None and args.trace_out is not None:
-            path = observer.spans.save(args.trace_out)
-            print(f"wrote {len(observer.spans)} spans to {path}")
-    else:  # compare
-        reports = compare_policies(
-            trace,
-            devices=args.devices,
-            autoscaler=autoscaler,
-            queue_bound=args.queue_bound,
-        )
-        if args.json:
-            print(
-                _json.dumps(
-                    {name: r.to_json() for name, r in reports.items()},
-                    indent=2,
-                )
-            )
-        else:
-            for name, report in reports.items():
-                print(format_fleet_report(report))
-                print()
-    return 0
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     """``plan``: explain the planner's decision without sorting.
 
@@ -435,17 +290,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     many identical-shape requests (cluster size + LPT placement).
     """
     from repro.planner import Planner
-    from repro.stream.gpu_model import (
-        AGP_SYSTEM,
-        GEFORCE_6800_ULTRA,
-        GEFORCE_7800_GTX,
-        PCIE_SYSTEM,
-    )
 
-    if args.gpu == "6800":
-        gpu, host = GEFORCE_6800_ULTRA, AGP_SYSTEM
-    else:
-        gpu, host = GEFORCE_7800_GTX, PCIE_SYSTEM
+    gpu, host = _gpu_host(args.gpu)
     keys = generate_keys(args.dist, args.n, seed=args.seed)
     request = repro.SortRequest(
         keys=keys, gpu=gpu, host=host, devices=args.devices
@@ -488,27 +334,22 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sizes(args: argparse.Namespace) -> tuple[int, ...]:
-    if args.sizes:
-        return tuple(args.sizes)
-    return tuple(1 << e for e in range(12, 17))
+#: ``table2``/``table3``: row builder, table title, plot title.
+_TABLES = {
+    "table2": (table2_rows, "Table 2 (modeled, GeForce 6800 Ultra / AGP)",
+               "time vs n (GeForce 6800 system)"),
+    "table3": (table3_rows, "Table 3 (modeled, GeForce 7800 GTX / PCIe)",
+               "time vs n (GeForce 7800 system)"),
+}
 
 
-def cmd_table2(args: argparse.Namespace) -> int:
-    """``table2``: Table 2 with its plot."""
-    rows = table2_rows(_sizes(args))
-    print(format_timing_table(rows, "Table 2 (modeled, GeForce 6800 Ultra / AGP)"))
+def cmd_table(args: argparse.Namespace) -> int:
+    """``table2``/``table3``: the timing table with its plot."""
+    rows_for, title, plot_title = _TABLES[args.command]
+    rows = rows_for(tuple(args.sizes or (1 << e for e in range(12, 17))))
+    print(format_timing_table(rows, title))
     print()
-    print(timing_plot(rows, "time vs n (GeForce 6800 system)"))
-    return 0
-
-
-def cmd_table3(args: argparse.Namespace) -> int:
-    """``table3``: Table 3 with its plot."""
-    rows = table3_rows(_sizes(args))
-    print(format_timing_table(rows, "Table 3 (modeled, GeForce 7800 GTX / PCIe)"))
-    print()
-    print(timing_plot(rows, "time vs n (GeForce 7800 system)"))
+    print(timing_plot(rows, plot_title))
     return 0
 
 
@@ -544,7 +385,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         comparisons_upper_bound,
     )
     from repro.analysis.pram import pram_rounds
-    from repro.analysis.timing import table2_rows, table3_rows
     from repro.core.sequential import (
         SequentialCounters,
         adaptive_bitonic_sort_sequence,
@@ -658,53 +498,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report_health(args: argparse.Namespace) -> int:
-    """``report health``: pool-health analysis of one fleet replay.
-
-    Replays a trace (a file or a named scenario) under a
-    :class:`~repro.fleet.FleetObserver`, folds the replay into a
-    :class:`~repro.obs.PoolHealth` summary, and prints it (``--json`` for
-    the machine-readable record).  ``--out`` additionally writes the
-    static HTML report.
-    """
-    import json as _json
-
-    from repro.analysis.cluster_report import format_pool_health
-    from repro.fleet import FleetObserver, replay
-    from repro.obs import analyze_pool_health, save_health_html
-    from repro.workloads.traces import Trace, scenario_trace
-
-    if args.trace is not None:
-        trace = Trace.load(args.trace)
-    else:
-        trace = scenario_trace(
-            args.scenario, seed=args.seed, duration_ms=args.duration_ms
-        )
-    observer = FleetObserver(metrics_path=args.metrics_out)
-    report = replay(
-        trace,
-        args.policy,
-        devices=args.devices,
-        queue_bound=args.queue_bound,
-        observer=observer,
-    )
-    health = analyze_pool_health(report, observer=observer)
-    if args.json:
-        print(_json.dumps(health.to_json(), indent=2))
-    else:
-        print(format_pool_health(health))
-    if args.out is not None:
-        path = save_health_html(health, args.out)
-        print(f"wrote HTML report to {path}")
-    return 0
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """``profile``: per-tag cost breakdown of one sort on any engine."""
     from repro.analysis.profile import format_profile, profile_run
-    from repro.stream.gpu_model import GEFORCE_6800_ULTRA, GEFORCE_7800_GTX
 
-    gpu = GEFORCE_6800_ULTRA if args.gpu == "6800" else GEFORCE_7800_GTX
+    gpu, _host = _gpu_host(args.gpu)  # the profile prices the GPU alone
     result = repro.sort(
         repro.SortRequest(
             keys=generate_keys("uniform", args.n, seed=0),
@@ -721,290 +519,274 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- the command tree: every subcommand is an Op ---------------------------
+
+_N = Param("n", int, 1 << 14, help="pairs to generate")
+_DIST = Param("dist", choices=tuple(sorted(DISTRIBUTIONS)), default="uniform",
+              help="key distribution")
+_SEED = Param("seed", int, 0, help="workload seed")
+_GPU = Param("gpu", choices=("6800", "7800"), default="7800",
+             help="hardware model: Table-2 6800/AGP or Table-3 7800/PCIe")
+_EXEC_TIER = Param("exec_tier", choices=EXEC_TIERS,
+                   help="execution tier of the hot loops (default: the "
+                        "planner's pick; the tiers are bit-identical)")
+_HOST = Param("host", default="127.0.0.1", help="server address")
+_PORT = Param("port", int, 7806, help="TCP port")
+_JSON = Param("json", bool, False,
+              help="print the machine-readable report instead")
+_METRICS_OUT = Param("metrics_out",
+                     help="append the replay's virtual-time metrics-NDJSON "
+                          "samples here")
+_STORE = (
+    Param("path", required=True, help="store directory (created on first use)"),
+    _EXEC_TIER._replace(help="execution tier of query/compaction merges "
+                             "(default: the process default, vectorized)"),
+)
+
+#: The CLI's own options of the shared ops: stand-ins for the socket's
+#: face inputs (``Op.inputs``), output switches, and file sinks.
+_CLI_PARAMS = {
+    "store.insert": (*_STORE, _N._replace(default=1 << 12), _DIST, _SEED),
+    "store.query": _STORE,
+    "store.topk": _STORE,
+    "store.compact": (
+        *_STORE,
+        Param("explain", bool, False,
+              help="print the planner's scored candidates first"),
+    ),
+    "store.stats": _STORE,
+    "fleet.replay": (
+        _JSON,
+        _METRICS_OUT,
+        Param("trace_out",
+              help="write the replay's job spans as Chrome trace JSON"),
+    ),
+    "fleet.compare": (_JSON,),
+}
+
+
+def _generate(args):
+    trace = ops.load_trace(args)
+    return trace, trace.save(args["out"])
+
+
+def _health(args):
+    observer = FleetObserver(metrics_path=args["metrics_out"])
+    report = replay(
+        ops.load_trace(args),
+        args["policy"],
+        devices=args["devices"],
+        queue_bound=args["queue_bound"],
+        observer=observer,
+    )
+    return analyze_pool_health(report, observer=observer)
+
+
+#: CLI-only ops, declared from the same parameter groups as the table.
+_GENERATE = Op(
+    "fleet.generate",
+    (*ops.SCENARIO, Param("out", required=True, help="output NDJSON path")),
+    _generate,
+    to_text=lambda result, args: (
+        f"wrote {len(result[0])} requests / {len(result[0].tenants)} "
+        f"tenants ({result[0].name!r}, seed {result[0].seed}) to {result[1]}"
+    ),
+    help="write a named scenario trace as NDJSON",
+)
+_HEALTH = Op(
+    "report.health",
+    (*ops.TRACE_SOURCE, ops.POLICY, ops.DEVICES, ops.QUEUE_BOUND, _METRICS_OUT,
+     Param("out", help="also write the static HTML report here"), _JSON),
+    _health,
+    lambda health: health.to_json(),
+    lambda health, args: format_pool_health(health),
+    help="analyze pool health from one fleet replay",
+)
+
+#: The plain subcommands: ops whose handler prints and returns the exit
+#: code (``to_text`` is ``None``).
+_COMMANDS = (
+    Op("sort",
+       (_N, _DIST, _SEED,
+        Param("engine", default="abisort",
+              help="registered backend to dispatch through (see `backends`)"),
+        _EXEC_TIER),
+       cmd_sort, help="sort a generated workload"),
+    Op("backends", (), cmd_backends,
+       help="list registered sort engines and capabilities"),
+    Op("plan",
+       (_N, _DIST, _SEED, _GPU,
+        Param("devices", int,
+              help="pin the device count instead of letting the planner "
+                   "choose"),
+        Param("max_devices", int, 4,
+              help="largest cluster the planner may pick"),
+        Param("batch", int, 1,
+              help="also plan a batch of this many requests (cluster size "
+                   "+ LPT placement)")),
+       cmd_plan, help="explain the planner's engine/device choice"),
+    Op("cluster",
+       (_N, Param("devices", int, 4, help="device count"), _GPU,
+        _DIST, _SEED, _EXEC_TIER),
+       cmd_cluster, help="sharded sort across N modeled devices"),
+    Op("serve",
+       (_HOST, _PORT._replace(help="TCP port (0 picks a free one)"),
+        Param("devices", int, 4,
+              help="worker-pool size, one worker per modeled device"),
+        _GPU,
+        Param("engine", help="default backend for unpinned requests "
+                             "(default: the planner)"),
+        Param("window_ms", float, 2.0, help="coalesce window in milliseconds"),
+        Param("max_batch", int, 32, help="coalesced batch size cap"),
+        Param("max_pending", int, 256,
+              help="admission-control bound on in-flight requests"),
+        Param("limit", int,
+              help="exit after this many responses (smoke tests)"),
+        Param("store", help="attach a persistent SortedStore directory "
+                            "(enables the {\"op\": \"store\"} wire lines)"),
+        _EXEC_TIER,
+        Param("metrics_out", help="append a metrics-NDJSON sample here every "
+                                  "second (and once at shutdown)"),
+        Param("trace_out", help="write the request spans as Chrome trace "
+                                "JSON at shutdown")),
+       cmd_serve,
+       help="async sort service over a newline-delimited-JSON socket"),
+    Op("figures", (), cmd_figures, help="regenerate paper figures"),
+    *(Op(name, (), cmd_table, help=f"regenerate {name} with its plot")
+      for name in _TABLES),
+    Op("ops",
+       (_N._replace(default=1 << 12),
+        Param("engine", help="count ops of this backend instead of the "
+                             "three ABiSort variants")),
+       cmd_ops, help="stream-op counts of the variants"),
+    Op("profile",
+       (_N, _GPU,
+        Param("engine", help="profile this backend (default: abisort)"),
+        _EXEC_TIER),
+       cmd_profile, help="per-level cost profile of a sort"),
+    Op("metrics",
+       (_HOST, _PORT,
+        Param("samples", help="summarize this metrics-NDJSON file instead "
+                              "of scraping a server")),
+       cmd_metrics,
+       help="scrape a live server or summarize a metrics NDJSON"),
+    Op("report", (), cmd_report,
+       help="reproduction checklist (default) or pool-health analysis"),
+)
+
+
+def add_params(parser: argparse.ArgumentParser, params) -> None:
+    """Declare ``params`` as ``--options`` of ``parser``.
+
+    Values stay strings (flags booleans): :func:`repro.ops.bind` types
+    and checks them, so the CLI and the socket reject a bad value alike.
+    The help names the default (or that the option is required).
+    """
+    for p in params:
+        flag = "--" + p.name.replace("_", "-")
+        if p.type is bool:
+            parser.add_argument(flag, dest=p.name, action="store_true",
+                                help=p.help)
+            continue
+        note = " (required)" if p.required else ""
+        if p.default is not None:
+            note = f" (default {p.default})"
+        metavar = "{%s}" % ",".join(p.choices) if p.choices else None
+        parser.add_argument(flag, dest=p.name, metavar=metavar,
+                            help=p.help + note)
+
+
+def _add_op(sub, name: str, op: Op) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=op.help)
+    add_params(parser, op.params)
+    parser.set_defaults(op=op)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse command tree."""
+    """The argparse command tree, declared from the command and op tables."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GPU-ABiSort reproduction command line",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sort = sub.add_parser("sort", help="sort a generated workload")
-    p_sort.add_argument("--n", type=int, default=1 << 14)
-    p_sort.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="uniform")
-    p_sort.add_argument("--seed", type=int, default=0)
-    p_sort.add_argument("--engine", default=None,
-                        help="registered backend to dispatch through "
-                             "(see `backends`); overrides the variant flags")
-    p_sort.add_argument("--schedule", choices=("overlapped", "sequential"),
-                        default="overlapped")
-    p_sort.add_argument("--no-optimized", action="store_true",
-                        help="disable the Section-7 optimizations")
-    p_sort.add_argument("--exec-tier", choices=EXEC_TIERS, default=None,
-                        dest="exec_tier",
-                        help="execution tier of the hot loops (default: the "
-                             "planner's pick; both tiers are bit-identical)")
-    p_sort.set_defaults(func=cmd_sort)
-
-    p_back = sub.add_parser(
-        "backends", help="list registered sort engines and capabilities"
-    )
-    p_back.set_defaults(func=cmd_backends)
-
-    p_plan = sub.add_parser(
-        "plan", help="explain the planner's engine/device choice"
-    )
-    p_plan.add_argument("--n", type=int, default=1 << 14)
-    p_plan.add_argument("--dist", choices=sorted(DISTRIBUTIONS),
-                        default="uniform")
-    p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--gpu", choices=("6800", "7800"), default="7800",
-                        help="hardware model: Table-2 6800/AGP or "
-                             "Table-3 7800/PCIe (default)")
-    p_plan.add_argument("--devices", type=int, default=None,
-                        help="pin the device count instead of letting the "
-                             "planner choose")
-    p_plan.add_argument("--max-devices", type=int, default=4,
-                        help="largest cluster the planner may pick "
-                             "(default 4)")
-    p_plan.add_argument("--batch", type=int, default=1,
-                        help="also plan a batch of this many requests "
-                             "(cluster size + LPT placement)")
-    p_plan.set_defaults(func=cmd_plan)
-
-    p_clu = sub.add_parser(
-        "cluster", help="sharded sort across N modeled devices"
-    )
-    p_clu.add_argument("--n", type=int, default=1 << 14)
-    p_clu.add_argument("--devices", type=int, default=4,
-                       help="device count (default 4)")
-    p_clu.add_argument("--gpu", choices=("6800", "7800"), default="7800",
-                       help="hardware model: Table-2 6800/AGP or "
-                            "Table-3 7800/PCIe (default)")
-    p_clu.add_argument("--dist", choices=sorted(DISTRIBUTIONS),
-                       default="uniform")
-    p_clu.add_argument("--seed", type=int, default=0)
-    p_clu.add_argument("--exec-tier", choices=EXEC_TIERS, default=None,
-                       dest="exec_tier",
-                       help="execution tier of the reassembly merge "
-                            "(default: the planner's pick)")
-    p_clu.set_defaults(func=cmd_cluster)
-
-    p_srv = sub.add_parser(
-        "serve", help="async sort service over a newline-delimited-JSON socket"
-    )
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=7806,
-                       help="TCP port (0 picks a free one; default 7806)")
-    p_srv.add_argument("--devices", type=int, default=4,
-                       help="worker-pool size, one worker per modeled "
-                            "device (default 4)")
-    p_srv.add_argument("--gpu", choices=("6800", "7800"), default="7800",
-                       help="hardware model: Table-2 6800/AGP or "
-                            "Table-3 7800/PCIe (default)")
-    p_srv.add_argument("--engine", default=None,
-                       help="default backend for unpinned requests "
-                            "(default: the planner)")
-    p_srv.add_argument("--window-ms", type=float, default=2.0,
-                       help="coalesce window in milliseconds (default 2)")
-    p_srv.add_argument("--max-batch", type=int, default=32,
-                       help="coalesced batch size cap (default 32)")
-    p_srv.add_argument("--max-pending", type=int, default=256,
-                       help="admission-control bound on in-flight requests "
-                            "(default 256)")
-    p_srv.add_argument("--limit", type=int, default=None,
-                       help="exit after this many responses (smoke tests)")
-    p_srv.add_argument("--store", default=None, metavar="DIR",
-                       help="attach a persistent SortedStore directory "
-                            "(enables the {\"op\": \"store\"} wire lines)")
-    p_srv.add_argument("--exec-tier", choices=EXEC_TIERS, default=None,
-                       dest="exec_tier",
-                       help="execution tier stamped on unpinned requests "
-                            "and the attached store (default: the planner)")
-    p_srv.add_argument("--metrics-out", default=None, dest="metrics_out",
-                       metavar="FILE",
-                       help="append a metrics-NDJSON sample here every "
-                            "second (and once at shutdown)")
-    p_srv.add_argument("--trace-out", default=None, dest="trace_out",
-                       metavar="FILE",
-                       help="write the request spans as Chrome trace JSON "
-                            "at shutdown")
-    p_srv.set_defaults(func=cmd_serve)
-
-    p_store = sub.add_parser(
-        "store", help="persistent sorted store: insert/query/compact/stats"
-    )
-    store_sub = p_store.add_subparsers(dest="action", required=True)
-    st_ins = store_sub.add_parser("insert", help="sort one batch into a run")
-    st_ins.add_argument("--n", type=int, default=1 << 12)
-    st_ins.add_argument("--dist", choices=sorted(DISTRIBUTIONS),
-                        default="uniform")
-    st_ins.add_argument("--seed", type=int, default=0)
-    st_ins.add_argument("--engine", default=None,
-                        help="backend for the ingest sort (default: the "
-                             "store's engine, normally the planner)")
-    st_q = store_sub.add_parser("query", help="answer a key-range query")
-    st_q.add_argument("--lo", type=float, required=True)
-    st_q.add_argument("--hi", type=float, required=True)
-    st_k = store_sub.add_parser("topk", help="the k smallest pairs")
-    st_k.add_argument("--k", type=int, default=10)
-    st_c = store_sub.add_parser("compact", help="merge runs down")
-    st_c.add_argument("--fan-in", type=int, default=None, dest="fan_in",
-                      help="pin the merge fan-in (default: planner's pick)")
-    st_c.add_argument("--devices", type=int, default=None,
-                      help="pin the device count (default: planner's pick)")
-    st_c.add_argument("--explain", action="store_true",
-                      help="print the planner's scored candidates first")
-    store_sub.add_parser("stats", help="lifetime telemetry of the store")
-    for sp in (st_ins, st_q, st_k, st_c, store_sub.choices["stats"]):
-        sp.add_argument("--path", required=True,
-                        help="store directory (created on first use)")
-        sp.add_argument("--exec-tier", choices=EXEC_TIERS, default=None,
-                        dest="exec_tier",
-                        help="execution tier of query/compaction merges "
-                             "(default: the process default, vectorized)")
-    p_store.set_defaults(func=cmd_store)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="multi-tenant fleet: trace generate/replay/compare"
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="action", required=True)
-    fl_gen = fleet_sub.add_parser(
-        "generate", help="write a named scenario trace as NDJSON"
-    )
-    fl_gen.add_argument("--out", required=True, help="output NDJSON path")
-    fl_rep = fleet_sub.add_parser(
-        "replay", help="replay one trace under one policy"
-    )
-    fl_rep.add_argument("--policy", default="weighted-fair",
-                        help="scheduling policy (see `fleet policies`)")
-    fl_rep.add_argument("--metrics-out", default=None, dest="metrics_out",
-                        metavar="FILE",
-                        help="append virtual-time metrics-NDJSON samples "
-                             "of the replay here")
-    fl_rep.add_argument("--trace-out", default=None, dest="trace_out",
-                        metavar="FILE",
-                        help="write the replay's job spans as Chrome "
-                             "trace JSON")
-    fl_cmp = fleet_sub.add_parser(
-        "compare", help="replay one trace under every built-in policy"
-    )
-    for sp in (fl_gen, fl_rep, fl_cmp):
-        sp.add_argument("--scenario", default="burst",
-                        help="named scenario when no --trace is given "
-                             "(burst, diurnal, flood)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--duration-ms", type=float, default=None,
-                        dest="duration_ms",
-                        help="trace length (default: the scenario's own)")
-    for sp in (fl_rep, fl_cmp):
-        sp.add_argument("--trace", default=None,
-                        help="replay this NDJSON trace file instead of a "
-                             "generated scenario")
-        sp.add_argument("--devices", type=int, default=4,
-                        help="modeled device pool size")
-        sp.add_argument("--queue-bound", type=int, default=64,
-                        dest="queue_bound",
-                        help="per-tenant queue depth before eviction")
-        sp.add_argument("--autoscale", action="store_true",
-                        help="let an autoscaler size the pool")
-        sp.add_argument("--min-devices", type=int, default=1,
-                        dest="min_devices")
-        sp.add_argument("--max-devices", type=int, default=8,
-                        dest="max_devices")
-        sp.add_argument("--json", action="store_true",
-                        help="print the machine-readable report instead")
-    fleet_sub.add_parser("policies", help="list the built-in policies")
-    p_fleet.set_defaults(func=cmd_fleet)
-
-    p_fig = sub.add_parser("figures", help="regenerate paper figures")
-    p_fig.add_argument("which", nargs="?", default="all",
-                       choices=("1", "4", "5", "6", "7", "all"))
-    p_fig.set_defaults(func=cmd_figures)
-
-    for name, func in (("table2", cmd_table2), ("table3", cmd_table3)):
-        p = sub.add_parser(name, help=f"regenerate {name} with its plot")
-        p.add_argument("--sizes", type=int, nargs="*", default=None,
-                       help="sequence lengths (default 2^12..2^16)")
-        p.set_defaults(func=func)
-
-    p_ops = sub.add_parser("ops", help="stream-op counts of the variants")
-    p_ops.add_argument("--n", type=int, default=1 << 12)
-    p_ops.add_argument("--engine", default=None,
-                       help="count ops of this backend instead of the "
-                            "three ABiSort variants")
-    p_ops.set_defaults(func=cmd_ops)
-
-    p_prof = sub.add_parser("profile", help="per-level cost profile of a sort")
-    p_prof.add_argument("--n", type=int, default=1 << 14)
-    p_prof.add_argument("--gpu", choices=("6800", "7800"), default="7800")
-    p_prof.add_argument("--engine", default=None,
-                        help="profile this backend (default: abisort)")
-    p_prof.add_argument("--exec-tier", choices=EXEC_TIERS, default=None,
-                        dest="exec_tier",
-                        help="execution tier to profile under (the op log, "
-                             "and so the profile, is tier-identical)")
-    p_prof.set_defaults(func=cmd_profile)
-
-    p_met = sub.add_parser(
-        "metrics", help="scrape a live server or summarize a metrics NDJSON"
-    )
-    p_met.add_argument("--host", default="127.0.0.1")
-    p_met.add_argument("--port", type=int, default=7806,
-                       help="server to scrape with {\"op\": \"metrics\"} "
-                            "(default 7806)")
-    p_met.add_argument("--samples", default=None, metavar="FILE",
-                       help="summarize this metrics-NDJSON file instead "
-                            "of scraping a server")
-    p_met.set_defaults(func=cmd_metrics)
-
-    p_rep = sub.add_parser(
-        "report",
-        help="reproduction checklist (default) or pool-health analysis",
-    )
-    rep_sub = p_rep.add_subparsers(dest="what")
-    rep_health = rep_sub.add_parser(
-        "health", help="analyze pool health from one fleet replay"
-    )
-    rep_health.add_argument("--scenario", default="burst",
-                            help="named scenario when no --trace is given "
-                                 "(burst, diurnal, flood)")
-    rep_health.add_argument("--trace", default=None,
-                            help="replay this NDJSON trace file instead of "
-                                 "a generated scenario")
-    rep_health.add_argument("--policy", default="weighted-fair",
-                            help="scheduling policy (see `fleet policies`)")
-    rep_health.add_argument("--seed", type=int, default=0)
-    rep_health.add_argument("--duration-ms", type=float, default=None,
-                            dest="duration_ms",
-                            help="trace length (default: the scenario's own)")
-    rep_health.add_argument("--devices", type=int, default=4,
-                            help="modeled device pool size")
-    rep_health.add_argument("--queue-bound", type=int, default=64,
-                            dest="queue_bound",
-                            help="per-tenant queue depth before eviction")
-    rep_health.add_argument("--metrics-out", default=None, dest="metrics_out",
-                            metavar="FILE",
-                            help="also append the replay's metrics-NDJSON "
-                                 "samples here")
-    rep_health.add_argument("--out", default=None, metavar="FILE",
-                            help="also write the static HTML report here")
-    rep_health.add_argument("--json", action="store_true",
-                            help="print the machine-readable health record")
-    rep_health.set_defaults(func=cmd_report_health)
-    p_rep.set_defaults(func=cmd_report)
+    commands = {op.name: _add_op(sub, op.name, op) for op in _COMMANDS}
+    commands["figures"].add_argument("which", nargs="?", default="all",
+                                     choices=("1", "4", "5", "6", "7", "all"))
+    for name in _TABLES:
+        commands[name].add_argument("--sizes", type=int, nargs="*",
+                                    help="sequence lengths (default "
+                                         "2^12..2^16)")
+    _add_op(commands["report"].add_subparsers(dest="what"), "health", _HEALTH)
+    for group, blurb in (
+        ("store", "persistent sorted store: insert/query/compact/stats"),
+        ("fleet", "multi-tenant fleet: trace generate/replay/compare"),
+    ):
+        actions = sub.add_parser(group, help=blurb).add_subparsers(
+            dest="action", required=True
+        )
+        for op in (_GENERATE, *OPS.values()):
+            if op.name.startswith(group + "."):
+                own = _CLI_PARAMS.get(op.name, ())
+                _add_op(actions, op.name.split(".")[1],
+                        op._replace(params=op.params + own))
     return parser
+
+
+def prepare(ns: argparse.Namespace) -> tuple[Op, dict]:
+    """The CLI's parse -> bind step: the command's op and its arguments.
+
+    Beside the bound parameters, the face inputs are built from their
+    CLI stand-ins: ``--trace FILE`` is read, ``--path`` opens the store,
+    ``--n/--dist/--seed`` generate the keys, and a replay's
+    ``--metrics-out``/``--trace-out`` attach a fleet observer.
+    """
+    op, values = ns.op, dict(vars(ns))
+    if values.get("trace") is not None:
+        values["trace"] = Trace.load(values["trace"])
+    args = {**values, **bind(op, values)}
+    if "store" in op.inputs:
+        args["store"] = SortedStore(args["path"], exec_tier=args["exec_tier"])
+    if "keys" in op.inputs:
+        args["keys"] = generate_keys(args["dist"], args["n"], seed=args["seed"])
+    if op.name == "fleet.replay" and (
+        args["metrics_out"] is not None or args["trace_out"] is not None
+    ):
+        args["observer"] = FleetObserver(metrics_path=args["metrics_out"])
+    return op, args
+
+
+def run(ns: argparse.Namespace) -> int:
+    """Run one parsed command; returns the exit code.
+
+    A table op prints ``to_text`` (``--json``: the socket's response
+    object), then writes its file sinks.
+    """
+    op, args = prepare(ns)
+    if op.to_text is None:  # a plain command prints for itself
+        return op.handler(argparse.Namespace(**args))
+    result = op.handler(args)
+    if args.get("json"):
+        print(json.dumps(op.to_json(result), indent=2))
+    else:
+        print(op.to_text(result, args))
+    if args.get("trace_out") is not None:
+        spans = args["observer"].spans
+        print(f"wrote {len(spans)} spans to {spans.save(args['trace_out'])}")
+    if op.name == "report.health" and args["out"] is not None:
+        print(f"wrote HTML report to {save_health_html(result, args['out'])}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     User-facing errors (unknown engines, capability mismatches, bad
-    workload parameters) print one line instead of a traceback.
+    parameters) print one line instead of a traceback.
     """
-    args = build_parser().parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run(ns)
     except repro.ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

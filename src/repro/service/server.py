@@ -2,43 +2,13 @@
 
 ``python -m repro serve`` binds a :class:`repro.service.SortService` to a
 TCP socket.  The wire protocol is one JSON object per line, in both
-directions:
-
-Request lines
-    ``{"keys": [0.3, 0.1, ...]}`` sorts; optional fields: ``"ids"`` (payload
-    permutation input), ``"engine"`` (a registered backend name; omitted =
-    the service default, normally the planner), and ``"id"`` (an opaque
-    tag echoed back, for matching pipelined responses).  Control lines:
-    ``{"op": "stats"}`` returns the running :class:`ServiceStats` fields,
-    ``{"op": "ping"}`` returns ``{"ok": true}``, ``{"op": "metrics"}``
-    returns the Prometheus-style text exposition of the attached
-    :class:`~repro.service.metrics.ServiceInstrumentation` registry, and
-    ``{"op": "trace"}`` its recorded spans as Chrome trace-event JSON
-    (both error when the service carries no instrumentation).  When the
-    server was
-    started with a :class:`repro.store.SortedStore` attached
-    (``python -m repro serve --store DIR``), ``{"op": "store", "action":
-    ...}`` lines reach it: ``"insert"`` (with ``"keys"``) persists a
-    batch as a new run, ``"query"`` (with ``"lo"``/``"hi"``) answers a
-    range, ``"topk"`` (with ``"k"``) the k smallest, ``"compact"``
-    (optional ``"fan_in"``/``"devices"``) runs a compaction, and
-    ``"stats"`` returns the :class:`repro.store.StoreStats` fields.
-    Store lines on a server without a store get an ``"error"`` line.
-    ``{"op": "fleet", "action": ...}`` lines drive the multi-tenant
-    fleet harness (:mod:`repro.fleet`): ``"replay"`` replays a trace --
-    either ``"trace"`` (an inline :meth:`repro.fleet.Trace.to_json`
-    object) or ``"scenario"`` (a named scenario with optional ``"seed"``)
-    -- under ``"policy"`` and returns the
-    :meth:`repro.fleet.FleetReport.to_json` fields; ``"compare"`` does so
-    under every built-in policy; ``"policies"`` lists the built-ins.
-
-Response lines
-    ``{"id": ..., "engine": "...", "n": 5, "keys": [...], "ids": [...],
-    "telemetry": {...}}`` on success, where ``telemetry`` carries the
-    service-relevant fields (queue wait, coalesce, service makespan,
-    modeled totals).  On failure ``{"id": ..., "error": "..."}``; admission
-    rejections use ``{"error": "overloaded", "retry_after_ms": ...}`` so
-    clients know how long to back off.
+directions: a line with ``"keys"`` sorts, ``{"op": ...}`` lines are
+control ops (``ping``, ``stats``, ``metrics``, ``trace``), and
+``{"op": X, "action": Y}`` lines run the operation
+``repro.ops.OPS["X.Y"]`` -- the store and fleet actions the CLI serves
+too.  Every line gets exactly one response line; a failure answers
+``{"id": ..., "error": "..."}``.  ``docs/service.md`` tabulates every
+op and its fields.
 
 Each connection may pipeline: request lines are served concurrently (that
 is what lets the service coalesce them into one batch) and responses come
@@ -59,6 +29,7 @@ import numpy as np
 
 from repro.engines.base import SortRequest, SortResult
 from repro.errors import ReproError, ServiceOverloadError
+from repro.ops import OPS, Op, bind
 from repro.service.config import ServiceConfig
 from repro.service.service import SortService
 
@@ -104,148 +75,75 @@ def _parse_request(message: dict, config) -> tuple[SortRequest, str | None]:
     return request, message.get("engine")
 
 
-async def _serve_store(store, message: dict) -> dict:
-    """Serve one ``{"op": "store"}`` line against the attached store.
+def _observer(service: SortService):
+    if service.observer is None:
+        raise ReproError(
+            "no metrics attached (instrument the service with "
+            "repro.service.instrument)"
+        )
+    return service.observer
 
-    Store calls are blocking file work, so they run in the default
-    executor -- the event loop keeps serving sort lines while a store
-    insert or compaction is on disk.
+
+#: Control lines, answered from the service itself on the event loop.
+_CONTROL = {
+    "ping": lambda service: {"ok": True},
+    "stats": lambda service: service.stats.snapshot().to_json(),
+    "metrics": lambda service: {
+        "metrics": _observer(service).registry.expose()
+    },
+    "trace": lambda service: {"trace": _observer(service).spans.to_chrome()},
+}
+
+
+def _table_op(message: dict, store) -> tuple[Op, dict]:
+    """The shared op an ``{"op", "action"}`` line names, with its arguments.
+
+    The socket's face inputs join the bound parameters: the attached
+    ``store`` and the inline ``keys``.
     """
-    if store is None:
-        raise ReproError("no store attached (start the server with --store)")
-    action = message.get("action")
-    loop = asyncio.get_running_loop()
-    if action == "insert":
+    name, action = message["op"], message.get("action")
+    op = OPS.get(f"{name}.{action}")
+    if op is None:
+        if any(key.startswith(f"{name}.") for key in OPS):
+            raise ReproError(f"unknown {name} action {action!r}")
+        raise ReproError(f"unknown op {name!r}")
+    args = bind(op, message)
+    if "store" in op.inputs:
+        if store is None:
+            raise ReproError("no store attached (start the server with --store)")
+        args["store"] = store
+    if "keys" in op.inputs:
         if "keys" not in message:
             raise ReproError('store inserts need a "keys" array')
-        keys = np.asarray(message["keys"], dtype=np.float32)
-        meta = await loop.run_in_executor(
-            None, lambda: store.insert(keys, engine=message.get("engine"))
-        )
-        return {
-            "run": None if meta is None else meta.to_json(),
-            "runs": store.run_count,
-            "pairs": len(store),
-        }
-    if action == "query":
-        if "lo" not in message or "hi" not in message:
-            raise ReproError('store queries need "lo" and "hi"')
-        hits = await loop.run_in_executor(
-            None, lambda: store.range(message["lo"], message["hi"])
-        )
-        return {
-            "n": int(hits.shape[0]),
-            "keys": [float(k) for k in hits["key"]],
-            "ids": [int(i) for i in hits["id"]],
-        }
-    if action == "topk":
-        if "k" not in message:
-            raise ReproError('store topk needs "k"')
-        hits = await loop.run_in_executor(None, lambda: store.top_k(message["k"]))
-        return {
-            "n": int(hits.shape[0]),
-            "keys": [float(k) for k in hits["key"]],
-            "ids": [int(i) for i in hits["id"]],
-        }
-    if action == "compact":
-        def compact():
-            return store.compact(
-                fan_in=message.get("fan_in"), devices=message.get("devices")
-            )
-
-        report = await loop.run_in_executor(None, compact)
-        if report is None:
-            return {"compacted": False, "runs": store.run_count}
-        return {
-            "compacted": True,
-            "fan_in": report.fan_in,
-            "devices": report.devices,
-            "passes": report.passes,
-            "runs": store.run_count,
-            "makespan_ms": report.makespan_ms,
-            "predicted_ms": report.predicted_ms,
-        }
-    if action == "stats":
-        return store.stats.to_json()
-    raise ReproError(f"unknown store action {action!r}")
+        args["keys"] = np.asarray(message["keys"], dtype=np.float32)
+    return op, args
 
 
-async def _serve_fleet(message: dict) -> dict:
-    """Serve one ``{"op": "fleet"}`` line (replay / compare / policies).
+async def _serve_line(service: SortService, line: bytes, store=None) -> dict:
+    """Serve one request line, returning its one response object.
 
-    Replays are pure CPU work over virtual time, so they run in the
-    default executor; the event loop keeps serving sort lines meanwhile.
+    Table ops run in the default executor (store calls are blocking file
+    work, fleet replays pure CPU), so the event loop keeps serving sort
+    lines meanwhile.
     """
-    from repro.fleet import Trace, compare_policies, replay
-    from repro.fleet.policy import POLICIES
-    from repro.workloads.traces import scenario_trace
-
-    action = message.get("action")
-    if action == "policies":
-        return {"policies": sorted(POLICIES)}
-    if action not in ("replay", "compare"):
-        raise ReproError(f"unknown fleet action {action!r}")
-    if "trace" in message:
-        trace = Trace.from_json(message["trace"])
-    elif "scenario" in message:
-        trace = scenario_trace(
-            message["scenario"],
-            seed=message.get("seed", 0),
-            duration_ms=message.get("duration_ms"),
-        )
-    else:
-        raise ReproError('fleet replays need a "trace" or a "scenario"')
-    devices = message.get("devices", 4)
-    queue_bound = message.get("queue_bound", 64)
-    loop = asyncio.get_running_loop()
-    if action == "replay":
-        policy = message.get("policy", "weighted-fair")
-        report = await loop.run_in_executor(
-            None,
-            lambda: replay(
-                trace, policy, devices=devices, queue_bound=queue_bound
-            ),
-        )
-        return report.to_json()
-    reports = await loop.run_in_executor(
-        None,
-        lambda: compare_policies(
-            trace, devices=devices, queue_bound=queue_bound
-        ),
-    )
-    return {"reports": {name: r.to_json() for name, r in reports.items()}}
-
-
-async def _serve_line(service: SortService, message: dict, store=None) -> dict:
-    """Serve one parsed request line, returning the response object."""
-    tag = message.get("id")
+    tag = None
     try:
-        if message.get("op") == "ping":
-            return {"id": tag, "ok": True}
-        if message.get("op") == "store":
-            response = await _serve_store(store, message)
-            response["id"] = tag
-            return response
-        if message.get("op") == "fleet":
-            response = await _serve_fleet(message)
-            response["id"] = tag
-            return response
-        if message.get("op") == "stats":
-            response = service.stats.snapshot().to_json()
-            response["id"] = tag
-            return response
-        if message.get("op") == "metrics":
-            if service.observer is None:
-                raise ReproError(
-                    "no metrics attached (start the server with --metrics)"
-                )
-            return {"id": tag, "metrics": service.observer.registry.expose()}
-        if message.get("op") == "trace":
-            if service.observer is None:
-                raise ReproError(
-                    "no metrics attached (start the server with --metrics)"
-                )
-            return {"id": tag, "trace": service.observer.spans.to_chrome()}
+        try:
+            message = json.loads(line.decode())
+        except ValueError as err:  # bad UTF-8 or bad JSON
+            raise ReproError(f"bad JSON: {err}") from None
+        if not isinstance(message, dict):
+            raise ReproError("request lines must be JSON objects")
+        tag = message.get("id")
+        name = message.get("op")
+        if name in _CONTROL:
+            return {"id": tag, **_CONTROL[name](service)}
+        if name is not None:
+            op, args = _table_op(message, store)
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, op.handler, args
+            )
+            return {"id": tag, **op.to_json(result)}
         request, engine = _parse_request(message, service.config)
         result = await service.submit(request, engine=engine)
         return {
@@ -292,13 +190,12 @@ async def start_server(
     served = 0
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        nonlocal served
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
 
-        async def respond(message: dict) -> None:
+        async def respond(line: bytes) -> None:
             nonlocal served
-            response = await _serve_line(service, message, store)
+            response = await _serve_line(service, line, store)
             async with write_lock:
                 writer.write((json.dumps(response) + "\n").encode())
                 await writer.drain()
@@ -311,22 +208,10 @@ async def start_server(
                 line = await reader.readline()
                 if not line:
                     break
-                text = line.decode().strip()
-                if not text:
-                    continue
-                try:
-                    message = json.loads(text)
-                except json.JSONDecodeError as err:
-                    message = None
-                    async with write_lock:
-                        writer.write(
-                            (json.dumps({"error": f"bad JSON: {err}"}) + "\n").encode()
-                        )
-                        await writer.drain()
-                if message is not None:
+                if line.strip():
                     # Serve concurrently so one connection's pipelined
                     # lines can coalesce into a single batch.
-                    task = asyncio.create_task(respond(message))
+                    task = asyncio.create_task(respond(line))
                     pending.add(task)
                     task.add_done_callback(pending.discard)
         finally:
@@ -414,6 +299,21 @@ async def serve_forever(
     return service
 
 
+async def _round_trip(host: str, port: int, message: dict) -> dict:
+    """Send one line to a running NDJSON server and read its response."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write((json.dumps(message) + "\n").encode())
+        await writer.drain()
+        return json.loads((await reader.readline()).decode())
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
 async def request_sort(
     host: str,
     port: int,
@@ -423,23 +323,12 @@ async def request_sort(
     tag=None,
 ) -> dict:
     """One round trip against a running NDJSON server (async client)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        message: dict = {"keys": [float(k) for k in keys]}
-        if engine is not None:
-            message["engine"] = engine
-        if tag is not None:
-            message["id"] = tag
-        writer.write((json.dumps(message) + "\n").encode())
-        await writer.drain()
-        line = await reader.readline()
-        return json.loads(line.decode())
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    message: dict = {"keys": [float(k) for k in keys]}
+    if engine is not None:
+        message["engine"] = engine
+    if tag is not None:
+        message["id"] = tag
+    return await _round_trip(host, port, message)
 
 
 def sort_over_socket(host: str, port: int, keys, *, engine: str | None = None) -> dict:
@@ -453,15 +342,4 @@ async def request_op(host: str, port: int, op: str, **fields) -> dict:
     The client side of ``{"op": "stats"/"metrics"/"trace"/...}`` lines;
     ``python -m repro metrics`` scrapes a live server through it.
     """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write((json.dumps({"op": op, **fields}) + "\n").encode())
-        await writer.drain()
-        line = await reader.readline()
-        return json.loads(line.decode())
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    return await _round_trip(host, port, {"op": op, **fields})

@@ -123,8 +123,11 @@ def test_metrics_ops_error_without_instrumentation():
             return metrics, trace
 
     metrics, trace = _run(run())
-    assert "no metrics attached" in metrics["error"]
-    assert "no metrics attached" in trace["error"]
+    for response in (metrics, trace):
+        assert "no metrics attached" in response["error"]
+        # The remedy named is real: no server flag gates instrumentation.
+        assert "repro.service.instrument" in response["error"]
+        assert "--metrics" not in response["error"]
 
 
 def test_serve_forever_writes_metrics_ndjson_and_chrome_trace(

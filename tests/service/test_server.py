@@ -256,6 +256,61 @@ def test_server_requests_inherit_service_hardware():
     assert engine is None
 
 
+async def _lines(port: int, payload: bytes, count: int) -> list[dict]:
+    """Write ``payload`` on one connection and read ``count`` responses.
+
+    The read is bounded by a short ``wait_for``: a line the server leaves
+    unanswered fails the test instead of hanging it.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+
+        async def read_all():
+            return [json.loads(await reader.readline()) for _ in range(count)]
+
+        return await asyncio.wait_for(read_all(), 10.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _serve_raw(payload: bytes, count: int) -> list[dict]:
+    async def run():
+        async with SortService(devices=1, coalesce_window_ms=1.0) as svc:
+            server, port = await _open(svc)
+            try:
+                return await _lines(port, payload, count)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+    return _run(run())
+
+
+@pytest.mark.parametrize("line", [b"[1, 2, 3]", b'"hi"', b"42", b"null"])
+def test_non_object_json_lines_get_an_error_line(line):
+    (resp,) = _serve_raw(line + b"\n", 1)
+    assert resp == {"id": None, "error": "request lines must be JSON objects"}
+
+
+def test_invalid_utf8_gets_an_error_and_the_connection_keeps_serving():
+    responses = _serve_raw(b'\xff\xfe{"op": "ping"}\n{"op": "ping", "id": 7}\n', 2)
+    bad = next(r for r in responses if "error" in r)
+    assert "bad JSON" in bad["error"] and "utf-8" in bad["error"]
+    assert {"id": 7, "ok": True} in responses
+
+
+def test_unknown_ops_and_actions_are_named():
+    responses = _serve_raw(
+        b'{"op": "nonsense", "id": 1}\n{"op": "fleet", "action": "x", "id": 2}\n',
+        2,
+    )
+    by_id = {r["id"]: r["error"] for r in responses}
+    assert by_id == {1: "unknown op 'nonsense'", 2: "unknown fleet action 'x'"}
+
+
 def test_malformed_keys_still_get_a_response():
     async def run():
         async with SortService(devices=1, coalesce_window_ms=1.0) as svc:

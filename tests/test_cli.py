@@ -16,9 +16,11 @@ class TestCLI:
         assert "GeForce 6800" in out and "GeForce 7800" in out
 
     def test_sort_variants(self, capsys):
-        assert main(["sort", "--n", "64", "--schedule", "sequential",
-                     "--no-optimized"]) == 0
-        assert "sorted 64 pairs" in capsys.readouterr().out
+        assert main(["sort", "--n", "64",
+                     "--engine", "abisort-sequential"]) == 0
+        out = capsys.readouterr().out
+        assert "sorted 64 pairs" in out
+        assert "engine 'abisort-sequential'" in out
 
     def test_figures_single(self, capsys):
         assert main(["figures", "4"]) == 0
