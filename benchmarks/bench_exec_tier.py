@@ -118,7 +118,7 @@ def test_external_pipeline_identity(benchmark, bench_json):
 
     def run_tier(tier: str):
         sorter = ExternalSorter(
-            EXTERNAL_CHUNK, merge_buffer=EXTERNAL_BUFFER, exec_tier=tier
+            EXTERNAL_CHUNK, merge_buffer=EXTERNAL_BUFFER, tier=tier
         )
         disk = SimulatedDisk(VALUE_DTYPE)
         disk.write_file("input", values)

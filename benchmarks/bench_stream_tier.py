@@ -110,7 +110,8 @@ def _assert_identical(ref, vec, label: str, *, cache_replay: bool) -> None:
 
 
 def _timed_sort(values: np.ndarray, tier: str, engine: str):
-    request = repro.SortRequest(values=values, exec_tier=tier)
+    # trace=True is what selects the reference tier.
+    request = repro.SortRequest(values=values, trace=tier == "reference")
     start = time.perf_counter()
     result = repro.sort(request, engine=engine)
     return result, time.perf_counter() - start

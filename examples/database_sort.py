@@ -10,9 +10,9 @@ and reorder stages for out-of-core databases -- this example shows the
 in-core version of that pipeline on GPU-ABiSort:
 
 1. build the key/pointer pair array from a record table,
-2. pad to a power of two (+inf keys sort last; paper Section 4),
-3. sort the pairs with GPU-ABiSort,
-4. reorder (gather) the payload by the sorted pointers.
+2. sort the pairs with the ``abisort`` engine, which pads to a power of
+   two internally (+inf keys sort last; paper Section 4),
+3. reorder (gather) the payload by the sorted pointers.
 """
 
 from __future__ import annotations
@@ -20,8 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.workloads.records import RecordTable, pad_to_power_of_two
+from repro.workloads.records import RecordTable
 from repro.workloads.rng import seeded_rng
+
+
+def abisort(pairs: np.ndarray) -> np.ndarray:
+    """Sort value/pointer pairs of any length with GPU-ABiSort."""
+    return repro.sort(repro.SortRequest(values=pairs), engine="abisort").values
 
 
 def main() -> None:
@@ -42,11 +47,9 @@ def main() -> None:
     # Sort by amount: key = amount, pointer = row index.
     table = RecordTable(payload["amount"], payload)
     pairs = table.pairs()
+    print(f"sorting {n} records by amount")
 
-    padded, orig = pad_to_power_of_two(pairs)
-    print(f"{orig} records padded to {padded.shape[0]} pairs")
-
-    sorted_pairs = repro.abisort(padded)[:orig]
+    sorted_pairs = abisort(pairs)
 
     sorted_records = table.sorted_payload(sorted_pairs)
     amounts = sorted_records["amount"]
@@ -66,17 +69,15 @@ def main() -> None:
     print("\ncomposite key (customer, amount): sort twice, low part first")
     low = table.pairs()
     low["key"] = payload["amount"]
-    pass1, orig1 = pad_to_power_of_two(low)
-    by_amount = repro.abisort(pass1)[:orig1]
+    by_amount = abisort(low)
     # Second pass: keys = integer customer bucket; ids = ranks from pass 1,
     # so equal customers keep the amount order (the id tiebreak makes the
     # pass stable with respect to pass 1).
     _uniq, buckets = np.unique(payload["customer"], return_inverse=True)
-    second = np.empty(orig1, dtype=repro.VALUE_DTYPE)
+    second = np.empty(n, dtype=repro.VALUE_DTYPE)
     second["key"] = buckets[by_amount["id"]].astype(np.float32)
-    second["id"] = np.arange(orig1, dtype=np.uint32)
-    pass2, orig2 = pad_to_power_of_two(second)
-    by_both_rank = repro.abisort(pass2)[:orig2]
+    second["id"] = np.arange(n, dtype=np.uint32)
+    by_both_rank = abisort(second)
     final_rows = by_amount["id"][by_both_rank["id"]]
     final = payload[final_rows]
     # Verify: sorted by customer, amounts ascending within a customer.
@@ -84,7 +85,7 @@ def main() -> None:
     assert (cust[:-1] <= cust[1:]).all()
     same = cust[:-1] == cust[1:]
     assert (final["amount"][:-1][same] <= final["amount"][1:][same]).all()
-    print(f"  sorted {orig} records by (customer, amount); "
+    print(f"  sorted {n} records by (customer, amount); "
           f"first: {final['customer'][0].decode()} {final['amount'][0]:.2f}")
 
 

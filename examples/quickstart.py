@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 
 Covers the essentials: the unified engine API (repro.sort / SortRequest /
-SortResult), the classic convenience functions, variants, and the
+SortResult), pinning GPU-ABiSort by engine name, variants, and the
 stream-operation telemetry that the paper's complexity story is about.
 """
 
@@ -26,20 +26,20 @@ def main() -> None:
     keys = rng.random(n, dtype=np.float32)
     values = repro.make_values(keys)
 
-    # Default configuration = the paper's benchmarked one: overlapped
+    # engine="abisort" is the paper's benchmarked configuration: overlapped
     # schedule (Section 5.4), Section-7 optimizations, GPU semantics.
-    result = repro.abisort(values)
+    result = repro.sort(repro.SortRequest(values=values), engine="abisort").values
     verify_sort_output(values, result)
     print(f"sorted {n} value/pointer pairs; first keys: {result['key'][:5]}")
 
-    # Plain key/id interface; the returned ids reorder any payload.
-    skeys, sids = repro.sort_key_value(keys)
-    assert np.array_equal(keys[sids], skeys)
+    # Plain keys work too (ids default to positions); the returned ids
+    # reorder any payload.
+    res = repro.sort(repro.SortRequest(keys=keys), engine="abisort")
+    assert np.array_equal(keys[res.ids], res.keys)
 
-    # The unified engine API: build a SortRequest (plain keys work; ids
-    # default to positions) and dispatch it through any registered backend.
-    # The SortResult carries the telemetry the old code scraped off
-    # sorter.last_machine.
+    # With no engine named, repro.sort lets the planner pick any registered
+    # backend.  The SortResult carries the telemetry the old code scraped
+    # off sorter.last_machine.
     res = repro.sort(repro.SortRequest(keys=keys))
     assert np.array_equal(res.values, result)
     print(f"engine {res.engine!r}: {res.telemetry.summary()}")

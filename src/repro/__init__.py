@@ -29,8 +29,8 @@ Quick start (the unified engine API)::
     repro.sort(repro.SortRequest(keys=rng.random(4096, dtype=np.float32)),
                engine="bitonic-network")
 
-The pre-engine entry points (:func:`abisort`, :func:`sort_key_value`,
-:func:`make_sorter`) remain as thin shims over the same machinery.
+``repro.sort(..., engine="abisort")`` pins GPU-ABiSort; :func:`make_sorter`
+builds a bare sorter for one :class:`ABiSortConfig` variant.
 """
 
 from repro.errors import (
@@ -47,13 +47,7 @@ from repro.errors import (
 )
 from repro.stream.stream import NODE_DTYPE, PQ_DTYPE, VALUE_DTYPE
 from repro.core.values import make_values
-from repro.core.api import (
-    ABiSortConfig,
-    abisort,
-    abisort_any_length,
-    make_sorter,
-    sort_key_value,
-)
+from repro.core.api import ABiSortConfig, make_sorter
 from repro.core.abisort import GPUABiSorter
 from repro.core.optimized import OptimizedGPUABiSorter
 from repro import cluster, engines, fleet, planner, service, store
@@ -108,10 +102,7 @@ __all__ = [
     "PQ_DTYPE",
     "make_values",
     "ABiSortConfig",
-    "abisort",
-    "abisort_any_length",
     "make_sorter",
-    "sort_key_value",
     "GPUABiSorter",
     "OptimizedGPUABiSorter",
     "engines",

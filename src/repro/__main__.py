@@ -56,7 +56,6 @@ import sys
 import numpy as np
 
 import repro
-from repro.exec import EXEC_TIERS
 from repro.analysis import figures as fig
 from repro.analysis.cluster_report import format_pool_health
 from repro.analysis.plots import timing_plot
@@ -102,13 +101,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     gpu6800, agp = _gpu_host("6800")
     gpu7800, _pcie = _gpu_host("7800")
     result = repro.sort(
-        repro.SortRequest(
-            keys=keys,
-            gpu=gpu6800,
-            host=agp,
-            exec_tier=args.exec_tier,
-        ),
-        engine=args.engine,
+        repro.SortRequest(keys=keys, gpu=gpu6800, host=agp), engine=args.engine
     )
     t = result.telemetry
     print(f"sorted {args.n} pairs ({args.dist}, seed {args.seed}) with "
@@ -168,13 +161,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     gpu, host = _gpu_host(args.gpu)
     keys = generate_keys(args.dist, args.n, seed=args.seed)
     result = repro.sort(
-        repro.SortRequest(
-            keys=keys,
-            gpu=gpu,
-            host=host,
-            devices=args.devices,
-            exec_tier=args.exec_tier,
-        ),
+        repro.SortRequest(keys=keys, gpu=gpu, host=host, devices=args.devices),
         engine="sharded-abisort",
     )
     t = result.telemetry
@@ -235,7 +222,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         coalesce_window_ms=args.window_ms,
         max_batch=args.max_batch,
-        exec_tier=args.exec_tier,
     )
 
     def on_ready(port: int) -> None:
@@ -253,9 +239,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = SortService(config)
     store = None
     if args.store is not None:
-        store = SortedStore(
-            args.store, gpu=gpu, host=host_model, exec_tier=args.exec_tier
-        )
+        store = SortedStore(args.store, gpu=gpu, host=host_model)
     instrument(service, store=store)
     try:
         asyncio.run(
@@ -423,7 +407,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # Sorting correctness across variants.
     values = repro.make_values(generate_keys("uniform", 1 << 10, seed=1))
     outs = [
-        repro.abisort(values, repro.ABiSortConfig(schedule=s, optimized=o))
+        repro.make_sorter(repro.ABiSortConfig(schedule=s, optimized=o)).sort(values)
         for s in ("sequential", "overlapped") for o in (False, True)
     ]
     check("all four variants agree",
@@ -504,11 +488,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     gpu, _host = _gpu_host(args.gpu)  # the profile prices the GPU alone
     result = repro.sort(
-        repro.SortRequest(
-            keys=generate_keys("uniform", args.n, seed=0),
-            gpu=gpu,
-            exec_tier=args.exec_tier,
-        ),
+        repro.SortRequest(keys=generate_keys("uniform", args.n, seed=0), gpu=gpu),
         engine=args.engine or "abisort",
     )
     if result.machine is None:
@@ -527,9 +507,6 @@ _DIST = Param("dist", choices=tuple(sorted(DISTRIBUTIONS)), default="uniform",
 _SEED = Param("seed", int, 0, help="workload seed")
 _GPU = Param("gpu", choices=("6800", "7800"), default="7800",
              help="hardware model: Table-2 6800/AGP or Table-3 7800/PCIe")
-_EXEC_TIER = Param("exec_tier", choices=EXEC_TIERS,
-                   help="execution tier of the hot loops (default: the "
-                        "planner's pick; the tiers are bit-identical)")
 _HOST = Param("host", default="127.0.0.1", help="server address")
 _PORT = Param("port", int, 7806, help="TCP port")
 _JSON = Param("json", bool, False,
@@ -539,8 +516,6 @@ _METRICS_OUT = Param("metrics_out",
                           "samples here")
 _STORE = (
     Param("path", required=True, help="store directory (created on first use)"),
-    _EXEC_TIER._replace(help="execution tier of query/compaction merges "
-                             "(default: the process default, vectorized)"),
 )
 
 #: The CLI's own options of the shared ops: stand-ins for the socket's
@@ -609,8 +584,7 @@ _COMMANDS = (
     Op("sort",
        (_N, _DIST, _SEED,
         Param("engine", default="abisort",
-              help="registered backend to dispatch through (see `backends`)"),
-        _EXEC_TIER),
+              help="registered backend to dispatch through (see `backends`)")),
        cmd_sort, help="sort a generated workload"),
     Op("backends", (), cmd_backends,
        help="list registered sort engines and capabilities"),
@@ -627,7 +601,7 @@ _COMMANDS = (
        cmd_plan, help="explain the planner's engine/device choice"),
     Op("cluster",
        (_N, Param("devices", int, 4, help="device count"), _GPU,
-        _DIST, _SEED, _EXEC_TIER),
+        _DIST, _SEED),
        cmd_cluster, help="sharded sort across N modeled devices"),
     Op("serve",
        (_HOST, _PORT._replace(help="TCP port (0 picks a free one)"),
@@ -644,7 +618,6 @@ _COMMANDS = (
               help="exit after this many responses (smoke tests)"),
         Param("store", help="attach a persistent SortedStore directory "
                             "(enables the {\"op\": \"store\"} wire lines)"),
-        _EXEC_TIER,
         Param("metrics_out", help="append a metrics-NDJSON sample here every "
                                   "second (and once at shutdown)"),
         Param("trace_out", help="write the request spans as Chrome trace "
@@ -661,8 +634,7 @@ _COMMANDS = (
        cmd_ops, help="stream-op counts of the variants"),
     Op("profile",
        (_N, _GPU,
-        Param("engine", help="profile this backend (default: abisort)"),
-        _EXEC_TIER),
+        Param("engine", help="profile this backend (default: abisort)")),
        cmd_profile, help="per-level cost profile of a sort"),
     Op("metrics",
        (_HOST, _PORT,
@@ -746,7 +718,7 @@ def prepare(ns: argparse.Namespace) -> tuple[Op, dict]:
         values["trace"] = Trace.load(values["trace"])
     args = {**values, **bind(op, values)}
     if "store" in op.inputs:
-        args["store"] = SortedStore(args["path"], exec_tier=args["exec_tier"])
+        args["store"] = SortedStore(args["path"])
     if "keys" in op.inputs:
         args["keys"] = generate_keys(args["dist"], args["n"], seed=args["seed"])
     if op.name == "fleet.replay" and (

@@ -32,7 +32,7 @@ from repro.cluster.device import Device, make_devices
 from repro.cluster.planner import ShardPlan, ShardPlanner
 from repro.cluster.scheduler import ClusterSchedule, PipelineTask, Scheduler
 from repro.errors import SortInputError
-from repro.exec import get_backend, resolve_tier
+from repro.exec import get_backend
 from repro.exec.stream_tier import CountingStreamMachine, counting_sort_run
 from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, estimate_gpu_time_ms
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
@@ -88,7 +88,7 @@ def _strip_padding(sorted_padded: np.ndarray, orig: int,
 
 
 def merge_sorted_runs(
-    runs: list[np.ndarray], tier: str | None = None
+    runs: list[np.ndarray], tier: str = "vectorized"
 ) -> tuple[np.ndarray, int]:
     """K-way merge of sorted ``VALUE_DTYPE`` runs, loser-tree semantics.
 
@@ -97,8 +97,8 @@ def merge_sorted_runs(
     stage).  Empty runs are skipped; a single run returns a copy with
     zero comparisons.  ``tier`` selects the execution backend (see
     :mod:`repro.exec`): ``"reference"`` plays every match, ``"vectorized"``
-    merges with numpy, ``None`` uses the process default -- the merged
-    bytes and the comparison count are identical either way.
+    merges with numpy -- the merged bytes and the comparison count are
+    identical either way.
     """
     return get_backend(tier).merge_runs(runs)
 
@@ -143,9 +143,9 @@ class ShardedSorter:
     host:
         The CPU side: prices the final merge at ``cpu_op_ns`` per
         comparison.
-    exec_tier:
-        Execution tier (see :mod:`repro.exec`); ``None`` uses the process
-        default.  Under ``vectorized`` the per-shard sorts run in counting
+    tier:
+        Execution tier (see :mod:`repro.exec`).  Under the default
+        ``vectorized`` tier the per-shard sorts run in counting
         mode (:mod:`repro.exec.stream_tier`) -- each counting machine is
         adopted into its device's machine log, so per-device op logs and
         counters stay identical to a reference run -- and the host-side
@@ -161,7 +161,7 @@ class ShardedSorter:
         overlap: bool = True,
         mapping: Mapping2D | None = None,
         host: HostSystem = PCIE_SYSTEM,
-        exec_tier: str | None = None,
+        tier: str = "vectorized",
     ):
         if isinstance(devices, int):
             devices = make_devices(devices, host=host)
@@ -173,7 +173,8 @@ class ShardedSorter:
         self.overlap = overlap
         self.mapping = mapping or ZOrderMapping()
         self.host = host
-        self.exec_tier = exec_tier
+        get_backend(tier)  # reject an unknown tier up front
+        self.tier = tier
         self._sorters = {d.index: d.make_sorter(self.config) for d in devices}
         # Counting-mode twins for the vectorized tier.  Their machines are
         # free-standing (not auto-registered with a device) so a fallback
@@ -218,7 +219,7 @@ class ShardedSorter:
         tasks: list[PipelineTask] = []
         shard_sort_ms: list[float] = []
         itemsize = values.dtype.itemsize
-        fast = resolve_tier(self.exec_tier) == "vectorized"
+        fast = self.tier == "vectorized"
         for shard in plan.shards:
             chunk = values[shard.start : shard.stop]
             sort_ms = 0.0
@@ -264,7 +265,7 @@ class ShardedSorter:
             )
 
         if len(runs) > 1:
-            merged, comparisons = merge_sorted_runs(runs, tier=self.exec_tier)
+            merged, comparisons = merge_sorted_runs(runs, tier=self.tier)
         else:
             merged, comparisons = runs[0], 0
         merge_ms = comparisons * self.host.cpu_op_ns * 1e-6

@@ -19,7 +19,8 @@ Layering (bottom to top):
   O(log^2 n) version (Section 5.4).
 * :mod:`repro.core.optimized` -- the Section 7 fast path: local sort of 8,
   truncated adaptive merge, traversal kernel, and bitonic merge of 16.
-* :mod:`repro.core.api` -- user-facing entry points.
+* :mod:`repro.core.api` -- variant selection (:class:`ABiSortConfig`) and
+  the sorter factory the engine adapters build on.
 """
 
 from repro.core.values import as_key_id, keys_of, ids_of, total_order_argsort
@@ -35,7 +36,7 @@ from repro.core.sequential import (
     adaptive_bitonic_sort_sequence,
 )
 from repro.core.abisort import GPUABiSorter
-from repro.core.api import ABiSortConfig, abisort, sort_key_value
+from repro.core.api import ABiSortConfig
 
 __all__ = [
     "as_key_id",
@@ -51,6 +52,4 @@ __all__ = [
     "adaptive_bitonic_sort_sequence",
     "GPUABiSorter",
     "ABiSortConfig",
-    "abisort",
-    "sort_key_value",
 ]

@@ -1,31 +1,16 @@
-"""Direct entry points for GPU-ABiSort (thin shims over the engine API).
+"""GPU-ABiSort variant selection: :class:`ABiSortConfig` and :func:`make_sorter`.
 
-.. deprecated::
-    New code should use the unified engine API -- :func:`repro.sort` with a
-    :class:`repro.SortRequest`, or :func:`repro.engines.get` -- which
-    serves *every* backend (ABiSort variants, the baselines, the
-    out-of-core sorter) and returns structured telemetry.  With no engine
-    argument, :func:`repro.sort` now routes through the cost-model planner
-    (``engine="auto"``, :mod:`repro.planner`), which picks the cheapest
-    capability-feasible backend and device count per request shape;
-    concurrent callers should go one layer higher still, through
-    :class:`repro.service.SortService`, which adds coalescing, admission
-    control, and worker-per-device execution on top of the same planned
-    dispatch.  Calling these shims opts out of all of that (they always
-    run GPU-ABiSort) as well as of capability checks and telemetry.  The
-    functions remain supported as convenience shims for the common
-    ABiSort-only cases and are what the engine adapters themselves are
-    built from.  See docs/architecture.md for the full layer map.
-
-:func:`abisort` sorts a ``VALUE_DTYPE`` array; :func:`sort_key_value`
-sorts plain key/id arrays.  Both accept an :class:`ABiSortConfig`
-selecting the algorithm variant:
+Callers sort through the unified engine API -- :func:`repro.sort` with a
+:class:`repro.SortRequest`, or ``engine="abisort"`` (and the other
+``abisort-*`` names) to pin GPU-ABiSort.  This module holds what the engine
+adapters, the cluster devices, and the timing tables build their sorters
+from.  See docs/architecture.md for the full layer map.
 
 >>> import numpy as np
->>> from repro import abisort, make_values
+>>> from repro import make_sorter, make_values
 >>> rng = np.random.default_rng(0)
 >>> vals = make_values(rng.random(1024, dtype=np.float32))
->>> out = abisort(vals)
+>>> out = make_sorter().sort(vals)
 >>> bool(np.all(out["key"][:-1] <= out["key"][1:]))
 True
 """
@@ -34,18 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.abisort import GPUABiSorter
 from repro.core.optimized import OptimizedGPUABiSorter
-from repro.core.values import make_values
 
-__all__ = ["ABiSortConfig", "abisort", "abisort_any_length", "sort_key_value", "make_sorter"]
+__all__ = ["ABiSortConfig", "make_sorter"]
 
 
 @dataclass(frozen=True)
 class ABiSortConfig:
-    """Algorithm-variant selection for :func:`abisort`.
+    """Algorithm-variant selection for :func:`make_sorter`.
 
     Attributes
     ----------
@@ -87,61 +69,3 @@ def make_sorter(
         machine_factory=machine_factory,
     )
 
-
-def abisort(
-    values: np.ndarray, config: ABiSortConfig | None = None
-) -> np.ndarray:
-    """Sort a ``VALUE_DTYPE`` array ascending by (key, id) with GPU-ABiSort.
-
-    Returns a new sorted array.  For access to the stream-operation log of
-    the run (op counts, bytes moved -- the inputs of the hardware cost
-    model), build a sorter with :func:`make_sorter` and use its
-    ``last_machine`` attribute.
-    """
-    return make_sorter(config).sort(values)
-
-
-def abisort_any_length(
-    values: np.ndarray, config: ABiSortConfig | None = None
-) -> np.ndarray:
-    """Sort a value array of *any* length with GPU-ABiSort.
-
-    The paper assumes power-of-two n and names two remedies: padding
-    (Section 4) or pruned bitonic trees (future work there, [BN89]).  This
-    convenience applies the padding remedy: the input is padded with +inf
-    keys to the next power of two, sorted, and truncated.  The amortised
-    overhead is at most 2x work in the worst case (n just above a power of
-    two) and typically far less.
-    """
-    from repro.workloads.records import pad_to_power_of_two
-
-    if values.shape[0] <= 1:
-        # Uniform trivial-input semantics (see repro.engines.base): empty
-        # and single-element inputs are returned as copies everywhere.
-        return values.copy()
-    padded, orig = pad_to_power_of_two(values)
-    return abisort(padded, config)[:orig]
-
-
-def sort_key_value(
-    keys: np.ndarray,
-    ids: np.ndarray | None = None,
-    config: ABiSortConfig | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort plain ``keys`` (with optional ``ids``) and return both, sorted.
-
-    ``ids`` defaults to the original positions, which also makes the sort
-    stable with respect to the input order (the paper's distinctness
-    device).  Returns ``(sorted_keys, sorted_ids)``; ``sorted_ids`` is the
-    permutation that can be used to reorder an associated record array.
-
-    Empty and single-element inputs return (copies of) the input, matching
-    the uniform semantics of the engine API (see
-    :mod:`repro.engines.base`): trivial inputs are valid everywhere and
-    never dispatch to the underlying algorithm.
-    """
-    vals = make_values(np.asarray(keys), ids)
-    if vals.shape[0] <= 1:
-        return vals["key"].copy(), vals["id"].copy()
-    out = abisort(vals, config)
-    return out["key"].copy(), out["id"].copy()

@@ -212,7 +212,7 @@ class ShardedABiSortEngine(SortEngine):
             overlap=self.overlap,
             mapping=request.mapping or ZOrderMapping(),
             host=request.host,
-            exec_tier=request.exec_tier,
+            tier=resolve_request_tier(request),
         )
         res = sorter.sort(values)
 
@@ -353,7 +353,7 @@ class ExternalSortEngine(SortEngine):
             gpu=request.gpu,
             mapping=request.mapping or ZOrderMapping(),
             merge_buffer=self.merge_buffer,
-            exec_tier=request.exec_tier,
+            tier=resolve_request_tier(request),
         )
         disk = SimulatedDisk(VALUE_DTYPE)
         disk.write_file("input", values)

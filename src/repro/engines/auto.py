@@ -66,13 +66,8 @@ class AutoEngine(SortEngine):
         from repro.engines.registry import get
 
         plan = self.planner.plan(request)
-        replace_kwargs: dict[str, object] = {}
         if plan.devices is not None and request.devices != plan.devices:
-            replace_kwargs["devices"] = plan.devices
-        if request.exec_tier is None:
-            replace_kwargs["exec_tier"] = plan.exec_tier
-        if replace_kwargs:
-            request = dataclasses.replace(request, **replace_kwargs)
+            request = dataclasses.replace(request, devices=plan.devices)
         engine = self._engines.get(plan.engine)
         if engine is None:
             engine = self._engines[plan.engine] = get(plan.engine)

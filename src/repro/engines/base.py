@@ -38,9 +38,8 @@ Empty and single-element inputs
 
 Uniform across *all* engines: sorting zero or one element returns (a copy
 of) the input with zeroed telemetry, never an error, and never dispatches to
-the underlying algorithm.  (Historically ``abisort_any_length([])`` returned
-a copy while ``sort_key_value([])`` raised; the engine layer fixes the
-semantics in one place.)
+the underlying algorithm.  The engine layer fixes these semantics in one
+place.
 """
 
 from __future__ import annotations
@@ -127,14 +126,10 @@ class SortRequest:
     #: ``sort_batch`` fast path; ``None`` keeps the engine's own default.
     #: Single-device engines ignore it.
     devices: int | None = None
-    #: Execution tier of the merge/stream hot loops (see :mod:`repro.exec`):
-    #: ``"reference"`` or ``"vectorized"``, both bit- and
-    #: telemetry-identical.  ``None`` lets the planner pick (``vectorized``
-    #: for serving, ``reference`` when :attr:`trace` is set); engines
-    #: dispatched by name fall back to the process default.
-    exec_tier: str | None = None
     #: The caller wants the exact traced execution (op logs, comparison
-    #: traces, figures): the planner then selects the ``reference`` tier.
+    #: traces, figures): the request then runs on the ``reference``
+    #: execution tier, otherwise on the ``vectorized`` one (see
+    #: :mod:`repro.exec`; the tiers are bit- and telemetry-identical).
     trace: bool = False
 
     def to_values(self) -> np.ndarray:

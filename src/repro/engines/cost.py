@@ -79,12 +79,10 @@ class RequestShape:
     host: str
     mapping: str
     devices: int | None = None
-    #: The request's explicit execution tier (None = planner's choice) and
-    #: trace flag.  Neither changes any engine's *modeled* cost -- the
-    #: tiers are telemetry-identical by contract -- but both are part of
-    #: the plan (the chosen tier rides on it), so the plan cache must not
-    #: alias shapes that differ in them.
-    exec_tier: str | None = None
+    #: The request's trace flag.  It changes no engine's *modeled* cost --
+    #: the tiers are telemetry-identical by contract -- but it picks the
+    #: execution tier the plan names, so the plan cache must not alias
+    #: shapes that differ in it.
     trace: bool = False
 
     def describe(self) -> str:
@@ -92,12 +90,8 @@ class RequestShape:
         form = "key-value" if self.key_value else "values"
         dev = f", devices={self.devices}" if self.devices else ""
         req = f", require={','.join(self.require)}" if self.require else ""
-        tier = f", exec_tier={self.exec_tier}" if self.exec_tier else ""
         traced = ", trace" if self.trace else ""
-        return (
-            f"n={self.n} {form} on {self.gpu} / {self.host}{dev}{req}"
-            f"{tier}{traced}"
-        )
+        return f"n={self.n} {form} on {self.gpu} / {self.host}{dev}{req}{traced}"
 
 
 def request_shape(request: "SortRequest") -> RequestShape:
@@ -118,7 +112,6 @@ def request_shape(request: "SortRequest") -> RequestShape:
         host=request.host.name,
         mapping=mapping,
         devices=request.devices,
-        exec_tier=request.exec_tier,
         trace=request.trace,
     )
 

@@ -8,7 +8,7 @@ reused by every :class:`repro.store.SortedStore` query, and the
 out-of-core merge/run-formation pipeline of
 :class:`repro.hybrid.external.ExternalSorter`) historically emitted one
 record per Python-level call.  This package makes the execution strategy
-a first-class, selectable **tier**, mirroring PPT-GPU's hybrid
+a first-class **tier**, mirroring PPT-GPU's hybrid
 fast-analytical / cycle-accurate split:
 
 ``reference``
@@ -37,12 +37,16 @@ pattern.  Inputs the vectorized order cannot reproduce provably
 (NaN keys, duplicated (key, id) pairs) fall back wholesale to the
 reference backend, so the guarantee holds unconditionally.
 
-Tier selection flows through the planner (`SortPlan.exec_tier`:
-``vectorized`` for serving-shaped requests, ``reference`` when the
-request asks for a trace), with explicit overrides on
-:class:`repro.engines.base.SortRequest`, :class:`repro.service.ServiceConfig`,
-:class:`repro.store.StoreConfig`, and the ``--exec-tier`` CLI flag.
-See ``docs/execution.md``.
+The tier is a property of what the caller asks for, not a mode:
+``reference`` when the request sets ``trace=True`` (op-log and figure
+consumers need the interpreter's own trace), ``vectorized`` otherwise
+(:func:`resolve_request_tier`).  The planner records the pick on the plan
+(``SortPlan.exec_tier``).  Components below the engines
+(:class:`~repro.cluster.sharded.ShardedSorter`,
+:class:`~repro.hybrid.external.ExternalSorter`,
+:func:`~repro.cluster.sharded.merge_sorted_runs`) take a ``tier``
+argument, defaulting to ``vectorized``, that the engine adapters fill
+from the request.  See ``docs/execution.md``.
 """
 
 from __future__ import annotations
@@ -56,14 +60,11 @@ __all__ = [
     "ExecutionBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "default_tier",
-    "set_default_tier",
-    "resolve_tier",
     "resolve_request_tier",
     "get_backend",
 ]
 
-#: The selectable execution tiers, in documentation order.
+#: The execution tiers, in documentation order.
 EXEC_TIERS = ("reference", "vectorized")
 
 _BACKENDS: dict[str, ExecutionBackend] = {
@@ -71,52 +72,23 @@ _BACKENDS: dict[str, ExecutionBackend] = {
     "vectorized": VectorizedBackend(),
 }
 
-#: What ``tier=None`` resolves to.  Vectorized is safe as the ambient
-#: default because the tiers are bit-identical in output *and* telemetry;
-#: the reference tier remains one explicit override (or ``trace=True``
-#: request) away.
-_default = "vectorized"
+
+def resolve_request_tier(request) -> str:
+    """The tier a sort request runs under.
+
+    Traced requests take the reference tier, so op-log consumers see the
+    interpreter's own trace, gather traces included; everything else takes
+    the vectorized tier.  ``request`` is duck-typed on ``trace``.
+    """
+    return "reference" if request.trace else "vectorized"
 
 
-def default_tier() -> str:
-    """The tier a ``None`` tier resolves to (process-wide)."""
-    return _default
-
-
-def set_default_tier(tier: str) -> str:
-    """Set the process-wide default tier; returns the previous default."""
-    global _default
-    previous = _default
-    _default = resolve_tier(tier)
-    return previous
-
-
-def resolve_tier(tier: str | None) -> str:
-    """Validate ``tier``, resolving ``None`` to the process default."""
-    if tier is None:
-        return _default
-    if tier not in _BACKENDS:
+def get_backend(tier: str = "vectorized") -> ExecutionBackend:
+    """The :class:`ExecutionBackend` serving ``tier``."""
+    try:
+        return _BACKENDS[tier]
+    except KeyError:
         raise SortInputError(
             f"unknown execution tier {tier!r}; "
             f"known tiers: {', '.join(EXEC_TIERS)}"
-        )
-    return tier
-
-
-def resolve_request_tier(request) -> str:
-    """The tier a sort request actually runs under -- the planner's rule.
-
-    An explicit ``request.exec_tier`` wins; otherwise traced requests pin
-    the reference tier (so op-log consumers see identical traces,
-    gather traces included) and everything else takes the process
-    default.  ``request`` is duck-typed on ``exec_tier`` / ``trace`` so
-    both :class:`repro.engines.base.SortRequest` and plan objects work.
-    """
-    return resolve_tier(
-        request.exec_tier or ("reference" if request.trace else None)
-    )
-
-
-def get_backend(tier: str | None = None) -> ExecutionBackend:
-    """The :class:`ExecutionBackend` serving ``tier`` (default-resolved)."""
-    return _BACKENDS[resolve_tier(tier)]
+        ) from None

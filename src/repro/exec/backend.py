@@ -29,8 +29,8 @@ class ExecutionBackend(ABC):
     telemetry is indistinguishable.
     """
 
-    #: The tier name (`"reference"` / `"vectorized"`), as selected by
-    #: ``SortRequest.exec_tier`` and the ``--exec-tier`` CLI flags.
+    #: The tier name (`"reference"` / `"vectorized"`); requests with
+    #: ``trace=True`` run on the reference tier, all others vectorized.
     name: str = ""
 
     @abstractmethod

@@ -170,15 +170,14 @@ class ExternalSorter:
     merge_buffer:
         Records buffered per run during the merge (models main-memory
         budget; smaller buffers mean more seeks, visible in the report).
-    exec_tier:
+    tier:
         Execution tier (see :mod:`repro.exec`): ``"reference"`` runs the
         per-element loser-tree merge and sorts every chunk on the stream
         interpreter; ``"vectorized"`` merges with numpy, sorts chunks in
         counting mode (:mod:`repro.exec.stream_tier`, batched argsort +
         closed-form op log), and memoizes the (data-independent) modeled
-        GPU time per chunk shape.  ``None`` uses the process default.
-        Output, disk statistics, and modeled times are identical across
-        tiers.
+        GPU time per chunk shape (the default).  Output, disk statistics,
+        and modeled times are identical across tiers.
     """
 
     def __init__(
@@ -189,7 +188,7 @@ class ExternalSorter:
         gpu: GPUModel = GEFORCE_7800_GTX,
         mapping: Mapping2D | None = None,
         merge_buffer: int = 1 << 10,
-        exec_tier: str | None = None,
+        tier: str = "vectorized",
     ):
         if not is_power_of_two(chunk_size) or chunk_size < 2:
             raise SortInputError(
@@ -198,12 +197,15 @@ class ExternalSorter:
             )
         if merge_buffer < 1:
             raise SortInputError("merge buffer must hold at least one record")
+        from repro.exec import get_backend  # late: repro.exec imports LoserTree
+
+        get_backend(tier)  # reject an unknown tier up front
         self.chunk_size = chunk_size
         self.config = config or ABiSortConfig()
         self.gpu = gpu
         self.mapping = mapping or ZOrderMapping()
         self.merge_buffer = merge_buffer
-        self.exec_tier = exec_tier
+        self.tier = tier
         #: Modeled GPU ms per padded chunk length -- valid for this
         #: instance only (config, gpu, and mapping are fixed per instance,
         #: and the op log of a sort depends only on its length).
@@ -222,11 +224,6 @@ class ExternalSorter:
                 ),
             )
         return self._counting_sorter
-
-    def _tier(self) -> str:
-        from repro.exec import resolve_tier
-
-        return resolve_tier(self.exec_tier)
 
     def sort_file(
         self, disk: SimulatedDisk, input_name: str, output_name: str
@@ -256,7 +253,7 @@ class ExternalSorter:
 
         from repro.core.values import check_unique_ids, reference_sort
 
-        fast = self._tier() == "vectorized"
+        fast = self.tier == "vectorized"
         run_names: list[str] = []
         offset = 0
         n = disk.size(input_name)
@@ -317,7 +314,7 @@ class ExternalSorter:
             disk.write_file(output_name, data)
             disk.delete(run_names[0])
             return
-        if self._tier() == "vectorized" and self._merge_runs_vectorized(
+        if self.tier == "vectorized" and self._merge_runs_vectorized(
             disk, run_names, output_name, report
         ):
             return

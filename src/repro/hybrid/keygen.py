@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SortInputError
-from repro.core.api import ABiSortConfig, abisort
+from repro.core.api import ABiSortConfig, make_sorter
 from repro.core.values import make_values
 from repro.workloads.records import pad_to_power_of_two
 
@@ -59,7 +59,7 @@ def _sort_indices_by_digit(
     pairs = make_values(partial, np.arange(idx.shape[0], dtype=np.uint32))
     padded, orig = pad_to_power_of_two(pairs)
     if padded.shape[0] >= 2:
-        out = abisort(padded, config)[:orig]
+        out = make_sorter(config).sort(padded)[:orig]
         order = out["id"]
     else:
         order = np.array([0], dtype=np.uint32)

@@ -78,12 +78,13 @@ class SortPlan:
     devices: int | None
     estimate: CostEstimate
     candidates: tuple[PlanCandidate, ...]
-    #: Execution tier of the hot loops (:mod:`repro.exec`): the request's
-    #: explicit choice if it made one, else ``reference`` for traced
-    #: requests and ``vectorized`` otherwise.  Both tiers return the same
-    #: bytes and the same modeled telemetry; the planner's pick only
-    #: decides wall-clock speed vs. per-operation observability.
-    exec_tier: str = "vectorized"
+
+    @property
+    def exec_tier(self) -> str:
+        """Execution tier of the hot loops (:mod:`repro.exec`):
+        ``reference`` for traced requests, ``vectorized`` otherwise.  Both
+        tiers return the same bytes and the same modeled telemetry."""
+        return resolve_request_tier(self.shape)
 
     @property
     def cost_ms(self) -> float:
@@ -222,16 +223,12 @@ class Planner:
         best = min(
             candidates, key=lambda c: (c.cost_ms, c.engine, c.devices or 0)
         )
-        # Tier rule: honour an explicit request, otherwise trade the
-        # vectorized tier's speed away only when the caller wants traces.
-        exec_tier = resolve_request_tier(request)
         plan = SortPlan(
             shape=shape,
             engine=best.engine,
             devices=best.devices,
             estimate=best.estimate,
             candidates=tuple(sorted(candidates, key=lambda c: c.cost_ms)),
-            exec_tier=exec_tier,
         )
         self.cache.put(shape, plan)
         return plan

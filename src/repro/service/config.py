@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
-from repro.exec import EXEC_TIERS
 from repro.stream.gpu_model import (
     GEFORCE_7800_GTX,
     PCIE_SYSTEM,
@@ -60,13 +59,6 @@ class ServiceConfig:
         Back-off hint carried by overload rejections
         (:attr:`~repro.errors.ServiceOverloadError.retry_after_ms` and the
         NDJSON server's ``retry_after_ms`` error field).
-    exec_tier:
-        Default execution tier (:mod:`repro.exec`) stamped onto requests
-        that do not pick their own.  ``None`` (the default) leaves the
-        choice to the planner, which serves with the ``vectorized`` tier;
-        both tiers return identical bytes and identical modeled
-        telemetry, so this knob only trades wall-clock speed against
-        per-operation observability.
     """
 
     devices: int = 4
@@ -77,7 +69,6 @@ class ServiceConfig:
     coalesce_window_ms: float = 2.0
     max_batch: int = 32
     retry_after_ms: float = 10.0
-    exec_tier: str | None = None
 
     def __post_init__(self) -> None:
         """Reject configurations that cannot queue or place anything."""
@@ -98,9 +89,4 @@ class ServiceConfig:
         if self.retry_after_ms < 0:
             raise ServiceError(
                 f"retry_after_ms must be >= 0, got {self.retry_after_ms}"
-            )
-        if self.exec_tier is not None and self.exec_tier not in EXEC_TIERS:
-            raise ServiceError(
-                f"unknown exec_tier {self.exec_tier!r}; "
-                f"choose from {', '.join(EXEC_TIERS)}"
             )

@@ -7,8 +7,10 @@ control ops (``ping``, ``stats``, ``metrics``, ``trace``), and
 ``{"op": X, "action": Y}`` lines run the operation
 ``repro.ops.OPS["X.Y"]`` -- the store and fleet actions the CLI serves
 too.  Every line gets exactly one response line; a failure answers
-``{"id": ..., "error": "..."}``.  ``docs/service.md`` tabulates every
-op and its fields.
+``{"id": ..., "error": "..."}``.  A line longer than
+:data:`MAX_LINE_BYTES` is skipped through its newline and answered
+``{"id": null, "error": "line too long", "limit": MAX_LINE_BYTES}``.
+``docs/service.md`` tabulates every op and its fields.
 
 Each connection may pipeline: request lines are served concurrently (that
 is what lets the service coalesce them into one batch) and responses come
@@ -39,7 +41,12 @@ __all__ = [
     "request_sort",
     "request_op",
     "sort_over_socket",
+    "MAX_LINE_BYTES",
 ]
+
+#: Longest request or response line either side reads (asyncio's default
+#: of 64 KiB would reset the connection on a sort of ~3k keys).
+MAX_LINE_BYTES = 1 << 24
 
 
 def _telemetry_payload(result: SortResult) -> dict:
@@ -193,9 +200,13 @@ async def start_server(
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
 
-        async def respond(line: bytes) -> None:
+        async def respond(line: bytes | None) -> None:
             nonlocal served
-            response = await _serve_line(service, line, store)
+            if line is None:
+                response = {"id": None, "error": "line too long",
+                            "limit": MAX_LINE_BYTES}
+            else:
+                response = await _serve_line(service, line, store)
             async with write_lock:
                 writer.write((json.dumps(response) + "\n").encode())
                 await writer.drain()
@@ -205,10 +216,16 @@ async def start_server(
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if line.strip():
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as err:
+                    line = err.partial  # EOF (b"" unless the last line is bare)
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError as err:
+                    await _skip_line(reader, err.consumed)
+                    line = None  # answered with the "line too long" error
+                if line is None or line.strip():
                     # Serve concurrently so one connection's pipelined
                     # lines can coalesce into a single batch.
                     task = asyncio.create_task(respond(line))
@@ -223,7 +240,24 @@ async def start_server(
             except (ConnectionError, OSError):  # client went away first
                 pass
 
-    return await asyncio.start_server(handle, host, port)
+    return await asyncio.start_server(handle, host, port, limit=MAX_LINE_BYTES)
+
+
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Discard an over-long line through its newline (or to EOF).
+
+    ``consumed`` is what the overrun reported: bytes already buffered
+    that hold no newline.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as err:
+            consumed = err.consumed
 
 
 async def serve_forever(
@@ -301,7 +335,9 @@ async def serve_forever(
 
 async def _round_trip(host: str, port: int, message: dict) -> dict:
     """Send one line to a running NDJSON server and read its response."""
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=MAX_LINE_BYTES
+    )
     try:
         writer.write((json.dumps(message) + "\n").encode())
         await writer.drain()

@@ -40,7 +40,6 @@ the service in a newline-delimited-JSON socket server
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from dataclasses import dataclass, field, replace
 
@@ -335,8 +334,6 @@ class SortService:
                 " or call start()"
             )
         req = _as_request(request)
-        if self.config.exec_tier is not None and req.exec_tier is None:
-            req = dataclasses.replace(req, exec_tier=self.config.exec_tier)
         chosen = engine if engine is not None else self.config.engine
         if chosen is not None and chosen not in registry.available():
             # Fail fast, as repro.sort() would; never hand the coalescer a
@@ -543,9 +540,7 @@ class SortService:
                     and plan.devices is not None
                     and request.devices != plan.devices
                 ):
-                    request = dataclasses.replace(
-                        request, devices=plan.devices
-                    )
+                    request = replace(request, devices=plan.devices)
                 # Off the event loop: the sort itself is synchronous
                 # simulation code, and the loop must stay responsive for
                 # admission control and the socket server.

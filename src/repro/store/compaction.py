@@ -111,9 +111,7 @@ def run_compaction(store, *, fan_in: int, devices: int, predicted_ms: float):
                 continue  # singleton carries through unmerged (a free copy)
             lengths = [meta.n for meta in group]
             arrays = [store._run_values(meta) for meta in group]
-            merged, comps = merge_sorted_runs(
-                arrays, tier=store.config.exec_tier
-            )
+            merged, comps = merge_sorted_runs(arrays)
             generation = max(meta.generation for meta in group) + 1
             name = store.manifest.new_run_name(generation)
             meta = RunMeta(

@@ -84,10 +84,6 @@ class StoreConfig:
     ``compact_trigger`` or more live runs starts a background
     compaction.  ``cache_pairs`` bounds the in-memory run cache (0
     disables caching entirely; every query then pays disk charges).
-    ``exec_tier`` selects the execution tier of every query and
-    compaction merge (see :mod:`repro.exec`; ``None`` = process
-    default, normally ``"vectorized"``) -- answers and modeled
-    accounting are identical across tiers.
     """
 
     engine: str = "auto"
@@ -99,7 +95,6 @@ class StoreConfig:
     auto_compact: bool = False
     compact_trigger: int = 8
     cache_pairs: int = 1 << 22
-    exec_tier: str | None = None
 
 
 @dataclass
@@ -329,9 +324,7 @@ class SortedStore:
                     slices.append(
                         read_run_slice(path, start, stop - start, self.disk)
                     )
-            merged, _comparisons = merge_sorted_runs(
-                slices, tier=self.config.exec_tier
-            )
+            merged, _comparisons = merge_sorted_runs(slices)
             self._stats.queries += 1
             self._stats.query_pairs += int(merged.shape[0])
             self._stats.query_read_bytes += self.disk.bytes_read - read0
@@ -365,9 +358,7 @@ class SortedStore:
                         slices.append(
                             read_run_slice(self.path / meta.name, 0, head, self.disk)
                         )
-            merged, _comparisons = merge_sorted_runs(
-                slices, tier=self.config.exec_tier
-            )
+            merged, _comparisons = merge_sorted_runs(slices)
             out = merged[:k].copy()
             self._stats.queries += 1
             self._stats.query_pairs += int(out.shape[0])

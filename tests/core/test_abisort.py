@@ -217,21 +217,26 @@ class TestStreamOpCounts:
 
 class TestPublicAPI:
     def test_abisort_function(self, medium_values):
-        out = repro.abisort(medium_values)
+        out = repro.sort(
+            repro.SortRequest(values=medium_values), engine="abisort"
+        ).values
         assert np.array_equal(out, reference_sort(medium_values))
 
     def test_sort_key_value(self, rng):
         keys = rng.random(64, dtype=np.float32)
-        skeys, sids = repro.sort_key_value(keys)
-        assert np.array_equal(skeys, np.sort(keys))
-        assert np.array_equal(keys[sids], skeys)
+        result = repro.sort(repro.SortRequest(keys=keys), engine="abisort")
+        assert np.array_equal(result.keys, np.sort(keys))
+        assert np.array_equal(keys[result.ids], result.keys)
 
     def test_sort_key_value_empty_returns_empty(self):
         # Uniform trivial-input semantics (repro.engines.base): empty input
-        # is valid and returns empty output, matching abisort_any_length.
-        skeys, sids = repro.sort_key_value(np.array([], dtype=np.float32))
-        assert skeys.shape == (0,) and sids.shape == (0,)
-        assert skeys.dtype == np.float32 and sids.dtype == np.uint32
+        # is valid and returns empty output.
+        result = repro.sort(
+            repro.SortRequest(keys=np.array([], dtype=np.float32)),
+            engine="abisort",
+        )
+        assert result.keys.shape == (0,) and result.ids.shape == (0,)
+        assert result.keys.dtype == np.float32 and result.ids.dtype == np.uint32
 
     def test_config_selects_variant(self, small_values):
         cfg = repro.ABiSortConfig(optimized=False, schedule="sequential")

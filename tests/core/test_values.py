@@ -79,7 +79,9 @@ class TestLargeN:
         from repro.workloads.records import verify_sort_output
 
         values = paper_workload(1 << 16, seed=6)
-        out_opt = repro.abisort(values)
+        out_opt = repro.make_sorter().sort(values)
         verify_sort_output(values, out_opt)
-        out_base = repro.abisort(values, repro.ABiSortConfig(optimized=False))
+        out_base = repro.make_sorter(repro.ABiSortConfig(optimized=False)).sort(
+            values
+        )
         assert np.array_equal(out_opt, out_base)

@@ -70,6 +70,7 @@ class TestScheduleEquivalence:
         for schedule in ("sequential", "overlapped"):
             for optimized in (True, False):
                 cfg = repro.ABiSortConfig(schedule=schedule, optimized=optimized)
-                assert np.array_equal(repro.abisort(values, cfg), expected), (
+                out = repro.make_sorter(cfg).sort(values)
+                assert np.array_equal(out, expected), (
                     schedule, optimized,
                 )

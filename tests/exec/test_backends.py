@@ -1,4 +1,4 @@
-"""The execution-tier surface: resolution, selection, and the composite order."""
+"""The execution-tier surface: the tier rule, backends, and the composite order."""
 
 from __future__ import annotations
 
@@ -7,18 +7,10 @@ import pytest
 
 import repro
 from repro.engines.base import SortRequest
-from repro.engines.cost import request_shape
-from repro.errors import ServiceError, SortInputError
-from repro.exec import (
-    EXEC_TIERS,
-    default_tier,
-    get_backend,
-    resolve_tier,
-    set_default_tier,
-)
+from repro.errors import SortInputError
+from repro.exec import EXEC_TIERS, get_backend, resolve_request_tier
 from repro.exec.vectorized import composite_keys
 from repro.planner.planner import Planner
-from repro.service.config import ServiceConfig
 from repro.stream.stream import VALUE_DTYPE
 
 
@@ -31,34 +23,27 @@ def _values(keys, ids):
 
 class TestTierResolution:
     def test_default_is_vectorized(self):
-        assert default_tier() == "vectorized"
-        assert resolve_tier(None) == "vectorized"
+        keys = np.zeros(4, dtype=np.float32)
+        assert resolve_request_tier(SortRequest(keys=keys)) == "vectorized"
+        assert resolve_request_tier(SortRequest(keys=keys, trace=True)) == (
+            "reference"
+        )
+        assert get_backend().name == "vectorized"
 
     def test_explicit_tiers_resolve_to_themselves(self):
         for tier in EXEC_TIERS:
-            assert resolve_tier(tier) == tier
             assert get_backend(tier).name == tier
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(SortInputError):
-            resolve_tier("turbo")
+        from repro.cluster.sharded import ShardedSorter
+        from repro.hybrid.external import ExternalSorter
+
         with pytest.raises(SortInputError):
             get_backend("turbo")
-
-    def test_set_default_tier_round_trips(self):
-        previous = set_default_tier("reference")
-        try:
-            assert previous == "vectorized"
-            assert resolve_tier(None) == "reference"
-            assert get_backend().name == "reference"
-        finally:
-            set_default_tier(previous)
-        assert resolve_tier(None) == "vectorized"
-
-    def test_set_default_tier_rejects_unknown(self):
         with pytest.raises(SortInputError):
-            set_default_tier("turbo")
-        assert default_tier() == "vectorized"
+            ShardedSorter(1, tier="turbo")
+        with pytest.raises(SortInputError):
+            ExternalSorter(16, tier="turbo")
 
     def test_merge_dispatch_rejects_unknown_tier(self):
         from repro.cluster.sharded import merge_sorted_runs
@@ -115,25 +100,6 @@ class TestPlannedTier:
         )
         assert plan.exec_tier == "reference"
 
-    def test_explicit_request_tier_wins_over_trace(self, rng):
-        plan = Planner().plan(
-            SortRequest(
-                keys=rng.random(256, dtype=np.float32),
-                trace=True,
-                exec_tier="vectorized",
-            )
-        )
-        assert plan.exec_tier == "vectorized"
-
-    def test_shapes_differing_only_in_tier_do_not_alias(self, rng):
-        keys = rng.random(256, dtype=np.float32)
-        shapes = {
-            request_shape(SortRequest(keys=keys)),
-            request_shape(SortRequest(keys=keys, trace=True)),
-            request_shape(SortRequest(keys=keys, exec_tier="reference")),
-        }
-        assert len(shapes) == 3
-
     def test_explain_names_the_tier(self, rng):
         text = Planner().plan(
             SortRequest(keys=rng.random(256, dtype=np.float32))
@@ -147,12 +113,3 @@ class TestPlannedTier:
         assert result.plan is not None
         assert result.plan.exec_tier == "vectorized"
 
-
-class TestServiceConfigTier:
-    def test_valid_tiers_accepted(self):
-        for tier in (None, *EXEC_TIERS):
-            assert ServiceConfig(exec_tier=tier).exec_tier == tier
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(exec_tier="turbo")

@@ -17,7 +17,7 @@ import pytest
 from repro.cluster.sharded import merge_sorted_runs
 from repro.hybrid.disk import SimulatedDisk
 from repro.hybrid.external import ExternalSorter
-from repro.store import SortedStore
+from repro.store import SortedStore, compaction, store
 from repro.stream.stream import VALUE_DTYPE
 from repro.workloads.rng import seeded_rng
 
@@ -127,9 +127,7 @@ class TestExternalPipelineEquivalence:
         )
         outs, reports, stats = [], [], []
         for tier in ("reference", "vectorized"):
-            sorter = ExternalSorter(
-                chunk, merge_buffer=buffer, exec_tier=tier
-            )
+            sorter = ExternalSorter(chunk, merge_buffer=buffer, tier=tier)
             disk = SimulatedDisk(VALUE_DTYPE)
             disk.write_file("input", values)
             reports.append(sorter.sort_file(disk, "input", "output"))
@@ -149,7 +147,7 @@ class TestExternalPipelineEquivalence:
         )
         outs, reports = [], []
         for tier in ("reference", "vectorized"):
-            sorter = ExternalSorter(16, merge_buffer=8, exec_tier=tier)
+            sorter = ExternalSorter(16, merge_buffer=8, tier=tier)
             disk = SimulatedDisk(VALUE_DTYPE)
             disk.write_file("input", values)
             reports.append(sorter.sort_file(disk, "input", "output"))
@@ -159,63 +157,43 @@ class TestExternalPipelineEquivalence:
 
 
 class TestStoreEquivalence:
-    def _build(self, path, tier, rng):
-        store = SortedStore(
-            path, engine="cpu-std", exec_tier=tier, memory_pairs=1024
-        )
+    WINDOWS = [(0.1, 0.3), (0.0, 1.0), (0.49, 0.51)]
+
+    def _exercise(self, path):
+        """Ingest, query, compact, and reopen one store: every answer."""
+        handle = SortedStore(path, engine="cpu-std", memory_pairs=1024)
         for seed in range(4):
-            batch = seeded_rng(seed).random(
-                512, dtype=np.float32
-            )
-            store.insert(batch)
-        return store
-
-    def test_queries_compaction_and_reopen(self, tmp_path, rng):
-        stores = {
-            tier: self._build(tmp_path / tier, tier, rng)
-            for tier in ("reference", "vectorized")
-        }
-        windows = [(0.1, 0.3), (0.0, 1.0), (0.49, 0.51)]
-
-        answers = {
-            tier: (
-                [s.range(lo, hi) for lo, hi in windows],
-                s.top_k(37),
-            )
-            for tier, s in stores.items()
-        }
-        for (ref_r, ref_k), (vec_r, vec_k) in [
-            (answers["reference"], answers["vectorized"])
-        ]:
-            for a, b in zip(ref_r, vec_r):
-                assert a.tobytes() == b.tobytes()
-            assert ref_k.tobytes() == vec_k.tobytes()
-
-        reports = {tier: s.compact() for tier, s in stores.items()}
-        for tier, report in reports.items():
-            # Closed-form comparisons hold on both tiers, so the measured
-            # makespan equals the planner's prediction exactly.
-            assert report.makespan_ms == pytest.approx(report.predicted_ms)
-        assert (
-            reports["reference"].merge_comparisons
-            == reports["vectorized"].merge_comparisons
-        )
-        assert reports["reference"].merged_pairs == (
-            reports["vectorized"].merged_pairs
+            handle.insert(seeded_rng(seed).random(512, dtype=np.float32))
+        answers = [handle.range(lo, hi) for lo, hi in self.WINDOWS]
+        answers.append(handle.top_k(37))
+        report = handle.compact()
+        # Closed-form comparisons hold on both tiers, so the measured
+        # makespan equals the planner's prediction exactly.
+        assert report.makespan_ms == pytest.approx(report.predicted_ms)
+        # Reopen: a fresh handle on the same directory (the on-disk
+        # state, not the warm cache) answers identically.
+        reopened = SortedStore(path)
+        answers += [reopened.range(lo, hi) for lo, hi in self.WINDOWS]
+        answers.append(reopened.top_k(100))
+        return (
+            [a.tobytes() for a in answers],
+            report.merge_comparisons,
+            report.merged_pairs,
         )
 
-        # Reopen mid-query: a fresh handle on the same directory (the
-        # on-disk state, not the warm cache) answers identically.
-        reopened = {
-            tier: SortedStore(tmp_path / tier, exec_tier=tier)
-            for tier in stores
-        }
-        for lo, hi in windows:
-            assert (
-                reopened["reference"].range(lo, hi).tobytes()
-                == reopened["vectorized"].range(lo, hi).tobytes()
-            )
-        assert (
-            reopened["reference"].top_k(100).tobytes()
-            == reopened["vectorized"].top_k(100).tobytes()
-        )
+    def test_queries_compaction_and_reopen(self, tmp_path, monkeypatch):
+        vectorized = self._exercise(tmp_path / "vectorized")
+        # Stores always merge on the vectorized tier; substitute the
+        # reference merge in both modules to compare against it.
+        merged_by_reference = []
+
+        def reference_merge(runs):
+            merged_by_reference.append(len(runs))
+            return merge_sorted_runs(runs, tier="reference")
+
+        with monkeypatch.context() as patch:
+            for module in (store, compaction):
+                patch.setattr(module, "merge_sorted_runs", reference_merge)
+            reference = self._exercise(tmp_path / "reference")
+        assert merged_by_reference
+        assert reference == vectorized

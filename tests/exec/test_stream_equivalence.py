@@ -62,9 +62,9 @@ def _random_values(rng, n: int) -> np.ndarray:
 
 
 def _sort_tier(engine: str, values: np.ndarray, tier: str):
-    return repro.sort(
-        repro.SortRequest(values=values.copy(), exec_tier=tier), engine=engine
-    )
+    # The reference tier is reached the one way a caller reaches it: trace.
+    request = repro.SortRequest(values=values.copy(), trace=tier == "reference")
+    return repro.sort(request, engine=engine)
 
 
 def _telemetry_dict(result) -> dict:
@@ -160,9 +160,7 @@ class TestABiSortEquivalence:
         engine = repro.engines.get("abisort")
         for _ in range(2):  # second iteration hits the op-log memo
             values = _random_values(rng, 192)
-            vec = engine.sort(
-                repro.SortRequest(values=values.copy(), exec_tier="vectorized")
-            )
+            vec = engine.sort(repro.SortRequest(values=values.copy()))
             ref = _sort_tier("abisort", values, "reference")
             _assert_identical(ref, vec)
 
@@ -170,13 +168,11 @@ class TestABiSortEquivalence:
         rng = seeded_rng(12)
         engine = repro.engines.get("abisort")
         good = _random_values(rng, 64)
-        engine.sort(
-            repro.SortRequest(values=good, exec_tier="vectorized")
-        )  # primes the memo for n=64
+        engine.sort(repro.SortRequest(values=good))  # primes the memo for n=64
         bad = good.copy()
         bad["id"][1] = bad["id"][0]
         with pytest.raises(SortInputError):
-            engine.sort(repro.SortRequest(values=bad, exec_tier="vectorized"))
+            engine.sort(repro.SortRequest(values=bad))
 
 
 class TestNetworkEquivalence:
@@ -244,19 +240,11 @@ class TestSortedOutput:
 class TestPlannerTierRule:
     def test_trace_requests_pin_reference(self):
         keys = seeded_rng(0).random(256, dtype=np.float32)
-        plan = repro.plan(repro.SortRequest(keys=keys, trace=True))
-        assert plan.exec_tier == "reference"
+        request = repro.SortRequest(keys=keys, trace=True)
+        assert resolve_request_tier(request) == "reference"
+        assert repro.plan(request).exec_tier == "reference"
 
     def test_untraced_requests_default_vectorized(self):
         keys = seeded_rng(0).random(256, dtype=np.float32)
         plan = repro.plan(repro.SortRequest(keys=keys))
         assert plan.exec_tier == "vectorized"
-
-    def test_explicit_tier_beats_trace(self):
-        req = repro.SortRequest(
-            keys=np.zeros(4, dtype=np.float32),
-            exec_tier="vectorized",
-            trace=True,
-        )
-        assert resolve_request_tier(req) == "vectorized"
-        assert repro.plan(req).exec_tier == "vectorized"

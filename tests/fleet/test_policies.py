@@ -8,6 +8,7 @@ from repro.errors import SortInputError
 from repro.fleet import (
     POLICIES,
     Autoscaler,
+    FleetObserver,
     FleetScheduler,
     Tenant,
     Trace,
@@ -164,6 +165,97 @@ class TestDeadlineEdf:
         assert sched.jobs[2].state == "evicted"
         assert sched.jobs[3].state == "completed"
         assert _completion_order(sched) == [0, 3, 1]
+
+
+
+class TestPoliciesDiffer:
+    """One trace on which every pair of built-in policies reports
+    differently, exercising eviction under all three and preemption
+    (the ``victim`` hook) under deadline-edf, with the observer's
+    preempt/evict hooks counting along."""
+
+    HI = Tenant("hi", priority=1)
+    #: Weight 2: the lone early "lo" job charges the fair-share ledger
+    #: half as much as a "hi" job, so weighted-fair serves "lo" before
+    #: the second "hi" job where fifo-priority does not.
+    LO = Tenant("lo", weight=2.0)
+    REQUESTS = (
+        TraceRequest(0.0, "lo", N, 0),  # runs first everywhere
+        TraceRequest(0.1, "hi", N, 1),
+        TraceRequest(0.2, "hi", N, 2),
+        # "hi"'s queue (bound 2) is full: tail drop evicts this arrival;
+        # deadline-edf evicts the least urgent queued job (2) instead and
+        # preempts the deadline-free job 0 to run this one.
+        TraceRequest(0.3, "hi", N, 3, deadline_ms=30.0),
+        # More urgent still: deadline-edf preempts job 3 in turn.
+        TraceRequest(0.4, "lo", N, 4, deadline_ms=20.0),
+    )
+
+    def _replay(self, policy):
+        observer = FleetObserver()
+        sched = FleetScheduler(
+            _trace([self.HI, self.LO], self.REQUESTS),
+            policy,
+            devices=1,
+            queue_bound=2,
+            observer=observer,
+        )
+        report = sched.run()
+        evicted = [j.index for j in sched.jobs if j.state == "evicted"]
+        return report, _completion_order(sched), evicted, observer
+
+    @staticmethod
+    def _per_tenant(counter):
+        return {dict(s.labels)["tenant"]: s.value for s in counter.samples()}
+
+    def test_each_pair_of_policies_reports_differently(self):
+        runs = {name: self._replay(name) for name in sorted(POLICIES)}
+        reports = {name: run[0] for name, run in runs.items()}
+        for a in reports:
+            for b in reports:
+                if a < b:
+                    assert reports[a].to_json() != reports[b].to_json(), (a, b)
+
+        fifo, fair, edf = (
+            runs[name] for name in ("fifo-priority", "weighted-fair", "deadline-edf")
+        )
+        # fifo-priority serves both "hi" jobs before "lo"; weighted-fair
+        # slips "lo" in between; deadline-edf runs the deadlines first.
+        assert fifo[1] == [0, 1, 2, 4]
+        assert fair[1] == [0, 1, 4, 2]
+        assert edf[1] == [4, 3, 1, 0]
+        # Tail drop evicts the arrival; deadline-edf the least urgent job.
+        assert fifo[2] == fair[2] == [3]
+        assert edf[2] == [2]
+        # Only deadline-edf preempts: job 0 for job 3, then job 3 for 4.
+        assert fifo[0].preemptions == fair[0].preemptions == 0
+        assert edf[0].tenant("lo").preemptions == 1
+        assert edf[0].tenant("hi").preemptions == 1
+        # Serving "lo" earlier shortens its wait under weighted-fair.
+        assert fair[0].tenant("lo").mean_wait_ms < fifo[0].tenant("lo").mean_wait_ms
+        # deadline-edf meets both deadlines; the others miss job 4's.
+        assert edf[0].tenant("lo").deadline_misses == 0
+        assert fifo[0].tenant("lo").deadline_misses == 1
+        assert fair[0].tenant("lo").deadline_misses == 1
+
+    def test_observer_sees_evictions_and_preemptions(self):
+        for policy in POLICIES:
+            report, _order, _evicted, observer = self._replay(policy)
+            assert report.evicted == 1
+            assert self._per_tenant(observer.evictions) == {"hi": 1.0}
+            assert observer.evictions_series == [(0.3, "hi")]
+            preempted = [
+                span.name for span in observer.spans.spans()
+                if span.cat == "preempted"
+            ]
+            if policy == "deadline-edf":
+                assert self._per_tenant(observer.preemptions) == {
+                    "lo": 1.0, "hi": 1.0,
+                }
+                assert preempted == ["lo/0", "hi/3"]
+            else:
+                assert not self._per_tenant(observer.preemptions)
+                assert preempted == []
 
 
 class TestAutoscaler:

@@ -19,6 +19,8 @@ from repro.service import (
     request_sort,
     start_server,
 )
+from repro.service import server as server_module
+from repro.service.server import MAX_LINE_BYTES
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -262,7 +264,9 @@ async def _lines(port: int, payload: bytes, count: int) -> list[dict]:
     The read is bounded by a short ``wait_for``: a line the server leaves
     unanswered fails the test instead of hanging it.
     """
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", port, limit=MAX_LINE_BYTES
+    )
     try:
         writer.write(payload)
         await writer.drain()
@@ -328,3 +332,56 @@ def test_malformed_keys_still_get_a_response():
                 await server.wait_closed()
 
     _run(run())
+
+
+def test_a_line_over_64_kib_is_served(rng):
+    """A 20k-key sort line (~405 KB) is past asyncio's 64 KiB default."""
+    keys = rng.random(20_000, dtype=np.float32)
+    (resp,) = _serve_raw(
+        (json.dumps({"id": 1, "keys": [float(k) for k in keys]}) + "\n").encode(),
+        1,
+    )
+    assert resp["n"] == 20_000
+    assert resp["keys"] == [float(k) for k in np.sort(keys)]
+    assert resp["ids"] == np.argsort(keys, kind="stable").tolist()
+
+
+def test_an_over_cap_line_gets_one_error_and_the_connection_keeps_serving(
+    monkeypatch,
+):
+    cap = 1024
+    monkeypatch.setattr(server_module, "MAX_LINE_BYTES", cap)
+    too_long = {"id": None, "error": "line too long", "limit": cap}
+
+    async def run():
+        async with SortService(devices=1, coalesce_window_ms=1.0) as svc:
+            server, port = await _open(svc)
+            try:
+                # Newline in the same write as the overrun: the server finds
+                # the separator past the cap.
+                found = await _lines(
+                    port, b"x" * (3 * cap) + b'\n{"op": "ping", "id": 1}\n', 2
+                )
+                # The line arrives in pieces with no newline in sight: the
+                # server drains chunk by chunk until one comes.
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                for _ in range(4):
+                    writer.write(b"y" * cap)
+                    await writer.drain()
+                    await asyncio.sleep(0.01)
+                writer.write(b'y\n{"op": "ping", "id": 2}\n')
+                await writer.drain()
+                drained = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                    for _ in range(2)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                return found, drained
+            finally:
+                server.close()
+                await server.wait_closed()
+
+    found, drained = _run(run())
+    assert found == [too_long, {"id": 1, "ok": True}]
+    assert drained == [too_long, {"id": 2, "ok": True}]

@@ -54,17 +54,16 @@ class TestCLI:
         assert "run profile on GeForce 6800" in out
         assert "level8" in out
 
-    def test_profile_exec_tier_is_tier_identical(self, capsys):
-        """``profile --exec-tier``: the op log, and so the profile, must be
-        byte-identical across tiers (the stream-tier contract)."""
-        assert main(["profile", "--n", "256",
-                     "--exec-tier", "reference"]) == 0
-        reference = capsys.readouterr().out
-        assert main(["profile", "--n", "256",
-                     "--exec-tier", "vectorized"]) == 0
-        vectorized = capsys.readouterr().out
-        assert "level8" in reference
-        assert reference == vectorized
+    @pytest.mark.parametrize(
+        "command",
+        [["sort"], ["cluster"], ["profile"], ["serve"], ["store", "query"]],
+    )
+    def test_no_exec_tier_option(self, command, capsys):
+        """The tier follows the request (``trace=True``), not a flag."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--exec-tier", "reference"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_command(self, capsys):
         assert main(["report"]) == 0

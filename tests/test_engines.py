@@ -104,15 +104,15 @@ class TestUniformTrivialInputs:
         assert result.telemetry.stream_ops == 0
         assert result.machine is None
 
-    def test_shim_functions_match_engine_semantics(self):
-        empty = np.array([], dtype=np.float32)
-        skeys, sids = repro.sort_key_value(empty)
-        assert skeys.shape == (0,) and sids.shape == (0,)
-        one_k, one_i = repro.sort_key_value(np.array([2.5], dtype=np.float32))
-        assert one_k.tolist() == [2.5] and one_i.tolist() == [0]
-        assert repro.abisort_any_length(
-            np.empty(0, dtype=repro.VALUE_DTYPE)
-        ).shape == (0,)
+    def test_abisort_trivial_keys_and_values(self):
+        def abisort(**inputs):
+            return repro.sort(SortRequest(**inputs), engine="abisort")
+
+        empty = abisort(keys=np.array([], dtype=np.float32))
+        assert empty.keys.shape == (0,) and empty.ids.shape == (0,)
+        one = abisort(keys=np.array([2.5], dtype=np.float32))
+        assert one.keys.tolist() == [2.5] and one.ids.tolist() == [0]
+        assert len(abisort(values=np.empty(0, dtype=repro.VALUE_DTYPE))) == 0
 
 
 class TestTelemetry:

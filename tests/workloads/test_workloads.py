@@ -93,7 +93,7 @@ class TestPadding:
         keys = rng.random(300, dtype=np.float32)
         vals = make_values(keys)
         padded, orig = pad_to_power_of_two(vals)
-        out = repro.abisort(padded)[:orig]
+        out = repro.make_sorter().sort(padded)[:orig]
         assert np.array_equal(out, reference_sort(vals))
 
     @given(n=st.integers(1, 100))
@@ -139,7 +139,9 @@ class TestRecordTable:
         payload = np.array([f"record-{i}".encode() for i in range(n)])
         keys = rng.random(n, dtype=np.float32)
         table = RecordTable(keys, payload)
-        sorted_pairs = repro.abisort(table.pairs())
+        sorted_pairs = repro.sort(
+            repro.SortRequest(values=table.pairs()), engine="abisort"
+        ).values
         sorted_payload = table.sorted_payload(sorted_pairs)
         order = np.argsort(keys, kind="stable")
         assert np.array_equal(sorted_payload, payload[order])
