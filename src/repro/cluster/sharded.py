@@ -6,8 +6,8 @@ The scale-out sort the cluster subsystem exists for:
    contiguous shards (one or more pipeline slices per device);
 2. every shard is sorted on its device -- a per-device GPU-ABiSort driver
    bound to that device's stream machines (so op logs and counters stay
-   per device); under the ``vectorized`` tier the driver runs in counting
-   mode (:mod:`repro.exec.stream_tier`) with identical per-device logs;
+   per device); under the ``vectorized`` tier the op log is replayed from
+   the stream tier's memo (:mod:`repro.exec.stream_tier`), identically;
 3. the :class:`~repro.cluster.scheduler.Scheduler` lays the shards'
    upload/sort/download stages onto the devices' modeled resources,
    overlapping transfers with compute (Section 7 generalised to N devices);
@@ -27,14 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.api import ABiSortConfig, make_sorter
+from repro.core.api import ABiSortConfig
 from repro.cluster.device import Device, make_devices
 from repro.cluster.planner import ShardPlan, ShardPlanner
 from repro.cluster.scheduler import ClusterSchedule, PipelineTask, Scheduler
 from repro.errors import SortInputError
 from repro.exec import get_backend
-from repro.exec.stream_tier import CountingStreamMachine, counting_sort_run
-from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, estimate_gpu_time_ms
+from repro.exec.stream_tier import counting_sort_run, modeled_cost
+from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
 
@@ -145,11 +145,11 @@ class ShardedSorter:
         comparison.
     tier:
         Execution tier (see :mod:`repro.exec`).  Under the default
-        ``vectorized`` tier the per-shard sorts run in counting
-        mode (:mod:`repro.exec.stream_tier`) -- each counting machine is
-        adopted into its device's machine log, so per-device op logs and
-        counters stay identical to a reference run -- and the host-side
-        merge loop runs on numpy.  Bit- and telemetry-identical either way.
+        ``vectorized`` tier the per-shard op logs come from the stream
+        tier's memo (:mod:`repro.exec.stream_tier`) -- each replayed
+        machine is adopted into its device's machine log, so per-device
+        op logs and counters stay identical to a reference run -- and the
+        host-side merge loop runs on numpy.  Bit- and telemetry-identical.
     """
 
     def __init__(
@@ -175,23 +175,6 @@ class ShardedSorter:
         self.host = host
         get_backend(tier)  # reject an unknown tier up front
         self.tier = tier
-        self._sorters = {d.index: d.make_sorter(self.config) for d in devices}
-        # Counting-mode twins for the vectorized tier.  Their machines are
-        # free-standing (not auto-registered with a device) so a fallback
-        # run leaves no trace; successful counting machines are adopted
-        # into device.machines by sort() to keep per-device logs complete.
-        self._counting_sorters = {
-            d.index: make_sorter(
-                self.config,
-                machine_factory=lambda distinct_io: CountingStreamMachine(
-                    distinct_io=distinct_io
-                ),
-            )
-            for d in devices
-        }
-        # Shared across devices: op logs depend only on (config, n), and
-        # the cluster is homogeneous in configuration.
-        self._oplog_memo: dict = {}
 
     def sort(self, values: np.ndarray) -> ShardedSortResult:
         """Sort a ``VALUE_DTYPE`` array of any length across the cluster."""
@@ -227,27 +210,21 @@ class ShardedSorter:
                 padded, pad_ids = _pad_shard(chunk)
                 machine = None
                 if fast:
-                    res = counting_sort_run(
-                        self._counting_sorters[shard.device],
-                        padded,
-                        memo=self._oplog_memo,
-                    )
+                    res = counting_sort_run(self.config, padded)
                     if res is not None:
                         sorted_padded, machine = res
                         # Adopt the counting machine so this device's op
                         # log and counters match a reference run exactly.
                         self.devices[shard.device].machines.append(machine)
                 if machine is None:
-                    sorter = self._sorters[shard.device]
+                    sorter = self.devices[shard.device].make_sorter(self.config)
                     sorted_padded = sorter.sort(padded)
                     machine = sorter.last_machine
                 sorted_chunk = _strip_padding(
                     sorted_padded, chunk.shape[0], pad_ids
                 )
-                sort_ms = estimate_gpu_time_ms(
-                    machine.ops,
-                    self.devices[shard.device].gpu,
-                    self.mapping,
+                sort_ms = modeled_cost(
+                    machine, self.devices[shard.device].gpu, self.mapping
                 ).total_ms
             else:
                 sorted_chunk = chunk.copy()

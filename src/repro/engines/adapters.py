@@ -59,14 +59,14 @@ from repro.baselines.periodic_balanced import periodic_balanced_stream
 from repro.core.api import ABiSortConfig, make_sorter
 from repro.exec import resolve_request_tier
 from repro.exec.stream_tier import (
-    CountingStreamMachine,
     counting_network_run,
     counting_sort_run,
+    modeled_cost,
 )
 from repro.hybrid.disk import SimulatedDisk
 from repro.hybrid.external import ExternalSorter
 from repro.stream.context import StreamMachine
-from repro.stream.gpu_model import cpu_sort_time_ms, estimate_gpu_time_ms
+from repro.stream.gpu_model import cpu_sort_time_ms
 from repro.stream.mapping2d import ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
 
@@ -95,34 +95,27 @@ def _machine_telemetry(
         gather_bytes=counters.gather_bytes,
     )
     if request.model_time:
-        if tiled:
-            cost = estimate_gpu_time_ms(
-                machine.ops,
-                request.gpu,
-                fixed_read_efficiency=request.gpu.tiled_read_efficiency,
-            )
-        else:
-            cost = estimate_gpu_time_ms(
-                machine.ops, request.gpu, request.mapping or ZOrderMapping()
-            )
-        telemetry.modeled_gpu_ms = cost.total_ms
+        telemetry.modeled_gpu_ms = modeled_cost(
+            machine,
+            request.gpu,
+            None if tiled else request.mapping or ZOrderMapping(),
+            request.gpu.tiled_read_efficiency if tiled else None,
+        ).total_ms
     return telemetry
 
 
 class ABiSortEngine(SortEngine):
     """GPU-ABiSort behind the engine interface.
 
-    One engine per :class:`ABiSortConfig`; the underlying sorter object is
-    built once and reused across requests (this is the batch-mode machine
-    reuse: layout plans and kernel closures persist, only the per-sort
-    streams are fresh).  Non-power-of-two input is padded with +inf keys
-    and truncated (Section 4), so ``any_length`` holds.
+    One engine per :class:`ABiSortConfig`.  Non-power-of-two input is
+    padded with +inf keys and truncated (Section 4), so ``any_length``
+    holds.
 
-    Under the ``vectorized`` tier the same driver runs in counting mode
-    (:func:`repro.exec.stream_tier.counting_sort_run`): the op log and
-    counters are produced without executing kernel bodies and one batched
-    argsort forces the output.  Inputs the stream tier cannot cover (NaN
-    keys, duplicate composites) fall back to the reference interpreter.
+    Under the ``vectorized`` tier one batched argsort forces the output
+    and the op log, counters and modeled cost come from the stream tier's
+    process-wide memo (:func:`repro.exec.stream_tier.counting_sort_run`).
+    Inputs it cannot cover (NaN keys, duplicate composites) fall back to
+    the reference interpreter.
     """
 
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
@@ -132,15 +125,6 @@ class ABiSortEngine(SortEngine):
         self.description = description
         self.config = config
         self._sorter = make_sorter(config)
-        self._counting_sorter = make_sorter(
-            config,
-            machine_factory=lambda distinct_io: CountingStreamMachine(
-                distinct_io=distinct_io
-            ),
-        )
-        # Op logs are pure functions of (config, n): repeat lengths replay
-        # cached records instead of re-driving the counting sorter.
-        self._oplog_memo: dict = {}
 
     def _run(self, values, request):
         from repro.workloads.records import pad_to_power_of_two
@@ -152,9 +136,7 @@ class ABiSortEngine(SortEngine):
             padded, orig = values, n
         out = machine = None
         if resolve_request_tier(request) == "vectorized":
-            fast = counting_sort_run(
-                self._counting_sorter, padded, memo=self._oplog_memo
-            )
+            fast = counting_sort_run(self.config, padded)
             if fast is not None:
                 out, machine = fast
                 out = out[:orig]
@@ -235,7 +217,7 @@ class NetworkEngine(SortEngine):
     Power-of-two input only, as for the GPU implementations these stand in
     for; modeled time uses the GPU's fixed software-tiling read efficiency
     (the GPUSort B=64 modeling convention).  Under the ``vectorized`` tier
-    the network program runs in counting mode
+    the op log comes from the stream tier's memo
     (:func:`repro.exec.stream_tier.counting_network_run`) with the output
     forced by one batched argsort; networks are not stable, so inputs with
     duplicate (key, id) composites stay on the reference interpreter.

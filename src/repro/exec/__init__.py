@@ -18,14 +18,15 @@ fast-analytical / cycle-accurate split:
 
 ``vectorized``
     Whole-array numpy execution of the same algorithms: k runs merge as
-    a tournament of ``np.searchsorted`` block merges, run formation
-    memoizes the data-independent modeled GPU time per chunk shape, and
-    whole stream-kernel passes -- the ABiSort bitonic-tree levels,
-    network columns, and layout remaps -- execute as batched array ops
-    through the *stream tier* (:mod:`repro.exec.stream_tier`): the
-    unchanged drivers run on a counting machine that reproduces the op
-    log closed-form while one composite argsort forces the output.  The
-    tier for serving.
+    a tournament of ``np.searchsorted`` block merges, and whole
+    stream-kernel passes -- the ABiSort bitonic-tree levels, network
+    columns, and layout remaps -- execute as batched array ops through
+    the *stream tier* (:mod:`repro.exec.stream_tier`): one composite
+    argsort forces the output, and the op log, counters and modeled
+    GPU time come from a process-wide memo filled by running the
+    unchanged drivers once per program and padded length on a counting
+    machine that reproduces the op log closed-form.  The tier for
+    serving.
 
 **The contract both tiers honor:** output is bit-identical and modeled
 telemetry is identical.  Comparison counts come from the closed form

@@ -1,11 +1,9 @@
 """The ``vectorized`` stream tier: whole-pass execution of stream programs.
 
-PR 7's tier split covered the serving hot loops (the k-way merge and the
-out-of-core pipeline); this module extends it down into
-:mod:`repro.stream`, where the reference interpreter still evaluates every
-kernel pass with per-stage numpy work and per-op Python dispatch whenever a
-chunk is actually sorted.  The fast path rests on two facts the test suite
-pins down:
+This module extends the tier split of :mod:`repro.exec` into
+:mod:`repro.stream`, whose reference interpreter evaluates every kernel
+pass with per-op Python dispatch.  The fast path rests on two facts the
+test suite pins down:
 
 1.  **The drivers are data-independent.**  The GPU-ABiSort drivers
     (:mod:`repro.core.abisort` / :mod:`repro.core.optimized`) and the
@@ -36,6 +34,12 @@ gather counts of every kernel body in the repository.  The fuzz suite
 record-for-record equality of op logs, counters, and derived cache
 statistics.
 
+**One drive per program and length.**  Fact 1 makes the op log a pure
+function of (program, padded length), so each is driven once per process
+and memoized with its counters and the modeled costs asked of it
+(:func:`modeled_cost`) -- PPT-GPU's split of an architecture-independent
+task list characterised once from a prediction per architecture.
+
 **Fallback conditions** (wholesale, to the reference interpreter -- the
 tier contract is bit-identity, so anything not provably coverable runs the
 real thing):
@@ -53,13 +57,14 @@ real thing):
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
 from repro.exec.vectorized import composite_keys
-from repro.stream.context import StreamMachine, StreamOpRecord
+from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
+from repro.stream.gpu_model import CostBreakdown, GPUModel, estimate_gpu_time_ms
 from repro.stream.kernel import (
     KernelBody,
     KernelStats,
@@ -67,6 +72,7 @@ from repro.stream.kernel import (
     _IterPort,
     _OutputPort,
 )
+from repro.stream.mapping2d import Mapping2D
 from repro.stream.stream import Stream, Substream, VALUE_DTYPE
 
 __all__ = [
@@ -76,6 +82,7 @@ __all__ = [
     "sorted_output",
     "counting_sort_run",
     "counting_network_run",
+    "modeled_cost",
 ]
 
 
@@ -123,8 +130,18 @@ class CountingStreamMachine(StreamMachine):
     are therefore garbage by design -- callers must obtain the sorted
     output elsewhere (see :func:`sorted_output`) and may read only the op
     log, counters, and allocation accounting, all of which are identical
-    to a reference run by construction.
+    to a reference run by construction.  A machine served from the memo
+    carries its entry as :attr:`run` and shares the entry's records and
+    counters.
     """
+
+    run: "_CountingRun | None" = None
+
+    def counters(self) -> MachineCounters:
+        """The op log's aggregate; a copy of the entry's when memo-served."""
+        if self.run is None:
+            return super().counters()
+        return replace(self.run.counters)
 
     def _execute_kernel(
         self,
@@ -206,64 +223,86 @@ def sorted_output(values: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(values[order])
 
 
-def _clone_record(op: StreamOpRecord) -> StreamOpRecord:
-    """A fresh :class:`StreamOpRecord` equal to ``op`` (lists uncoupled)."""
-    return replace(
-        op,
-        output_blocks=[(name, list(bl)) for name, bl in op.output_blocks],
-        input_blocks=[(name, list(bl)) for name, bl in op.input_blocks],
-    )
+@dataclass
+class _CountingRun:
+    """One memo entry: a drive's op log (shared, frozen records), counters
+    and peak allocation, plus the modeled costs asked of it so far."""
+
+    ops: tuple[StreamOpRecord, ...]
+    counters: MachineCounters
+    peak_alloc_bytes: int
+    distinct_io: bool
+    costs: dict[Hashable, CostBreakdown] = field(default_factory=dict)
+
+
+#: The process-wide memo ``{(program, padded n): run}``; a program is an
+#: ``ABiSortConfig`` or a network's stream-program function.  Lengths are
+#: powers of two, so a program holds at most ~31 entries.
+_RUNS: dict[tuple, _CountingRun] = {}
+
+
+def _counting_run(key, values, drive, on_hit):
+    """Serve ``values`` from the memo entry ``key``, driving it on a miss.
+
+    ``drive()`` runs the program on a counting machine, making every input
+    check the reference makes; ``on_hit(values)`` re-runs those a hit does
+    not imply.  Threads racing on a miss drive equal runs; the first wins.
+    """
+    out = sorted_output(values)
+    if out is None and values.dtype == VALUE_DTYPE:
+        return None  # no strict order: the reference interpreter decides
+    run = _RUNS.get(key) if out is not None else None
+    if run is not None:
+        on_hit(values)
+    else:
+        try:
+            driven = drive()  # a wrong dtype raises here, as on the reference
+        except StreamTierUnsupported:
+            return None
+        run = _RUNS.setdefault(
+            key,
+            _CountingRun(
+                tuple(driven.ops),
+                driven.counters(),
+                driven.peak_alloc_bytes,
+                driven.distinct_io,
+            ),
+        )
+    machine = CountingStreamMachine(distinct_io=run.distinct_io)
+    machine.ops.extend(run.ops)
+    machine.peak_alloc_bytes = run.peak_alloc_bytes
+    machine.run = run
+    return out, machine
+
+
+def _counting_machine(distinct_io: bool) -> CountingStreamMachine:
+    return CountingStreamMachine(distinct_io=distinct_io)
 
 
 def counting_sort_run(
-    sorter,
-    values: np.ndarray,
-    memo: dict[int, tuple[StreamOpRecord, ...]] | None = None,
+    config, values: np.ndarray
 ) -> tuple[np.ndarray, StreamMachine] | None:
-    """Run one GPU-ABiSort driver in counting mode, output closed-form.
+    """Sort ``values`` with the GPU-ABiSort variant ``config``, counting mode.
 
-    ``sorter`` must be a :class:`~repro.core.abisort.GPUABiSorter` whose
-    ``machine_factory`` produces :class:`CountingStreamMachine` instances.
     Returns ``(sorted values, machine)`` -- the machine carrying the
     reference-identical op log -- or ``None`` when the caller must fall
     back to a reference run (unstrict order, ``validate_levels``, or an
-    unprofiled kernel).  Input errors the reference would raise
-    (wrong dtype, non-power-of-two length, duplicate ids) propagate
-    unchanged: the counting drive performs the same ``_setup`` checks.
-
-    ``memo`` (owned by the caller, valid for one sorter configuration)
-    caches the op log per input length: a GPU-ABiSort op log is a pure
-    function of ``(configuration, n)``, so a repeat length replays cloned
-    records onto a fresh machine instead of re-driving the sorter.  The
-    memo path re-runs the input checks the drive would have run
-    (:func:`~repro.core.values.check_unique_ids`; dtype and the
-    power-of-two rule are implied by a usable forced output and a prior
-    successful drive of that length).
+    unprofiled kernel).  Input errors the reference would raise propagate
+    unchanged: a miss drives the sorter's own checks, and a hit (whose
+    dtype and length were accepted before) re-checks the ids.
     """
-    if getattr(sorter, "validate_levels", False):
-        return None  # the validator reads stream contents mid-sort
-    out = sorted_output(values)
-    if out is None and values.dtype == VALUE_DTYPE:
-        return None
-    if memo is not None and out is not None:
-        cached = memo.get(values.shape[0])
-        if cached is not None:
-            from repro.core.values import check_unique_ids
+    from repro.core.api import make_sorter
+    from repro.core.values import check_unique_ids
 
-            check_unique_ids(values)  # the same SortInputError as _setup
-            machine = CountingStreamMachine(
-                distinct_io=getattr(sorter, "gpu_semantics", True)
-            )
-            machine.ops.extend(_clone_record(op) for op in cached)
-            return out, machine
-    try:
+    if config.validate_levels:
+        return None  # the validator reads stream contents mid-sort
+
+    def drive() -> StreamMachine:
+        sorter = make_sorter(config, machine_factory=_counting_machine)
         sorter.sort(values)  # drives the op log; data output is discarded
-    except StreamTierUnsupported:
-        return None
-    machine = sorter.last_machine
-    if memo is not None and out is not None:
-        memo[values.shape[0]] = tuple(_clone_record(op) for op in machine.ops)
-    return out, machine
+        return sorter.last_machine
+
+    return _counting_run((config, values.shape[0]), values, drive, check_unique_ids)
 
 
 def counting_network_run(
@@ -278,12 +317,45 @@ def counting_network_run(
     :func:`sorted_output` is what keeps equal-comparing records on the
     reference path.
     """
-    out = sorted_output(values)
-    if out is None and values.dtype == VALUE_DTYPE:
+
+    def drive() -> StreamMachine:
+        return stream_sorter(values, _counting_machine(True))[1]
+
+    return _counting_run(
+        (stream_sorter, values.shape[0]), values, drive, lambda _values: None
+    )
+
+
+def _value_key(obj) -> Hashable:
+    """``obj`` by value (``GPUModel`` holds a dict; mappings hash by id)."""
+    if obj is None:
         return None
-    machine = CountingStreamMachine(distinct_io=True)
-    try:
-        stream_sorter(values, machine)
-    except StreamTierUnsupported:
-        return None
-    return out, machine
+    return (type(obj),) + tuple(
+        (name, tuple(sorted(v.items())) if isinstance(v, Mapping) else v)
+        for name, v in sorted(vars(obj).items())
+    )
+
+
+def modeled_cost(
+    machine: StreamMachine,
+    gpu: GPUModel,
+    mapping: Mapping2D | None = None,
+    fixed_read_efficiency: float | None = None,
+) -> CostBreakdown:
+    """:func:`~repro.stream.gpu_model.estimate_gpu_time_ms` of ``machine``'s log.
+
+    The one cost entry point of the engines, the cluster and run
+    formation: computed once per memo entry and (GPU model, mapping,
+    efficiency) by value, and afresh for reference-tier machines.
+    """
+    run = machine.run if isinstance(machine, CountingStreamMachine) else None
+    key = (_value_key(gpu), _value_key(mapping), fixed_read_efficiency)
+    cost = run.costs.get(key) if run is not None else None
+    if cost is None:
+        cost = estimate_gpu_time_ms(
+            machine.ops, gpu, mapping, fixed_read_efficiency=fixed_read_efficiency
+        )
+        if run is None:
+            return cost
+        cost = run.costs.setdefault(key, cost)
+    return replace(cost, by_tag=dict(cost.by_tag))

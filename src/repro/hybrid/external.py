@@ -27,7 +27,7 @@ from repro.errors import SortInputError
 from repro.core.api import ABiSortConfig, make_sorter
 from repro.core.bitonic_tree import is_power_of_two
 from repro.hybrid.disk import SimulatedDisk
-from repro.stream.gpu_model import GEFORCE_7800_GTX, GPUModel, estimate_gpu_time_ms
+from repro.stream.gpu_model import GEFORCE_7800_GTX, GPUModel
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
 
@@ -173,11 +173,10 @@ class ExternalSorter:
     tier:
         Execution tier (see :mod:`repro.exec`): ``"reference"`` runs the
         per-element loser-tree merge and sorts every chunk on the stream
-        interpreter; ``"vectorized"`` merges with numpy, sorts chunks in
-        counting mode (:mod:`repro.exec.stream_tier`, batched argsort +
-        closed-form op log), and memoizes the (data-independent) modeled
-        GPU time per chunk shape (the default).  Output, disk statistics,
-        and modeled times are identical across tiers.
+        interpreter; ``"vectorized"`` (the default) merges with numpy and
+        sorts chunks through the stream tier's memo
+        (:mod:`repro.exec.stream_tier`).  Output, disk statistics, and
+        modeled times are identical across tiers.
     """
 
     def __init__(
@@ -206,24 +205,6 @@ class ExternalSorter:
         self.mapping = mapping or ZOrderMapping()
         self.merge_buffer = merge_buffer
         self.tier = tier
-        #: Modeled GPU ms per padded chunk length -- valid for this
-        #: instance only (config, gpu, and mapping are fixed per instance,
-        #: and the op log of a sort depends only on its length).
-        self._gpu_ms_memo: dict[int, float] = {}
-        #: Lazily-built counting-mode sorter (vectorized tier only).
-        self._counting_sorter = None
-
-    def _counting(self):
-        if self._counting_sorter is None:
-            from repro.exec.stream_tier import CountingStreamMachine
-
-            self._counting_sorter = make_sorter(
-                self.config,
-                machine_factory=lambda distinct_io: CountingStreamMachine(
-                    distinct_io=distinct_io
-                ),
-            )
-        return self._counting_sorter
 
     def sort_file(
         self, disk: SimulatedDisk, input_name: str, output_name: str
@@ -249,9 +230,8 @@ class ExternalSorter:
     def _form_runs(
         self, disk: SimulatedDisk, input_name: str, report: ExternalSortReport
     ) -> list[str]:
+        from repro.exec.stream_tier import counting_sort_run, modeled_cost
         from repro.workloads.records import pad_to_power_of_two
-
-        from repro.core.values import check_unique_ids, reference_sort
 
         fast = self.tier == "vectorized"
         run_names: list[str] = []
@@ -261,35 +241,19 @@ class ExternalSorter:
             chunk = disk.read(input_name, offset, self.chunk_size)
             if chunk.shape[0] >= 2:
                 padded, orig = pad_to_power_of_two(chunk)
-                memo_ms = self._gpu_ms_memo.get(padded.shape[0])
-                if fast and memo_ms is not None:
-                    # The op log -- and therefore the modeled time -- of a
-                    # GPU-ABiSort run depends only on its length, so equal
-                    # chunk shapes charge the memoized exact figure; the
-                    # sort itself is the host oracle (unique output under
-                    # the strict total order, hence bit-identical).  The
-                    # uniqueness check mirrors the sorter's own.
-                    check_unique_ids(padded)
-                    sorted_chunk = reference_sort(padded)[:orig]
-                    report.gpu_modeled_ms += memo_ms
-                else:
-                    machine = None
-                    if fast:
-                        from repro.exec.stream_tier import counting_sort_run
-
-                        res = counting_sort_run(self._counting(), padded)
-                        if res is not None:
-                            sorted_full, machine = res
-                    if machine is None:
-                        sorter = make_sorter(self.config)
-                        sorted_full = sorter.sort(padded)
-                        machine = sorter.last_machine
-                    sorted_chunk = sorted_full[:orig]
-                    chunk_ms = estimate_gpu_time_ms(
-                        machine.ops, self.gpu, self.mapping
-                    ).total_ms
-                    self._gpu_ms_memo[padded.shape[0]] = chunk_ms
-                    report.gpu_modeled_ms += chunk_ms
+                machine = None
+                if fast:
+                    res = counting_sort_run(self.config, padded)
+                    if res is not None:
+                        sorted_full, machine = res
+                if machine is None:
+                    sorter = make_sorter(self.config)
+                    sorted_full = sorter.sort(padded)
+                    machine = sorter.last_machine
+                sorted_chunk = sorted_full[:orig]
+                report.gpu_modeled_ms += modeled_cost(
+                    machine, self.gpu, self.mapping
+                ).total_ms
             else:
                 sorted_chunk = chunk
             run = f"{input_name}.run{len(run_names)}"

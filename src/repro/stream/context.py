@@ -62,9 +62,9 @@ from repro.stream.kernel import (
 from repro.stream.stream import Stream, Substream
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamOpRecord:
-    """Log entry for one stream operation."""
+    """Log entry for one stream operation (frozen: logs share records)."""
 
     index: int
     kind: str  # "kernel" or "copy"

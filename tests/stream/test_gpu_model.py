@@ -21,7 +21,7 @@ from repro.stream.mapping2d import RowWiseMapping, ZOrderMapping
 
 def op(
     name="k", instances=1000, rb=0, wb=0, gb=0,
-    in_blocks=None, out_blocks=None,
+    in_blocks=None, out_blocks=None, tag="",
 ) -> StreamOpRecord:
     return StreamOpRecord(
         index=0, kind="kernel", name=name, instances=instances,
@@ -29,6 +29,7 @@ def op(
         linear_write_elems=wb // 8, linear_write_bytes=wb,
         gather_elems=gb // 8, gather_bytes=gb,
         output_blocks=out_blocks or [], input_blocks=in_blocks or [],
+        tag=tag,
     )
 
 
@@ -115,9 +116,7 @@ class TestCostModel:
         assert t_gat > 3 * t_lin
 
     def test_by_tag_accumulates(self):
-        ops = [op(), op()]
-        ops[0].tag = "a"
-        ops[1].tag = "b"
+        ops = [op(tag="a"), op(tag="b")]
         cost = estimate_gpu_time_ms(ops, GEFORCE_7800_GTX)
         assert set(cost.by_tag) == {"a", "b"}
         assert sum(cost.by_tag.values()) == pytest.approx(cost.total_ms)
