@@ -68,14 +68,12 @@ def test_merge_speedup_and_identity(benchmark, bench_json):
         for k in KS:
             runs = inputs[k]
             start = time.perf_counter()
-            ref, ref_comparisons = merge_sorted_runs(runs, tier="reference")
+            ref, ref_comparisons = merge_sorted_runs(runs, trace=True)
             reference_s = time.perf_counter() - start
             vectorized_s = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                vec, vec_comparisons = merge_sorted_runs(
-                    runs, tier="vectorized"
-                )
+                vec, vec_comparisons = merge_sorted_runs(runs)
                 vectorized_s = min(
                     vectorized_s, time.perf_counter() - start
                 )
@@ -116,9 +114,9 @@ def test_external_pipeline_identity(benchmark, bench_json):
     values["key"] = rng.random(EXTERNAL_N, dtype=np.float32)
     values["id"] = np.arange(EXTERNAL_N, dtype=np.uint32)
 
-    def run_tier(tier: str):
+    def run_tier(trace: bool):
         sorter = ExternalSorter(
-            EXTERNAL_CHUNK, merge_buffer=EXTERNAL_BUFFER, tier=tier
+            EXTERNAL_CHUNK, merge_buffer=EXTERNAL_BUFFER, trace=trace
         )
         disk = SimulatedDisk(VALUE_DTYPE)
         disk.write_file("input", values)
@@ -129,7 +127,7 @@ def test_external_pipeline_identity(benchmark, bench_json):
         return out, report, disk.stats, elapsed
 
     def run_both():
-        return run_tier("reference"), run_tier("vectorized")
+        return run_tier(True), run_tier(False)
 
     (ref, ref_report, ref_stats, ref_s), (
         vec,

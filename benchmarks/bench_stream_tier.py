@@ -21,9 +21,16 @@ every timing row also asserts:
 * equal :class:`SortTelemetry` minus ``wall_time_s`` (the one measured,
   legitimately tier-dependent field).
 
-Gate: at 2^16 keys the vectorized tier must beat the reference
+Each row times the vectorized tier twice.  ``vectorized_s`` is the best
+of three sorts once the process-wide counting-run memo holds the op log
+(the serving steady state); ``cold_vectorized_s`` is the first sort after
+``stream_tier._RUNS.clear()``, which pays the one counting drive of the
+program at that length.
+
+Gate: at 2^16 keys the warm vectorized tier must beat the reference
 interpreter by :data:`GATE` x on the ``abisort`` engine (default 5x,
 overridable via ``REPRO_STREAM_GATE`` for cross-hardware CI smoke).
+The cold figures are recorded, not gated.
 The auto engine is measured end to end as well, identity-asserted but
 ungated -- the planner is free to pick a non-stream backend.
 
@@ -41,6 +48,7 @@ import time
 import numpy as np
 
 import repro
+from repro.exec import stream_tier
 from repro.stream.cache import CacheConfig, TextureCacheSim
 from repro.stream.gpu_model import GEFORCE_7800_GTX, estimate_gpu_time_ms
 from repro.stream.mapping2d import ZOrderMapping
@@ -126,6 +134,9 @@ def test_abisort_speedup_and_identity(benchmark, bench_json):
         for n in SIZES:
             values = inputs[n]
             ref, reference_s = _timed_sort(values, "reference", "abisort")
+            stream_tier._RUNS.clear()
+            cold, cold_vectorized_s = _timed_sort(values, "vectorized", "abisort")
+            _assert_identical(ref, cold, f"n={n} cold", cache_replay=False)
             vec, vectorized_s = None, float("inf")
             for _ in range(3):
                 res, elapsed = _timed_sort(values, "vectorized", "abisort")
@@ -141,18 +152,25 @@ def test_abisort_speedup_and_identity(benchmark, bench_json):
                 "reference_s": reference_s,
                 "vectorized_s": vectorized_s,
                 "speedup": reference_s / vectorized_s,
+                "cold_vectorized_s": cold_vectorized_s,
+                "cold_speedup": reference_s / cold_vectorized_s,
             }
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
     bench_json(rows=rows, gate=GATE, gate_n=GATE_N)
-    print("\nfull ABiSort pass (abisort engine), reference vs vectorized:")
+    print(
+        "\nfull ABiSort pass (abisort engine), reference vs vectorized "
+        "(warm memo; cold in brackets):"
+    )
     for n, row in rows.items():
         print(
             f"  n=2^{n.bit_length() - 1:>2}: "
             f"{row['reference_s'] * 1e3:8.1f} ms -> "
             f"{row['vectorized_s'] * 1e3:7.1f} ms  "
-            f"({row['speedup']:.1f}x)"
+            f"({row['speedup']:.1f}x) "
+            f"[{row['cold_vectorized_s'] * 1e3:7.1f} ms, "
+            f"{row['cold_speedup']:.1f}x]"
         )
     speedup = rows[GATE_N]["speedup"]
     assert speedup >= GATE, (

@@ -18,13 +18,17 @@ longitudinal tooling read those instead of scraping stdout.
 Benchmarks named in :data:`TRACKED_BENCHES` additionally mirror their JSON
 to the *repository root* (``BENCH_<name>.json``), which is committed --
 wall-clock history that survives across pull requests instead of dying
-with the gitignored results directory.
+with the gitignored results directory.  Every file carries a ``_meta``
+block (:func:`bench_meta`: git sha, Python and numpy versions, CPU count)
+so that the recorded figures form a trajectory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,30 @@ def results_dir() -> Path:
     return path
 
 
+def bench_meta() -> dict:
+    """Where and from what the figures were measured.
+
+    ``git_sha`` carries a ``-dirty`` suffix when the working tree had
+    uncommitted changes.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "git_sha": sha or "unknown",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @pytest.fixture
 def bench_json(request):
     """A callable ``emit(**payload)`` writing machine-readable results.
@@ -87,7 +115,7 @@ def bench_json(request):
             bench_json(rows=rows, sizes=SIZES)
 
     appends ``{"test_scaling": {"rows": ..., "sizes": ...}}`` to
-    ``BENCH_cluster_scaling.json``.  Payloads may contain NumPy scalars /
+    ``BENCH_cluster_scaling.json`` and refreshes its ``_meta`` block.  Payloads may contain NumPy scalars /
     arrays and tuple- or int-keyed dicts; they are converted on the way
     out.
     """
@@ -100,6 +128,7 @@ def bench_json(request):
         if path.exists():
             existing = json.loads(path.read_text())
         existing[request.node.name] = _json_ready(payload)
+        existing["_meta"] = bench_meta()
         text = json.dumps(existing, indent=2, sort_keys=True) + "\n"
         path.write_text(text)
         if name in TRACKED_BENCHES:

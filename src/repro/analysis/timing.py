@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 from repro.baselines.bitonic_network import gpusort_stream
 from repro.baselines.cpu_sort import CPUSortCounters, quicksort
-from repro.core.api import ABiSortConfig, make_sorter
+from repro.core.api import ABiSortConfig
+from repro.exec.stream_tier import modeled_cost, sort_on_stream
 from repro.stream.gpu_model import (
     AGP_SYSTEM,
     GEFORCE_6800_ULTRA,
@@ -36,7 +37,6 @@ from repro.stream.gpu_model import (
     GPUModel,
     HostSystem,
     cpu_sort_time_ms,
-    estimate_gpu_time_ms,
 )
 from repro.stream.mapping2d import Mapping2D, RowWiseMapping, ZOrderMapping
 from repro.workloads.generators import paper_workload
@@ -97,11 +97,8 @@ def gpusort_modeled_ms(n: int, gpu: GPUModel, seed: int = 0) -> float:
     modeling its fixed B=64 software tiling (near optimal on the 7800,
     mismatched on the 6800 -- the paper's footnote).
     """
-    _out, machine = gpusort_stream(paper_workload(n, seed))
-    cost = estimate_gpu_time_ms(
-        machine.ops, gpu, fixed_read_efficiency=gpu.tiled_read_efficiency
-    )
-    return cost.total_ms
+    _out, machine = sort_on_stream(gpusort_stream, paper_workload(n, seed))
+    return modeled_cost(machine, gpu, None, gpu.tiled_read_efficiency).total_ms
 
 
 def abisort_modeled_ms(
@@ -116,11 +113,10 @@ def abisort_modeled_ms(
     The default configuration is the paper's benchmarked one: overlapped
     schedule, Section-7 optimizations, GPU stream semantics.
     """
-    config = config or ABiSortConfig()
-    sorter = make_sorter(config)
-    sorter.sort(paper_workload(n, seed))
-    cost = estimate_gpu_time_ms(sorter.last_machine.ops, gpu, mapping)
-    return cost.total_ms
+    _out, machine = sort_on_stream(
+        config or ABiSortConfig(), paper_workload(n, seed)
+    )
+    return modeled_cost(machine, gpu, mapping).total_ms
 
 
 def table_rows(

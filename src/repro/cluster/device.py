@@ -9,9 +9,9 @@ pairing explicit: a :class:`Device` is
 * a :class:`GPUModel` (what the hardware cost model is parameterised on),
 * a :class:`~repro.stream.transfer.TransferLink` (its own PCIe/AGP bus,
   with modeled up/down bandwidth), and
-* a private stream-machine source: every sort dispatched to the device runs
-  on a machine created by :meth:`new_machine`, so op logs and counters
-  accumulate *per device* instead of on a global sorter attribute.
+* a machine log: the machine of every sort dispatched to the device is
+  appended to :attr:`Device.machines`, so op logs and counters accumulate
+  *per device* instead of on a global sorter attribute.
 
 :func:`make_devices` builds a homogeneous cluster from the paper's two
 hardware models (Table 2's GeForce 6800 Ultra / AGP and Table 3's GeForce
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ModelError
-from repro.core.api import ABiSortConfig, make_sorter
 from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import (
     GEFORCE_7800_GTX,
@@ -52,16 +51,6 @@ class Device:
         return f"dev{self.index} ({self.gpu.name})"
 
     # -- machine management --------------------------------------------------
-
-    def new_machine(self, distinct_io: bool = True) -> StreamMachine:
-        """A fresh stream machine whose op log stays with this device."""
-        machine = StreamMachine(distinct_io=distinct_io)
-        self.machines.append(machine)
-        return machine
-
-    def make_sorter(self, config: ABiSortConfig | None = None):
-        """A GPU-ABiSort driver bound to this device's machines."""
-        return make_sorter(config, machine_factory=self.new_machine)
 
     def reset(self) -> None:
         """Drop the accumulated machine log (between scheduling rounds)."""

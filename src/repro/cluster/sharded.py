@@ -4,10 +4,9 @@ The scale-out sort the cluster subsystem exists for:
 
 1. :class:`~repro.cluster.planner.ShardPlanner` partitions the input into
    contiguous shards (one or more pipeline slices per device);
-2. every shard is sorted on its device -- a per-device GPU-ABiSort driver
-   bound to that device's stream machines (so op logs and counters stay
-   per device); under the ``vectorized`` tier the op log is replayed from
-   the stream tier's memo (:mod:`repro.exec.stream_tier`), identically;
+2. every shard is sorted by :func:`repro.exec.stream_tier.sort_on_stream`
+   and its machine is logged on the shard's device (so op logs and
+   counters stay per device);
 3. the :class:`~repro.cluster.scheduler.Scheduler` lays the shards'
    upload/sort/download stages onto the devices' modeled resources,
    overlapping transfers with compute (Section 7 generalised to N devices);
@@ -32,8 +31,10 @@ from repro.cluster.device import Device, make_devices
 from repro.cluster.planner import ShardPlan, ShardPlanner
 from repro.cluster.scheduler import ClusterSchedule, PipelineTask, Scheduler
 from repro.errors import SortInputError
-from repro.exec import get_backend
-from repro.exec.stream_tier import counting_sort_run, modeled_cost
+from repro.exec import ReferenceBackend, VectorizedBackend
+from repro.exec.stream_tier import modeled_cost, sort_on_stream
+# Unused here, but the stackbench layer tracer wraps this module attribute.
+from repro.exec.stream_tier import counting_sort_run  # noqa: F401
 from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
@@ -41,66 +42,20 @@ from repro.stream.stream import VALUE_DTYPE
 __all__ = ["ShardedSorter", "ShardedSortResult", "merge_sorted_runs"]
 
 
-def _pad_shard(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pad one shard to a power of two with +inf keys and *fresh* ids.
-
-    Unlike :func:`repro.workloads.records.pad_to_power_of_two` (whose
-    padding ids continue past the chunk length), a shard's ids are global
-    input positions, so ids starting at the chunk length could collide with
-    real ids of a later shard range.  Padding here draws ids past the
-    shard's own maximum, which sort strictly after every real row, so the
-    caller truncates with ``sorted[:len(chunk)]`` (returns ``None``).
-
-    At the uint32 ceiling no larger ids exist; the fallback draws *unused*
-    small ids instead and returns them, and the caller must then drop the
-    padding rows **by id** -- slice truncation would be wrong there, since
-    a small-id pad sorts before a real row whose key is also +inf.
-    """
-    n = chunk.shape[0]
-    target = 1 << max(1, (n - 1).bit_length())
-    if target == n:
-        return chunk.copy(), None
-    pad = np.empty(target - n, dtype=VALUE_DTYPE)
-    pad["key"] = np.inf
-    base = int(chunk["id"].max()) + 1
-    if base + (target - n) <= 1 << 32:
-        pad["id"] = np.arange(base, base + target - n, dtype=np.uint32)
-        pad_ids = None
-    else:
-        used = np.unique(chunk["id"])
-        free = np.setdiff1d(
-            np.arange(2 * target, dtype=np.uint32), used, assume_unique=True
-        )
-        pad["id"] = free[: target - n]
-        pad_ids = pad["id"].copy()
-    return np.concatenate([chunk, pad]), pad_ids
-
-
-def _strip_padding(sorted_padded: np.ndarray, orig: int,
-                   pad_ids: np.ndarray | None) -> np.ndarray:
-    """Remove the padding rows from a sorted padded shard."""
-    if pad_ids is None:
-        # Pads have +inf keys and ids above every real id: they sort last.
-        return sorted_padded[:orig]
-    out = sorted_padded[~np.isin(sorted_padded["id"], pad_ids)]
-    assert out.shape[0] == orig
-    return out
-
-
 def merge_sorted_runs(
-    runs: list[np.ndarray], tier: str = "vectorized"
+    runs: list[np.ndarray], trace: bool = False
 ) -> tuple[np.ndarray, int]:
     """K-way merge of sorted ``VALUE_DTYPE`` runs, loser-tree semantics.
 
     Returns the merged array and the number of comparisons the loser
     tree plays (~``n log2 k``, the counted cost of the host-side merge
     stage).  Empty runs are skipped; a single run returns a copy with
-    zero comparisons.  ``tier`` selects the execution backend (see
-    :mod:`repro.exec`): ``"reference"`` plays every match, ``"vectorized"``
-    merges with numpy -- the merged bytes and the comparison count are
-    identical either way.
+    zero comparisons.  ``trace=True`` plays every match on the reference
+    backend, the default merges with numpy (see :mod:`repro.exec`) -- the
+    merged bytes and the comparison count are identical either way.
     """
-    return get_backend(tier).merge_runs(runs)
+    backend = ReferenceBackend if trace else VectorizedBackend
+    return backend().merge_runs(runs)
 
 
 @dataclass
@@ -143,13 +98,10 @@ class ShardedSorter:
     host:
         The CPU side: prices the final merge at ``cpu_op_ns`` per
         comparison.
-    tier:
-        Execution tier (see :mod:`repro.exec`).  Under the default
-        ``vectorized`` tier the per-shard op logs come from the stream
-        tier's memo (:mod:`repro.exec.stream_tier`) -- each replayed
-        machine is adopted into its device's machine log, so per-device
-        op logs and counters stay identical to a reference run -- and the
-        host-side merge loop runs on numpy.  Bit- and telemetry-identical.
+    trace:
+        Run every shard sort and the host-side merge on the reference
+        interpreters (see :mod:`repro.exec`) instead of the stream tier's
+        memo and the numpy merge.  Bit- and telemetry-identical.
     """
 
     def __init__(
@@ -161,7 +113,7 @@ class ShardedSorter:
         overlap: bool = True,
         mapping: Mapping2D | None = None,
         host: HostSystem = PCIE_SYSTEM,
-        tier: str = "vectorized",
+        trace: bool = False,
     ):
         if isinstance(devices, int):
             devices = make_devices(devices, host=host)
@@ -173,8 +125,7 @@ class ShardedSorter:
         self.overlap = overlap
         self.mapping = mapping or ZOrderMapping()
         self.host = host
-        get_backend(tier)  # reject an unknown tier up front
-        self.tier = tier
+        self.trace = trace
 
     def sort(self, values: np.ndarray) -> ShardedSortResult:
         """Sort a ``VALUE_DTYPE`` array of any length across the cluster."""
@@ -202,30 +153,16 @@ class ShardedSorter:
         tasks: list[PipelineTask] = []
         shard_sort_ms: list[float] = []
         itemsize = values.dtype.itemsize
-        fast = self.tier == "vectorized"
         for shard in plan.shards:
             chunk = values[shard.start : shard.stop]
             sort_ms = 0.0
             if chunk.shape[0] >= 2:
-                padded, pad_ids = _pad_shard(chunk)
-                machine = None
-                if fast:
-                    res = counting_sort_run(self.config, padded)
-                    if res is not None:
-                        sorted_padded, machine = res
-                        # Adopt the counting machine so this device's op
-                        # log and counters match a reference run exactly.
-                        self.devices[shard.device].machines.append(machine)
-                if machine is None:
-                    sorter = self.devices[shard.device].make_sorter(self.config)
-                    sorted_padded = sorter.sort(padded)
-                    machine = sorter.last_machine
-                sorted_chunk = _strip_padding(
-                    sorted_padded, chunk.shape[0], pad_ids
+                device = self.devices[shard.device]
+                sorted_chunk, machine = sort_on_stream(
+                    self.config, chunk, trace=self.trace
                 )
-                sort_ms = modeled_cost(
-                    machine, self.devices[shard.device].gpu, self.mapping
-                ).total_ms
+                device.machines.append(machine)
+                sort_ms = modeled_cost(machine, device.gpu, self.mapping).total_ms
             else:
                 sorted_chunk = chunk.copy()
             runs.append(sorted_chunk)
@@ -242,7 +179,7 @@ class ShardedSorter:
             )
 
         if len(runs) > 1:
-            merged, comparisons = merge_sorted_runs(runs, tier=self.tier)
+            merged, comparisons = merge_sorted_runs(runs, trace=self.trace)
         else:
             merged, comparisons = runs[0], 0
         merge_ms = comparisons * self.host.cpu_op_ns * 1e-6

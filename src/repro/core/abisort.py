@@ -89,11 +89,10 @@ class GPUABiSorter:
         tree half holds sorted runs of the expected length and direction.
     machine_factory:
         Where each sort's :class:`StreamMachine` comes from.  By default the
-        sorter builds a private machine per sort; a multi-device driver
-        (:mod:`repro.cluster.device`) instead passes a factory bound to one
-        simulated device, so the op log and counters land on *that* device
-        rather than on an implicitly global machine.  The factory receives
-        the ``distinct_io`` flag the machine must enforce.
+        sorter builds a private machine per sort;
+        :mod:`repro.exec.stream_tier` passes a factory that keeps the machine
+        it hands out (a counting machine when filling its memo).  The factory
+        receives the ``distinct_io`` flag the machine must enforce.
     """
 
     def __init__(

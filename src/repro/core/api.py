@@ -2,9 +2,9 @@
 
 Callers sort through the unified engine API -- :func:`repro.sort` with a
 :class:`repro.SortRequest`, or ``engine="abisort"`` (and the other
-``abisort-*`` names) to pin GPU-ABiSort.  This module holds what the engine
-adapters, the cluster devices, and the timing tables build their sorters
-from.  See docs/architecture.md for the full layer map.
+``abisort-*`` names) to pin GPU-ABiSort.  This module holds what
+:func:`repro.exec.stream_tier.sort_on_stream` builds its sorters from.  See
+docs/architecture.md for the full layer map.
 
 >>> import numpy as np
 >>> from repro import make_sorter, make_values
@@ -56,9 +56,9 @@ def make_sorter(
     """Instantiate the sorter described by ``config``.
 
     ``machine_factory`` optionally binds the sorter to a stream-machine
-    source other than the default private-machine-per-sort -- the hook the
-    multi-device drivers of :mod:`repro.cluster` use to run one sorter per
-    simulated device (see :class:`repro.core.abisort.GPUABiSorter`).
+    source other than the default private-machine-per-sort -- the hook
+    :mod:`repro.exec.stream_tier` uses to drive the sorter on a counting
+    machine (see :class:`repro.core.abisort.GPUABiSorter`).
     """
     config = config or ABiSortConfig()
     cls = OptimizedGPUABiSorter if config.optimized else GPUABiSorter

@@ -56,15 +56,13 @@ from repro.baselines.odd_even_transition import (
     odd_even_transition_sort,
 )
 from repro.baselines.periodic_balanced import periodic_balanced_stream
-from repro.core.api import ABiSortConfig, make_sorter
-from repro.exec import resolve_request_tier
-from repro.exec.stream_tier import (
-    counting_network_run,
-    counting_sort_run,
-    modeled_cost,
-)
+from repro.core.api import ABiSortConfig
+from repro.exec.stream_tier import modeled_cost, sort_on_stream
+# Unused here, but the stackbench layer tracer wraps these module attributes.
+from repro.exec.stream_tier import counting_network_run, counting_sort_run  # noqa: F401
 from repro.hybrid.disk import SimulatedDisk
 from repro.hybrid.external import ExternalSorter
+from repro.planner.models import next_pow2
 from repro.stream.context import StreamMachine
 from repro.stream.gpu_model import cpu_sort_time_ms
 from repro.stream.mapping2d import ZOrderMapping
@@ -107,15 +105,11 @@ def _machine_telemetry(
 class ABiSortEngine(SortEngine):
     """GPU-ABiSort behind the engine interface.
 
-    One engine per :class:`ABiSortConfig`.  Non-power-of-two input is
-    padded with +inf keys and truncated (Section 4), so ``any_length``
-    holds.
-
-    Under the ``vectorized`` tier one batched argsort forces the output
-    and the op log, counters and modeled cost come from the stream tier's
-    process-wide memo (:func:`repro.exec.stream_tier.counting_sort_run`).
-    Inputs it cannot cover (NaN keys, duplicate composites) fall back to
-    the reference interpreter.
+    One engine per :class:`ABiSortConfig`, run through
+    :func:`repro.exec.stream_tier.sort_on_stream`: non-power-of-two input
+    is padded with +inf keys and stripped again (Section 4), so
+    ``any_length`` holds, and untraced requests are served from the stream
+    tier's memo.
     """
 
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
@@ -124,25 +118,9 @@ class ABiSortEngine(SortEngine):
         self.name = name
         self.description = description
         self.config = config
-        self._sorter = make_sorter(config)
 
     def _run(self, values, request):
-        from repro.workloads.records import pad_to_power_of_two
-
-        n = values.shape[0]
-        if n & (n - 1):
-            padded, orig = pad_to_power_of_two(values)
-        else:
-            padded, orig = values, n
-        out = machine = None
-        if resolve_request_tier(request) == "vectorized":
-            fast = counting_sort_run(self.config, padded)
-            if fast is not None:
-                out, machine = fast
-                out = out[:orig]
-        if machine is None:
-            out = self._sorter.sort(padded)[:orig]
-            machine = self._sorter.last_machine
+        out, machine = sort_on_stream(self.config, values, trace=request.trace)
         return out, _machine_telemetry(machine, request, tiled=False), machine
 
 
@@ -194,7 +172,7 @@ class ShardedABiSortEngine(SortEngine):
             overlap=self.overlap,
             mapping=request.mapping or ZOrderMapping(),
             host=request.host,
-            tier=resolve_request_tier(request),
+            trace=request.trace,
         )
         res = sorter.sort(values)
 
@@ -216,11 +194,10 @@ class NetworkEngine(SortEngine):
 
     Power-of-two input only, as for the GPU implementations these stand in
     for; modeled time uses the GPU's fixed software-tiling read efficiency
-    (the GPUSort B=64 modeling convention).  Under the ``vectorized`` tier
-    the op log comes from the stream tier's memo
-    (:func:`repro.exec.stream_tier.counting_network_run`) with the output
-    forced by one batched argsort; networks are not stable, so inputs with
-    duplicate (key, id) composites stay on the reference interpreter.
+    (the GPUSort B=64 modeling convention).  Runs through
+    :func:`repro.exec.stream_tier.sort_on_stream`; networks are not
+    stable, so inputs with duplicate (key, id) composites stay on the
+    reference interpreter.
     """
 
     capabilities = EngineCapabilities(any_length=False, key_value=True, stable=True)
@@ -231,13 +208,9 @@ class NetworkEngine(SortEngine):
         self._stream_sorter = stream_sorter
 
     def _run(self, values, request):
-        out = machine = None
-        if resolve_request_tier(request) == "vectorized":
-            fast = counting_network_run(self._stream_sorter, values)
-            if fast is not None:
-                out, machine = fast
-        if machine is None:
-            out, machine = self._stream_sorter(values)
+        out, machine = sort_on_stream(
+            self._stream_sorter, values, trace=request.trace
+        )
         return out, _machine_telemetry(machine, request, tiled=True), machine
 
 
@@ -331,11 +304,11 @@ class ExternalSortEngine(SortEngine):
 
     def _run(self, values, request):
         sorter = ExternalSorter(
-            min(self.chunk_size, _next_pow2(values.shape[0])),
+            min(self.chunk_size, next_pow2(values.shape[0])),
             gpu=request.gpu,
             mapping=request.mapping or ZOrderMapping(),
             merge_buffer=self.merge_buffer,
-            tier=resolve_request_tier(request),
+            trace=request.trace,
         )
         disk = SimulatedDisk(VALUE_DTYPE)
         disk.write_file("input", values)
@@ -353,11 +326,6 @@ class ExternalSortEngine(SortEngine):
                 report.merge_comparisons, request.host
             )
         return out, telemetry, None
-
-
-def _next_pow2(n: int) -> int:
-    """The smallest power of two >= max(n, 2)."""
-    return 1 << max(n - 1, 1).bit_length()
 
 
 def register_builtin_engines() -> None:

@@ -42,36 +42,27 @@ The tier is a property of what the caller asks for, not a mode:
 ``reference`` when the request sets ``trace=True`` (op-log and figure
 consumers need the interpreter's own trace), ``vectorized`` otherwise
 (:func:`resolve_request_tier`).  The planner records the pick on the plan
-(``SortPlan.exec_tier``).  Components below the engines
-(:class:`~repro.cluster.sharded.ShardedSorter`,
-:class:`~repro.hybrid.external.ExternalSorter`,
-:func:`~repro.cluster.sharded.merge_sorted_runs`) take a ``tier``
-argument, defaulting to ``vectorized``, that the engine adapters fill
-from the request.  See ``docs/execution.md``.
+(``SortPlan.exec_tier``).  Below the engines the switch stays the
+request's own ``trace`` flag:
+:class:`~repro.cluster.sharded.ShardedSorter`,
+:class:`~repro.hybrid.external.ExternalSorter` and
+:func:`~repro.cluster.sharded.merge_sorted_runs` take ``trace: bool =
+False``, and every stream sort goes through the one entry point
+:func:`repro.exec.stream_tier.sort_on_stream` (pad, memo or interpreter,
+strip).  See ``docs/execution.md``.
 """
 
 from __future__ import annotations
 
-from repro.errors import SortInputError
 from repro.exec.backend import ExecutionBackend, ReferenceBackend
 from repro.exec.vectorized import VectorizedBackend
 
 __all__ = [
-    "EXEC_TIERS",
     "ExecutionBackend",
     "ReferenceBackend",
     "VectorizedBackend",
     "resolve_request_tier",
-    "get_backend",
 ]
-
-#: The execution tiers, in documentation order.
-EXEC_TIERS = ("reference", "vectorized")
-
-_BACKENDS: dict[str, ExecutionBackend] = {
-    "reference": ReferenceBackend(),
-    "vectorized": VectorizedBackend(),
-}
 
 
 def resolve_request_tier(request) -> str:
@@ -83,13 +74,3 @@ def resolve_request_tier(request) -> str:
     """
     return "reference" if request.trace else "vectorized"
 
-
-def get_backend(tier: str = "vectorized") -> ExecutionBackend:
-    """The :class:`ExecutionBackend` serving ``tier``."""
-    try:
-        return _BACKENDS[tier]
-    except KeyError:
-        raise SortInputError(
-            f"unknown execution tier {tier!r}; "
-            f"known tiers: {', '.join(EXEC_TIERS)}"
-        ) from None

@@ -40,6 +40,13 @@ and memoized with its counters and the modeled costs asked of it
 (:func:`modeled_cost`) -- PPT-GPU's split of an architecture-independent
 task list characterised once from a prediction per architecture.
 
+**One entry point.**  Every caller -- the engines, the sharded sorter's
+shards, external run formation, the key generator and the timing tables
+-- sorts through :func:`sort_on_stream`, which pads to a power of two
+under the one padding rule of
+:func:`~repro.workloads.records.pad_to_power_of_two`, serves the sort
+from the memo or the reference interpreter, and strips the padding.
+
 **Fallback conditions** (wholesale, to the reference interpreter -- the
 tier contract is bit-identity, so anything not provably coverable runs the
 real thing):
@@ -51,8 +58,8 @@ real thing):
 * gather tracing (``trace_gathers``): traces are data-dependent by
   definition;
 * any kernel name without an entry in :data:`KERNEL_GATHER_PROFILE`
-  (raises :class:`StreamTierUnsupported`, which the wrappers translate
-  into a reference re-run).
+  (raises :class:`StreamTierUnsupported`, which :func:`sort_on_stream`
+  turns into a reference re-run).
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
+from repro.core.api import ABiSortConfig, make_sorter
+from repro.core.values import check_unique_ids
 from repro.exec.vectorized import composite_keys
 from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import CostBreakdown, GPUModel, estimate_gpu_time_ms
@@ -74,6 +83,7 @@ from repro.stream.kernel import (
 )
 from repro.stream.mapping2d import Mapping2D
 from repro.stream.stream import Stream, Substream, VALUE_DTYPE
+from repro.workloads.records import pad_to_power_of_two
 
 __all__ = [
     "KERNEL_GATHER_PROFILE",
@@ -82,6 +92,7 @@ __all__ = [
     "sorted_output",
     "counting_sort_run",
     "counting_network_run",
+    "sort_on_stream",
     "modeled_cost",
 ]
 
@@ -89,11 +100,12 @@ __all__ = [
 class StreamTierUnsupported(Exception):
     """Internal signal: this launch has no closed-form profile.
 
-    Raised by :class:`CountingStreamMachine` mid-drive; the tier wrappers
-    catch it and re-run the whole sort on the reference interpreter (the
-    counting drive has no caller-visible side effects, so a wholesale
-    restart is safe where a per-op fallback would not be -- stream
-    contents are never materialised in counting mode).
+    Raised by :class:`CountingStreamMachine` mid-drive; the memo entry
+    points catch it and :func:`sort_on_stream` re-runs the whole sort on
+    the reference interpreter (the counting drive has no caller-visible
+    side effects, so a wholesale restart is safe where a per-op fallback
+    would not be -- stream contents are never materialised in counting
+    mode).
     """
 
 
@@ -279,8 +291,27 @@ def _counting_machine(distinct_io: bool) -> CountingStreamMachine:
     return CountingStreamMachine(distinct_io=distinct_io)
 
 
+def _run_program(program, values: np.ndarray, new_machine):
+    """Run ``program`` on a machine from ``new_machine(distinct_io=...)``.
+
+    ``program`` is an :class:`~repro.core.api.ABiSortConfig` or a network's
+    ``(values, machine) -> (out, machine)`` stream function.  Returns
+    ``(out, machine)``.
+    """
+    if not isinstance(program, ABiSortConfig):
+        return program(values, new_machine(distinct_io=True))
+    machines: list[StreamMachine] = []
+
+    def factory(distinct_io: bool) -> StreamMachine:
+        machines.append(new_machine(distinct_io=distinct_io))
+        return machines[-1]
+
+    out = make_sorter(program, machine_factory=factory).sort(values)
+    return out, machines[0]
+
+
 def counting_sort_run(
-    config, values: np.ndarray
+    config: ABiSortConfig, values: np.ndarray
 ) -> tuple[np.ndarray, StreamMachine] | None:
     """Sort ``values`` with the GPU-ABiSort variant ``config``, counting mode.
 
@@ -291,18 +322,14 @@ def counting_sort_run(
     unchanged: a miss drives the sorter's own checks, and a hit (whose
     dtype and length were accepted before) re-checks the ids.
     """
-    from repro.core.api import make_sorter
-    from repro.core.values import check_unique_ids
-
     if config.validate_levels:
         return None  # the validator reads stream contents mid-sort
-
-    def drive() -> StreamMachine:
-        sorter = make_sorter(config, machine_factory=_counting_machine)
-        sorter.sort(values)  # drives the op log; data output is discarded
-        return sorter.last_machine
-
-    return _counting_run((config, values.shape[0]), values, drive, check_unique_ids)
+    return _counting_run(
+        (config, values.shape[0]),
+        values,
+        lambda: _run_program(config, values, _counting_machine)[1],
+        check_unique_ids,
+    )
 
 
 def counting_network_run(
@@ -317,13 +344,48 @@ def counting_network_run(
     :func:`sorted_output` is what keeps equal-comparing records on the
     reference path.
     """
-
-    def drive() -> StreamMachine:
-        return stream_sorter(values, _counting_machine(True))[1]
-
     return _counting_run(
-        (stream_sorter, values.shape[0]), values, drive, lambda _values: None
+        (stream_sorter, values.shape[0]),
+        values,
+        lambda: _run_program(stream_sorter, values, _counting_machine)[1],
+        lambda _values: None,
     )
+
+
+def sort_on_stream(
+    program, values: np.ndarray, *, trace: bool = False
+) -> tuple[np.ndarray, StreamMachine]:
+    """Sort ``values`` (``n >= 1``) with a stream program on the machine.
+
+    The one way every caller runs GPU-ABiSort (``program`` an
+    :class:`~repro.core.api.ABiSortConfig`) or a sorting network
+    (``program`` its stream function):
+
+    1. pad to a power of two with
+       :func:`~repro.workloads.records.pad_to_power_of_two` (``+inf`` keys,
+       ids above the input's largest id);
+    2. serve the sort from the memo (:func:`counting_sort_run` /
+       :func:`counting_network_run`) unless ``trace`` is set, in which case
+       -- and whenever the memo declines (no strict order,
+       ``validate_levels``) -- the reference interpreter runs it;
+    3. strip the padding: a slice when the padding sorted last, by id
+       otherwise (padding at the uint32 id ceiling).
+
+    Returns ``(sorted values, machine)``; cost the machine with
+    :func:`modeled_cost`.
+    """
+    padded, n = pad_to_power_of_two(values)
+    ran = None
+    if not trace:
+        if isinstance(program, ABiSortConfig):
+            ran = counting_sort_run(program, padded)
+        else:
+            ran = counting_network_run(program, padded)
+    out, machine = ran or _run_program(program, padded, StreamMachine)
+    pad_ids = padded["id"][n:]
+    if not np.array_equal(out["id"][n:], pad_ids):
+        return out[~np.isin(out["id"], pad_ids)], machine
+    return out[:n], machine
 
 
 def _value_key(obj) -> Hashable:

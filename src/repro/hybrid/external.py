@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SortInputError
-from repro.core.api import ABiSortConfig, make_sorter
+from repro.core.api import ABiSortConfig
 from repro.core.bitonic_tree import is_power_of_two
 from repro.hybrid.disk import SimulatedDisk
 from repro.stream.gpu_model import GEFORCE_7800_GTX, GPUModel
@@ -170,13 +170,11 @@ class ExternalSorter:
     merge_buffer:
         Records buffered per run during the merge (models main-memory
         budget; smaller buffers mean more seeks, visible in the report).
-    tier:
-        Execution tier (see :mod:`repro.exec`): ``"reference"`` runs the
-        per-element loser-tree merge and sorts every chunk on the stream
-        interpreter; ``"vectorized"`` (the default) merges with numpy and
-        sorts chunks through the stream tier's memo
-        (:mod:`repro.exec.stream_tier`).  Output, disk statistics, and
-        modeled times are identical across tiers.
+    trace:
+        Run the per-element loser-tree merge and sort every chunk on the
+        stream interpreter (see :mod:`repro.exec`) instead of merging with
+        numpy and sorting chunks through the stream tier's memo.  Output,
+        disk statistics, and modeled times are identical either way.
     """
 
     def __init__(
@@ -187,7 +185,7 @@ class ExternalSorter:
         gpu: GPUModel = GEFORCE_7800_GTX,
         mapping: Mapping2D | None = None,
         merge_buffer: int = 1 << 10,
-        tier: str = "vectorized",
+        trace: bool = False,
     ):
         if not is_power_of_two(chunk_size) or chunk_size < 2:
             raise SortInputError(
@@ -196,15 +194,12 @@ class ExternalSorter:
             )
         if merge_buffer < 1:
             raise SortInputError("merge buffer must hold at least one record")
-        from repro.exec import get_backend  # late: repro.exec imports LoserTree
-
-        get_backend(tier)  # reject an unknown tier up front
         self.chunk_size = chunk_size
         self.config = config or ABiSortConfig()
         self.gpu = gpu
         self.mapping = mapping or ZOrderMapping()
         self.merge_buffer = merge_buffer
-        self.tier = tier
+        self.trace = trace
 
     def sort_file(
         self, disk: SimulatedDisk, input_name: str, output_name: str
@@ -230,27 +225,18 @@ class ExternalSorter:
     def _form_runs(
         self, disk: SimulatedDisk, input_name: str, report: ExternalSortReport
     ) -> list[str]:
-        from repro.exec.stream_tier import counting_sort_run, modeled_cost
-        from repro.workloads.records import pad_to_power_of_two
+        # late: repro.exec imports LoserTree from this module
+        from repro.exec.stream_tier import modeled_cost, sort_on_stream
 
-        fast = self.tier == "vectorized"
         run_names: list[str] = []
         offset = 0
         n = disk.size(input_name)
         while offset < n:
             chunk = disk.read(input_name, offset, self.chunk_size)
             if chunk.shape[0] >= 2:
-                padded, orig = pad_to_power_of_two(chunk)
-                machine = None
-                if fast:
-                    res = counting_sort_run(self.config, padded)
-                    if res is not None:
-                        sorted_full, machine = res
-                if machine is None:
-                    sorter = make_sorter(self.config)
-                    sorted_full = sorter.sort(padded)
-                    machine = sorter.last_machine
-                sorted_chunk = sorted_full[:orig]
+                sorted_chunk, machine = sort_on_stream(
+                    self.config, chunk, trace=self.trace
+                )
                 report.gpu_modeled_ms += modeled_cost(
                     machine, self.gpu, self.mapping
                 ).total_ms
@@ -278,7 +264,7 @@ class ExternalSorter:
             disk.write_file(output_name, data)
             disk.delete(run_names[0])
             return
-        if self.tier == "vectorized" and self._merge_runs_vectorized(
+        if not self.trace and self._merge_runs_vectorized(
             disk, run_names, output_name, report
         ):
             return

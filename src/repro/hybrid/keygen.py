@@ -26,9 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SortInputError
-from repro.core.api import ABiSortConfig, make_sorter
+from repro.core.api import ABiSortConfig
 from repro.core.values import make_values
-from repro.workloads.records import pad_to_power_of_two
 
 __all__ = ["encode_high_word", "refine_tie_groups", "sort_wide_keys", "DIGIT_BITS"]
 
@@ -55,15 +54,13 @@ def _sort_indices_by_digit(
     keys: np.ndarray, idx: np.ndarray, shift: int, config: ABiSortConfig
 ) -> np.ndarray:
     """Sort the key subset ``keys[idx]`` by one digit; returns reordered idx."""
+    # late: repro.exec imports this subpackage
+    from repro.exec.stream_tier import sort_on_stream
+
     partial = encode_high_word(keys[idx], shift)
     pairs = make_values(partial, np.arange(idx.shape[0], dtype=np.uint32))
-    padded, orig = pad_to_power_of_two(pairs)
-    if padded.shape[0] >= 2:
-        out = make_sorter(config).sort(padded)[:orig]
-        order = out["id"]
-    else:
-        order = np.array([0], dtype=np.uint32)
-    return idx[order]
+    out, _machine = sort_on_stream(config, pairs)
+    return idx[out["id"]]
 
 
 def refine_tie_groups(

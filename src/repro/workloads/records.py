@@ -31,8 +31,14 @@ def pad_to_power_of_two(values: np.ndarray) -> tuple[np.ndarray, int]:
 
     GPU-ABiSort (like the GPU sorting networks of its era) requires
     power-of-two input: "this can be achieved by padding the input
-    sequence" (Section 4).  Padding keys are ``+inf`` so they sort last and
-    the first ``original_length`` outputs are the answer.  Returns
+    sequence" (Section 4).  Padding rows are appended after the input, with
+    ``+inf`` keys and ids above the input's largest id, so they sort after
+    every real row (a real ``+inf`` key included) and the first
+    ``original_length`` outputs are the answer.  At the uint32 ceiling no
+    larger ids exist; the padding then takes unused small ids, which can
+    sort before a real ``+inf`` row, so strip it by id (the ids of
+    ``padded[original_length:]``) as
+    :func:`repro.exec.stream_tier.sort_on_stream` does.  Returns
     ``(padded, original_length)``.
     """
     if values.dtype != VALUE_DTYPE:
@@ -45,8 +51,12 @@ def pad_to_power_of_two(values: np.ndarray) -> tuple[np.ndarray, int]:
         return values.copy(), n
     pad = np.empty(target - n, dtype=VALUE_DTYPE)
     pad["key"] = np.inf
-    # Padding ids continue past the real ones so they stay unique.
-    pad["id"] = np.arange(n, target, dtype=np.uint32)
+    base = int(values["id"].max()) + 1
+    if base + target - n <= 1 << 32:
+        pad["id"] = np.arange(base, base + target - n, dtype=np.uint32)
+    else:
+        free = np.setdiff1d(np.arange(2 * target, dtype=np.uint32), values["id"])
+        pad["id"] = free[: target - n]
     return np.concatenate([values, pad]), n
 
 

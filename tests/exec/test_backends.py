@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 import repro
 from repro.engines.base import SortRequest
-from repro.errors import SortInputError
-from repro.exec import EXEC_TIERS, get_backend, resolve_request_tier
+from repro.exec import resolve_request_tier
 from repro.exec.vectorized import composite_keys
 from repro.planner.planner import Planner
 from repro.stream.stream import VALUE_DTYPE
@@ -28,29 +26,6 @@ class TestTierResolution:
         assert resolve_request_tier(SortRequest(keys=keys, trace=True)) == (
             "reference"
         )
-        assert get_backend().name == "vectorized"
-
-    def test_explicit_tiers_resolve_to_themselves(self):
-        for tier in EXEC_TIERS:
-            assert get_backend(tier).name == tier
-
-    def test_unknown_tier_rejected(self):
-        from repro.cluster.sharded import ShardedSorter
-        from repro.hybrid.external import ExternalSorter
-
-        with pytest.raises(SortInputError):
-            get_backend("turbo")
-        with pytest.raises(SortInputError):
-            ShardedSorter(1, tier="turbo")
-        with pytest.raises(SortInputError):
-            ExternalSorter(16, tier="turbo")
-
-    def test_merge_dispatch_rejects_unknown_tier(self):
-        from repro.cluster.sharded import merge_sorted_runs
-
-        runs = [_values([0.25, 0.5], [0, 1])]
-        with pytest.raises(SortInputError):
-            merge_sorted_runs(runs, tier="turbo")
 
 
 class TestCompositeOrder:

@@ -48,8 +48,8 @@ def _random_runs(rng, k: int, max_len: int = 200) -> list[np.ndarray]:
 
 
 def _assert_merge_identical(runs: list[np.ndarray]) -> None:
-    ref, ref_comparisons = merge_sorted_runs(runs, tier="reference")
-    vec, vec_comparisons = merge_sorted_runs(runs, tier="vectorized")
+    ref, ref_comparisons = merge_sorted_runs(runs, trace=True)
+    vec, vec_comparisons = merge_sorted_runs(runs, trace=False)
     assert ref.tobytes() == vec.tobytes()
     assert ref_comparisons == vec_comparisons
 
@@ -126,8 +126,8 @@ class TestExternalPipelineEquivalence:
             rng.random(n, dtype=np.float32), np.arange(n, dtype=np.uint32)
         )
         outs, reports, stats = [], [], []
-        for tier in ("reference", "vectorized"):
-            sorter = ExternalSorter(chunk, merge_buffer=buffer, tier=tier)
+        for trace in (True, False):
+            sorter = ExternalSorter(chunk, merge_buffer=buffer, trace=trace)
             disk = SimulatedDisk(VALUE_DTYPE)
             disk.write_file("input", values)
             reports.append(sorter.sort_file(disk, "input", "output"))
@@ -146,8 +146,8 @@ class TestExternalPipelineEquivalence:
             np.tile(np.arange(16, dtype=np.uint32), 4),
         )
         outs, reports = [], []
-        for tier in ("reference", "vectorized"):
-            sorter = ExternalSorter(16, merge_buffer=8, tier=tier)
+        for trace in (True, False):
+            sorter = ExternalSorter(16, merge_buffer=8, trace=trace)
             disk = SimulatedDisk(VALUE_DTYPE)
             disk.write_file("input", values)
             reports.append(sorter.sort_file(disk, "input", "output"))
@@ -189,7 +189,7 @@ class TestStoreEquivalence:
 
         def reference_merge(runs):
             merged_by_reference.append(len(runs))
-            return merge_sorted_runs(runs, tier="reference")
+            return merge_sorted_runs(runs, trace=True)
 
         with monkeypatch.context() as patch:
             for module in (store, compaction):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.values import reference_sort
@@ -89,6 +91,55 @@ class TestCrossEngineEquivalence:
         keys = np.zeros(N_POW2, dtype=np.float32)
         result = repro.sort(SortRequest(keys=keys), engine=engine)
         assert np.array_equal(result.ids, np.arange(N_POW2))
+
+
+#: Keys that stress the strict order: infinities (a real +inf row must
+#: survive the +inf padding), both zero signs (equal under the order, so
+#: ids decide) and few distinct values (repeats).
+HOSTILE_KEYS = st.one_of(
+    st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 1.0, -2.5]),
+    st.floats(width=32, allow_nan=False),
+)
+UINT32_MAX = (1 << 32) - 1
+
+
+@st.composite
+def hostile_requests(draw, any_length: bool):
+    """Keys plus unique uint32 ids that are not ``0..n-1``: ids reach past
+    ``n`` and up to the uint32 ceiling."""
+    if any_length:
+        n = draw(st.integers(2, 100))
+    else:
+        n = 1 << draw(st.integers(1, 6))
+    keys = draw(st.lists(HOSTILE_KEYS, min_size=n, max_size=n))
+    ids = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2 * n),
+                st.integers(UINT32_MAX - 1000, UINT32_MAX),
+                st.integers(0, UINT32_MAX),
+            ),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    return np.array(keys, dtype=np.float32), np.array(ids, dtype=np.uint32)
+
+
+class TestLexsortContract:
+    """Every engine, traced or not, returns exactly ``np.lexsort`` order."""
+
+    @pytest.mark.parametrize("trace", (False, True), ids=("memo", "traced"))
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_ids_in_lexsort_order(self, engine, trace, data):
+        any_length = repro.engines.capabilities(engine).any_length
+        keys, ids = data.draw(hostile_requests(any_length))
+        request = SortRequest(keys=keys, ids=ids, trace=trace)
+        result = repro.sort(request, engine=engine)
+        assert np.array_equal(result.ids, ids[np.lexsort((ids, keys))])
 
 
 class TestUniformTrivialInputs:

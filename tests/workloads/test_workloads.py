@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import SortInputError
+from repro.exec.stream_tier import sort_on_stream
 from repro.workloads.generators import DISTRIBUTIONS, generate_keys, paper_workload
 from repro.workloads.records import (
     RecordTable,
@@ -83,6 +84,35 @@ class TestPadding:
         vals = make_values(np.ones(3, dtype=np.float32))
         padded, _ = pad_to_power_of_two(vals)
         assert len(np.unique(padded["id"])) == padded.shape[0]
+
+    def test_padding_ids_exceed_the_largest_id(self):
+        """Ids past n: padding must neither collide with a real id nor
+        sort before a real +inf row."""
+        vals = make_values(
+            np.array([np.inf, 1.0, np.inf], dtype=np.float32),
+            np.array([10, 3, 0], dtype=np.uint32),
+        )
+        padded, orig = pad_to_power_of_two(vals)
+        assert orig == 3 and padded["id"].tolist() == [10, 3, 0, 11]
+        out = repro.make_sorter().sort(padded)[:orig]
+        assert np.array_equal(out, reference_sort(vals))
+
+    def test_padding_at_the_uint32_ceiling(self):
+        """No larger ids exist: the padding takes unused small ids, which
+        sort_on_stream strips by id."""
+        ceiling = (1 << 32) - 1
+        vals = make_values(
+            np.array([np.inf, 0.5, np.inf, 0.25, -0.0], dtype=np.float32),
+            np.array([ceiling, 1, ceiling - 1, 0, 4], dtype=np.uint32),
+        )
+        padded, orig = pad_to_power_of_two(vals)
+        assert orig == 5 and padded.shape[0] == 8
+        assert np.isinf(padded["key"][orig:]).all()
+        assert padded["id"][orig:].tolist() == [2, 3, 5]
+        assert len(np.unique(padded["id"])) == padded.shape[0]
+        for trace in (False, True):
+            out, _machine = sort_on_stream(repro.ABiSortConfig(), vals, trace=trace)
+            assert np.array_equal(out, reference_sort(vals))
 
     def test_empty_rejected(self):
         with pytest.raises(SortInputError):
