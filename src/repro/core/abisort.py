@@ -47,7 +47,7 @@ from repro.errors import SortInputError, StreamError
 from repro.core import kernels
 from repro.core import layout
 from repro.core.bitonic_tree import is_power_of_two
-from repro.core.values import check_unique_ids, reference_sort
+from repro.core.values import check_values, reference_sort
 from repro.stream.context import StreamMachine
 from repro.stream.iterator import IteratorStream
 from repro.stream.stream import NODE_DTYPE, PQ_DTYPE, VALUE_DTYPE, Stream, Substream
@@ -136,18 +136,13 @@ class GPUABiSorter:
     # -- setup --------------------------------------------------------------
 
     def _setup(self, values: np.ndarray) -> _SortState:
-        if values.dtype != VALUE_DTYPE:
-            raise SortInputError(
-                f"expected VALUE_DTYPE input, got {values.dtype}; "
-                f"use repro.make_values"
-            )
+        check_values(values)
         n = values.shape[0]
         if n < 2 or not is_power_of_two(n):
             raise SortInputError(
                 f"input length {n} must be a power of two >= 2 "
                 f"(pad with repro.workloads.records.pad_to_power_of_two)"
             )
-        check_unique_ids(values)
         machine = self.machine_factory(self.gpu_semantics)
         nodes_in = machine.alloc("nodes_in", NODE_DTYPE, 2 * n)
         if self.gpu_semantics:

@@ -12,9 +12,10 @@ This module provides helpers around the ``VALUE_DTYPE`` structured arrays
 defined in :mod:`repro.stream.stream` plus a NumPy-native reference ordering
 (:func:`total_order_argsort`) used to verify every sorter in the test suite.
 
-It is also the canonical re-export point for :func:`make_values` (defined
-next to ``VALUE_DTYPE`` in :mod:`repro.stream.stream`): ``repro.make_values``
-and every user-facing module import it from here.
+It is also the canonical re-export point for :func:`make_values` and the
+input-contract check :func:`check_values` (both defined next to
+``VALUE_DTYPE`` in :mod:`repro.stream.stream`): ``repro.make_values`` and
+every user-facing module import them from here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SortInputError
-from repro.stream.stream import VALUE_DTYPE, make_values, values_greater
+from repro.stream.stream import (
+    VALUE_DTYPE,
+    check_values,
+    make_values,
+    values_greater,
+)
 
 __all__ = [
     "as_key_id",
@@ -33,7 +39,7 @@ __all__ = [
     "values_less",
     "total_order_argsort",
     "reference_sort",
-    "check_unique_ids",
+    "check_values",
 ]
 
 
@@ -73,16 +79,3 @@ def reference_sort(values: np.ndarray) -> np.ndarray:
     """The reference-sorted copy of ``values`` (ascending (key, id))."""
     return values[total_order_argsort(values)]
 
-
-def check_unique_ids(values: np.ndarray) -> None:
-    """Raise :class:`SortInputError` unless all ids are distinct.
-
-    Distinct ids are what guarantees the total order (and thereby the unique
-    ``j*`` of the bitonic-merge binary search, Section 4.1).
-    """
-    ids = values["id"]
-    if np.unique(ids).shape[0] != ids.shape[0]:
-        raise SortInputError(
-            "value ids must be unique: they serve as the secondary sort key "
-            "that makes all elements distinct (paper Sections 4 and 8)"
-        )

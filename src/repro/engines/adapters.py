@@ -195,9 +195,7 @@ class NetworkEngine(SortEngine):
     Power-of-two input only, as for the GPU implementations these stand in
     for; modeled time uses the GPU's fixed software-tiling read efficiency
     (the GPUSort B=64 modeling convention).  Runs through
-    :func:`repro.exec.stream_tier.sort_on_stream`; networks are not
-    stable, so inputs with duplicate (key, id) composites stay on the
-    reference interpreter.
+    :func:`repro.exec.stream_tier.sort_on_stream`.
     """
 
     capabilities = EngineCapabilities(any_length=False, key_value=True, stable=True)

@@ -54,7 +54,7 @@ from repro.errors import CapabilityError, SortInputError
 from repro.stream.context import StreamMachine
 from repro.stream.gpu_model import GEFORCE_7800_GTX, PCIE_SYSTEM, GPUModel, HostSystem
 from repro.stream.mapping2d import Mapping2D
-from repro.stream.stream import VALUE_DTYPE, make_values
+from repro.stream.stream import check_values, make_values
 
 __all__ = [
     "EngineCapabilities",
@@ -105,7 +105,8 @@ class SortRequest:
     with ``ids``).  Plain keys are packed with
     :func:`repro.core.values.make_values`, so ids default to input
     positions -- the paper's distinctness device, which also makes the sort
-    stable.
+    stable.  Either form must meet the input contract: no NaN key and
+    unique ids (see :meth:`to_values`).
 
     The remaining fields select the *telemetry* the caller wants: the
     hardware models used for modeled-time estimates, and whether to run the
@@ -134,18 +135,19 @@ class SortRequest:
 
     def to_values(self) -> np.ndarray:
         """Normalise the input to a ``VALUE_DTYPE`` array (without copying
-        an already-packed ``values`` input)."""
+        an already-packed ``values`` input).
+
+        The one place the input contract is checked
+        (:func:`~repro.core.values.check_values`: no NaN key, unique ids):
+        every engine, batch, service, socket, store and fleet request
+        passes through here, and nothing below re-checks it.
+        """
         if self.values is not None:
             if self.keys is not None or self.ids is not None:
                 raise SortInputError(
                     "give either values or keys/ids, not both"
                 )
-            if self.values.dtype != VALUE_DTYPE:
-                raise SortInputError(
-                    f"SortRequest.values must be VALUE_DTYPE, got "
-                    f"{self.values.dtype}; pass plain arrays via keys/ids"
-                )
-            return self.values
+            return check_values(self.values)
         if self.keys is None:
             raise SortInputError("SortRequest needs values or keys")
         return make_values(np.asarray(self.keys), self.ids)

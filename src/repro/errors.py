@@ -10,8 +10,8 @@ the layers of the system:
   input and output on hardware that forbids it.
 * :class:`LayoutError` -- an inconsistent substream plan (Table 1 of the
   paper) or an invalid stage/phase/step request.
-* :class:`SortInputError` -- invalid sorter input (non power-of-two length
-  without padding, duplicate ids, dtype mismatch).
+* :class:`SortInputError` -- invalid sorter input (NaN keys, duplicate ids,
+  dtype mismatch, non power-of-two length without padding).
 * :class:`EngineError` -- problems at the :mod:`repro.engines` layer
   (unknown backend names, duplicate registrations).
 * :class:`CapabilityError` -- a request was dispatched to an engine that

@@ -18,7 +18,7 @@ fast-analytical / cycle-accurate split:
 
 ``vectorized``
     Whole-array numpy execution of the same algorithms: k runs merge as
-    a tournament of ``np.searchsorted`` block merges, and whole
+    one stable argsort of their concatenated composite keys, and whole
     stream-kernel passes -- the ABiSort bitonic-tree levels, network
     columns, and layout remaps -- execute as batched array ops through
     the *stream tier* (:mod:`repro.exec.stream_tier`): one composite
@@ -34,9 +34,9 @@ telemetry is identical.  Comparison counts come from the closed form
 equals the reference tree's counter exactly -- the tree plays ``K-1``
 build matches plus ``log2 K`` per emitted element, independent of the
 data), and the disk model is charged with the reference's exact access
-pattern.  Inputs the vectorized order cannot reproduce provably
-(NaN keys, duplicated (key, id) pairs) fall back wholesale to the
-reference backend, so the guarantee holds unconditionally.
+pattern.  Both rest on the input contract -- no NaN key, unique ids --
+that :meth:`~repro.engines.base.SortRequest.to_values` checks once per
+request.
 
 The tier is a property of what the caller asks for, not a mode:
 ``reference`` when the request sets ``trace=True`` (op-log and figure

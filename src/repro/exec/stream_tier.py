@@ -18,10 +18,12 @@ test suite pins down:
 
 2.  **The output is forced.**  With unique (key, id) pairs the total order
     is strict, so the sorted permutation is unique: one
-    :func:`~repro.exec.vectorized.composite_keys` reduction plus a single
-    ``np.argsort`` -- one batched array pass over the whole input instead
-    of O(log^2 n) interpreted stream operations -- must produce the
-    byte-identical reference output.
+    :func:`~repro.exec.vectorized.strict_order` argsort of the composite
+    keys -- one batched array pass over the whole input instead of
+    O(log^2 n) interpreted stream operations -- must produce the
+    byte-identical reference output.  Unique ids and orderable keys are
+    the input contract, checked once at the request
+    (:meth:`~repro.engines.base.SortRequest.to_values`).
 
 The closed forms are *proved equal to the interpreter*, not re-modeled:
 linear reads/writes follow exactly the per-port charging of
@@ -51,8 +53,6 @@ from the memo or the reference interpreter, and strips the padding.
 tier contract is bit-identity, so anything not provably coverable runs the
 real thing):
 
-* NaN keys or duplicate (key, id) composites: no forced unique output
-  (:func:`sorted_output` returns ``None``);
 * ``validate_levels`` debugging runs: the driver reads stream contents
   mid-sort;
 * gather tracing (``trace_gathers``): traces are data-dependent by
@@ -70,8 +70,8 @@ from typing import Callable, Hashable, Mapping
 import numpy as np
 
 from repro.core.api import ABiSortConfig, make_sorter
-from repro.core.values import check_unique_ids
-from repro.exec.vectorized import composite_keys
+from repro.errors import SortInputError
+from repro.exec.vectorized import strict_order
 from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import CostBreakdown, GPUModel, estimate_gpu_time_ms
 from repro.stream.kernel import (
@@ -214,25 +214,19 @@ class CountingStreamMachine(StreamMachine):
         pass
 
 
-def sorted_output(values: np.ndarray) -> np.ndarray | None:
+def sorted_output(values: np.ndarray) -> np.ndarray:
     """The forced sorted result of ``values`` under the strict total order.
 
-    One composite reduction + one argsort.  Returns ``None`` when the
-    order is not strict -- NaN keys, or duplicate (canonical key, id)
-    composites -- in which case the reference interpreter must decide
-    (bitonic networks are not stable, so equal-comparing records could
-    legitimately land in either slot).
+    One :func:`~repro.exec.vectorized.strict_order` argsort.  Raises
+    :class:`~repro.errors.SortInputError` for a wrong dtype or when two
+    records share a composite -- the reference sorter rejects both.
     """
     if values.dtype != VALUE_DTYPE:
-        return None  # let the reference path raise its usual dtype error
-    composite = composite_keys(values)
-    if composite is None:
-        return None
-    order = np.argsort(composite, kind="stable")
-    ranked = composite[order]
-    if ranked.shape[0] > 1 and bool(np.any(ranked[1:] == ranked[:-1])):
-        return None
-    return np.ascontiguousarray(values[order])
+        raise SortInputError(f"expected VALUE_DTYPE input, got {values.dtype}")
+    order = strict_order(values)
+    if order is None:
+        raise SortInputError("value ids must be unique")
+    return values[order]
 
 
 @dataclass
@@ -253,22 +247,17 @@ class _CountingRun:
 _RUNS: dict[tuple, _CountingRun] = {}
 
 
-def _counting_run(key, values, drive, on_hit):
+def _counting_run(key, values, drive):
     """Serve ``values`` from the memo entry ``key``, driving it on a miss.
 
-    ``drive()`` runs the program on a counting machine, making every input
-    check the reference makes; ``on_hit(values)`` re-runs those a hit does
-    not imply.  Threads racing on a miss drive equal runs; the first wins.
+    ``drive()`` runs the program on a counting machine.  Threads racing on
+    a miss drive equal runs; the first wins.
     """
     out = sorted_output(values)
-    if out is None and values.dtype == VALUE_DTYPE:
-        return None  # no strict order: the reference interpreter decides
-    run = _RUNS.get(key) if out is not None else None
-    if run is not None:
-        on_hit(values)
-    else:
+    run = _RUNS.get(key)
+    if run is None:
         try:
-            driven = drive()  # a wrong dtype raises here, as on the reference
+            driven = drive()
         except StreamTierUnsupported:
             return None
         run = _RUNS.setdefault(
@@ -317,10 +306,9 @@ def counting_sort_run(
 
     Returns ``(sorted values, machine)`` -- the machine carrying the
     reference-identical op log -- or ``None`` when the caller must fall
-    back to a reference run (unstrict order, ``validate_levels``, or an
-    unprofiled kernel).  Input errors the reference would raise propagate
-    unchanged: a miss drives the sorter's own checks, and a hit (whose
-    dtype and length were accepted before) re-checks the ids.
+    back to a reference run (``validate_levels``, or an unprofiled
+    kernel).  ``values`` meets the input contract (see
+    :func:`sorted_output`).
     """
     if config.validate_levels:
         return None  # the validator reads stream contents mid-sort
@@ -328,7 +316,6 @@ def counting_sort_run(
         (config, values.shape[0]),
         values,
         lambda: _run_program(config, values, _counting_machine)[1],
-        check_unique_ids,
     )
 
 
@@ -339,16 +326,12 @@ def counting_network_run(
 
     ``stream_sorter`` is a ``(values, machine) -> (out, machine)`` entry
     point such as :func:`repro.baselines.bitonic_network.gpusort_stream`.
-    Same contract as :func:`counting_sort_run`; networks do not enforce
-    unique ids themselves, so the duplicate-composite check of
-    :func:`sorted_output` is what keeps equal-comparing records on the
-    reference path.
+    Same contract as :func:`counting_sort_run`.
     """
     return _counting_run(
         (stream_sorter, values.shape[0]),
         values,
         lambda: _run_program(stream_sorter, values, _counting_machine)[1],
-        lambda _values: None,
     )
 
 
@@ -366,8 +349,8 @@ def sort_on_stream(
        ids above the input's largest id);
     2. serve the sort from the memo (:func:`counting_sort_run` /
        :func:`counting_network_run`) unless ``trace`` is set, in which case
-       -- and whenever the memo declines (no strict order,
-       ``validate_levels``) -- the reference interpreter runs it;
+       -- and whenever the memo declines (``validate_levels``) -- the
+       reference interpreter runs it;
     3. strip the padding: a slice when the padding sorted last, by id
        otherwise (padding at the uint32 id ceiling).
 

@@ -5,31 +5,28 @@ own distinctness device: with unique (key, id) pairs the total order is
 *strict*, so the sorted union of sorted runs is unique -- any correct
 merge algorithm must produce the byte-for-byte reference output.  The
 implementation therefore reduces the (key, id) order to one ``uint64``
-composite per record and merges k runs as a tournament of two-way
-``np.searchsorted`` merges, O(n log k) work with no per-element Python.
+composite per record and merges k runs with one stable argsort over
+their concatenated composites (:func:`strict_order`; timsort finds the
+runs), with no per-element Python.
 
 Composite construction (:func:`composite_keys`) uses the classic
 order-preserving float trick: reinterpret the float32 key as its IEEE
 bit pattern, flip all bits of negatives and the sign bit of
 non-negatives, and the unsigned integer order equals the float order --
-including denormals and the infinities.  Two wrinkles the reference
-semantics force:
+including denormals and the infinities.  ``-0.0`` and ``+0.0`` compare
+*equal* under Python/NumPy float comparison (the reference tree then
+tie-breaks by id), but their bit patterns differ; keys equal to zero are
+canonicalized to ``+0.0`` before the bit transform so the composite
+agrees with the reference tie-break.
 
-* ``-0.0`` and ``+0.0`` compare *equal* under Python/NumPy float
-  comparison (the reference tree then tie-breaks by id), but their bit
-  patterns differ; keys equal to zero are canonicalized to ``+0.0``
-  before the bit transform so the composite agrees with the reference
-  tie-break.
-* NaN keys have no coherent place in either order; inputs containing
-  them report "cannot vectorize" and the caller falls back wholesale to
-  the reference tier.
-
-The same fallback triggers when the merged composites contain
-duplicates (possible only when full (key, id) pairs repeat): there the
-reference output depends on the loser tree's internal structure, so the
-only way to match it bit-for-bit is to run it.  Fallbacks preserve the
-tier contract -- output and telemetry stay reference-identical, only the
-speedup is lost.
+Inputs meet the (key, id) contract -- no NaN key, unique ids -- because
+:meth:`~repro.engines.base.SortRequest.to_values` checks it once per
+request.  Two records can still share a composite in one place:
+:class:`~repro.store.SortedStore` runs from separate inserts that reuse
+explicit ids.  There the reference output depends on the loser tree's
+internal structure (``(-0.0, i)`` and ``(+0.0, i)`` share a composite
+but differ in bytes), so :meth:`VectorizedBackend.merge_runs` runs the
+reference merge for them.
 """
 
 from __future__ import annotations
@@ -39,25 +36,22 @@ import numpy as np
 from repro.exec.backend import ExecutionBackend, ReferenceBackend
 from repro.stream.stream import VALUE_DTYPE
 
-__all__ = ["composite_keys", "merge_order", "vectorized_merge", "VectorizedBackend"]
+__all__ = ["composite_keys", "strict_order", "VectorizedBackend"]
 
 _SIGN = np.uint32(0x80000000)
 
-#: The fallback executor for inputs the composite order cannot represent.
+#: The merge of runs that share a composite (see the module docstring).
 _REFERENCE = ReferenceBackend()
 
 
-def composite_keys(values: np.ndarray) -> np.ndarray | None:
+def composite_keys(values: np.ndarray) -> np.ndarray:
     """One order-preserving ``uint64`` composite per (key, id) record.
 
     ``composite(a) < composite(b)`` iff ``(a.key, a.id) < (b.key, b.id)``
     under the reference comparison (floats compared numerically with
-    ``-0.0 == +0.0``, ids breaking ties).  Returns ``None`` when any key
-    is NaN -- such inputs have no total order to preserve.
+    ``-0.0 == +0.0``, ids breaking ties).
     """
     keys = np.ascontiguousarray(values["key"])
-    if np.isnan(keys).any():
-        return None
     # -0.0 == +0.0 in the reference order; collapse the two bit patterns
     # so the id tie-break decides, exactly as the loser tree does.
     keys = np.where(keys == np.float32(0.0), np.float32(0.0), keys)
@@ -69,89 +63,20 @@ def composite_keys(values: np.ndarray) -> np.ndarray | None:
     return composite
 
 
-def _merge_two(
-    comp_a: np.ndarray,
-    gather_a: np.ndarray,
-    comp_b: np.ndarray,
-    gather_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted composite sequences, carrying gather indices.
+def strict_order(values: np.ndarray) -> np.ndarray | None:
+    """The permutation that sorts ``values`` by (key, id), or ``None``.
 
-    Each ``b`` element lands after the ``a`` elements ≤ it
-    (``searchsorted(..., side="right")``) plus the ``b`` elements before
-    it -- a strictly increasing position vector, so a boolean scatter
-    interleaves both sides in one vectorized pass.
+    One stable argsort of the composites, then an adjacent-equality check:
+    ``None`` when two records share a composite, i.e. the order is not
+    strict and the reference output is not forced.  On a concatenation
+    of sorted runs this is the k-way merge order.
     """
-    positions = np.searchsorted(comp_a, comp_b, side="right")
-    positions = positions + np.arange(comp_b.shape[0], dtype=np.int64)
-    total = comp_a.shape[0] + comp_b.shape[0]
-    comp = np.empty(total, dtype=np.uint64)
-    gather = np.empty(total, dtype=np.int64)
-    from_b = np.zeros(total, dtype=bool)
-    from_b[positions] = True
-    comp[from_b] = comp_b
-    comp[~from_b] = comp_a
-    gather[from_b] = gather_b
-    gather[~from_b] = gather_a
-    return comp, gather
-
-
-def merge_order(runs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The merge permutation of ``runs`` (each sorted, each non-empty).
-
-    Returns ``(gather, provenance)`` where ``gather`` indexes the
-    concatenation of ``runs`` in merged order and ``provenance[i]`` is
-    the run index that produced output element ``i`` -- or ``None`` when
-    the input cannot be vectorized faithfully (NaN keys, or duplicate
-    (key, id) pairs whose relative order is a loser-tree implementation
-    detail).
-    """
-    composites: list[np.ndarray] = []
-    for run in runs:
-        composite = composite_keys(run)
-        if composite is None:
-            return None
-        composites.append(composite)
-    lengths = [run.shape[0] for run in runs]
-    starts = np.concatenate(([0], np.cumsum(lengths[:-1]))).astype(np.int64)
-
-    # Pairwise tournament: log2 k rounds of two-way vectorized merges.
-    items = [
-        (composites[r], np.arange(starts[r], starts[r] + lengths[r], dtype=np.int64))
-        for r in range(len(runs))
-    ]
-    while len(items) > 1:
-        merged: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(0, len(items) - 1, 2):
-            comp_a, gather_a = items[i]
-            comp_b, gather_b = items[i + 1]
-            merged.append(_merge_two(comp_a, gather_a, comp_b, gather_b))
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    composite, gather = items[0]
-    if composite.shape[0] > 1 and bool(np.any(composite[1:] == composite[:-1])):
-        return None  # full (key, id) duplicates: tree order is not ours to guess
-    provenance = np.searchsorted(starts, gather, side="right") - 1
-    return gather, provenance
-
-
-def vectorized_merge(
-    runs: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Merge sorted non-empty runs into ``(merged, provenance)``.
-
-    ``merged`` is bit-identical to the reference loser-tree merge;
-    ``provenance`` names the source run of every output element (what
-    the out-of-core pipeline needs to replay the reference disk access
-    pattern).  Returns ``None`` when the caller must fall back.
-    """
-    order = merge_order(runs)
-    if order is None:
+    composite = composite_keys(values)
+    order = np.argsort(composite, kind="stable")
+    ranked = composite[order]
+    if (ranked[1:] == ranked[:-1]).any():
         return None
-    gather, provenance = order
-    merged = np.concatenate(runs)[gather]
-    return merged, provenance
+    return order
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -161,8 +86,9 @@ class VectorizedBackend(ExecutionBackend):
     :func:`repro.analysis.complexity.loser_tree_merge_comparisons`,
     which equals the reference tree's counter *exactly* (the tree plays
     ``K-1`` build matches and replays precisely ``log2 K`` matches per
-    emitted element regardless of the data).  Unvectorizable inputs run
-    the :class:`~repro.exec.backend.ReferenceBackend` outright.
+    emitted element regardless of the data).  Runs that share a
+    composite run the :class:`~repro.exec.backend.ReferenceBackend`
+    outright (see the module docstring).
     """
 
     name = "vectorized"
@@ -174,15 +100,14 @@ class VectorizedBackend(ExecutionBackend):
         from repro.analysis.complexity import loser_tree_merge_comparisons
 
         live_runs = [r for r in runs if r.shape[0]]
-        total = sum(r.shape[0] for r in live_runs)
         if not live_runs:
             return np.empty(0, dtype=VALUE_DTYPE), 0
+        merged = np.concatenate(live_runs)
         if len(live_runs) == 1:
-            out = np.empty(total, dtype=VALUE_DTYPE)
-            out[:] = live_runs[0]
-            return out, 0
-        result = vectorized_merge(live_runs)
-        if result is None:
+            return merged, 0
+        order = strict_order(merged)
+        if order is None:
             return _REFERENCE.merge_runs(live_runs)
-        merged, _provenance = result
-        return merged, loser_tree_merge_comparisons(total, len(live_runs))
+        return merged[order], loser_tree_merge_comparisons(
+            merged.shape[0], len(live_runs)
+        )

@@ -43,7 +43,7 @@ from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.policy import SchedulingPolicy, make_policy
 from repro.fleet.stats import FleetReport, TenantStats, jain_index
 from repro.planner import Planner
-from repro.workloads.generators import paper_workload
+from repro.workloads.generators import generate_keys
 from repro.workloads.traces import Tenant, Trace, TraceRequest
 
 __all__ = ["Job", "CostOracle", "FleetScheduler"]
@@ -320,8 +320,8 @@ class FleetScheduler:
     def _execute(self, job: Job) -> None:
         from repro.engines import sort
 
-        values = paper_workload(job.request.n, seed=job.request.seed)
-        result = sort(SortRequest(values=values))
+        keys = generate_keys("uniform", job.request.n, seed=job.request.seed)
+        result = sort(SortRequest(keys=keys))
         self.results[job.index] = result.values
         if self._telemetry is None:
             self._telemetry = result.telemetry

@@ -346,18 +346,21 @@ class ExternalSorter:
         the same element.  File contents and every
         :class:`~repro.hybrid.disk.DiskStats` counter (seek order
         included) therefore match the reference tier exactly.  Returns
-        ``False`` -- disk untouched -- when the input cannot be vectorized
-        (NaN keys, duplicate (key, id) pairs); the caller then runs the
-        reference loop.
+        ``False`` -- disk untouched -- when two runs share a (key, id)
+        composite (a file that repeats ids across chunks); the caller then
+        runs the reference loop.
         """
         from repro.analysis.complexity import loser_tree_merge_comparisons
-        from repro.exec.vectorized import vectorized_merge
+        from repro.exec.vectorized import strict_order
 
         runs = [disk.peek(name) for name in run_names]
-        result = vectorized_merge(runs)
-        if result is None:
+        merged = np.concatenate(runs)
+        gather = strict_order(merged)
+        if gather is None:
             return False
-        merged, provenance = result
+        merged = merged[gather]
+        lengths = [run.shape[0] for run in runs]
+        provenance = np.repeat(np.arange(len(runs)), lengths)[gather]
         n = merged.shape[0]
         buffer = self.merge_buffer
 

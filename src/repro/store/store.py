@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.sharded import merge_sorted_runs
-from repro.core.values import make_values
 from repro.engines import sort as engine_sort
 from repro.engines.base import SortRequest
 from repro.errors import SortInputError
@@ -238,8 +237,12 @@ class SortedStore:
         ``keys`` is any 1-D array-like of float32 keys.  When ``ids`` is
         omitted, the batch gets the store's globally increasing ingest
         positions -- the default that makes query answers bit-identical
-        to one ``repro.sort`` of everything ingested.  Explicit ids are
-        the caller's responsibility to keep globally unique.  Returns
+        to one ``repro.sort`` of everything ingested.  A batch must meet
+        the input contract -- no NaN key, no id repeated within the batch
+        -- or the insert raises :class:`~repro.errors.SortInputError` and
+        leaves the store untouched.  Explicit ids repeated *across*
+        batches are accepted: queries and compactions merge those runs
+        with the reference loser tree.  Returns
         the new run's :class:`~repro.store.manifest.RunMeta`, or ``None``
         for an empty batch (nothing to persist).
         """
@@ -255,10 +258,9 @@ class SortedStore:
                 ids = (
                     np.arange(start, start + n, dtype=np.uint64) % (1 << 32)
                 ).astype(np.uint32)
-            else:
-                ids = np.asarray(ids, dtype=np.uint32)
             request = SortRequest(
-                values=make_values(keys, ids),
+                keys=keys,
+                ids=ids,
                 gpu=self.config.gpu,
                 host=self.config.host,
             )

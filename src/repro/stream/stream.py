@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import SubstreamError
+from repro.errors import SortInputError, SubstreamError
 
 #: Sort-key/record-pointer pair (paper Listing 1, ``value_t``).
 VALUE_DTYPE = np.dtype([("key", np.float32), ("id", np.uint32)])
@@ -50,23 +50,48 @@ NODE_DTYPE = np.dtype(
 PQ_DTYPE = np.dtype(np.int64)
 
 
+def check_values(values: np.ndarray) -> np.ndarray:
+    """Return ``values`` if it meets the (key, id) input contract.
+
+    The contract is the paper's (Sections 4 and 8): ``VALUE_DTYPE``
+    records, orderable keys (no NaN) and unique ids, so that the id can
+    serve as the secondary sort key that makes every element distinct.
+    Raises :class:`~repro.errors.SortInputError` otherwise.
+    """
+    if values.dtype != VALUE_DTYPE:
+        raise SortInputError(
+            f"expected VALUE_DTYPE input, got {values.dtype}; "
+            f"use repro.make_values"
+        )
+    if np.isnan(values["key"]).any():
+        raise SortInputError(
+            "NaN sort keys are not orderable; the (key, id) total order "
+            "the algorithm relies on (paper Section 4) breaks down. "
+            "Filter or map NaNs before sorting."
+        )
+    ids = values["id"]
+    if not (ids[1:] > ids[:-1]).all():  # increasing ids (positions) are unique
+        ids = np.sort(ids)
+        if (ids[1:] == ids[:-1]).any():
+            raise SortInputError(
+                "value ids must be unique: they serve as the secondary sort "
+                "key that makes all elements distinct (paper Sections 4 and 8)"
+            )
+    return values
+
+
 def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     """Pack ``keys`` (and optional ``ids``) into a ``VALUE_DTYPE`` array.
 
     When ``ids`` is omitted, the original positions ``0..n-1`` are used,
     which is exactly the paper's distinctness trick (Section 4: "Distinctness
     can be enforced by using the original position of the elements in the
-    input sequence as secondary sort key").
+    input sequence as secondary sort key").  The result is checked with
+    :func:`check_values`.
     """
     keys = np.asarray(keys, dtype=np.float32)
     if keys.ndim != 1:
         raise ValueError(f"keys must be 1D, got shape {keys.shape}")
-    if np.isnan(keys).any():
-        raise ValueError(
-            "NaN sort keys are not orderable; the (key, id) total order "
-            "the algorithm relies on (paper Section 4) breaks down. "
-            "Filter or map NaNs before sorting."
-        )
     if ids is None:
         ids = np.arange(keys.shape[0], dtype=np.uint32)
     else:
@@ -76,7 +101,7 @@ def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(keys.shape[0], dtype=VALUE_DTYPE)
     out["key"] = keys
     out["id"] = ids
-    return out
+    return check_values(out)
 
 
 def make_nodes(n: int) -> np.ndarray:

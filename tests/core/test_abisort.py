@@ -53,10 +53,10 @@ class TestUnoptimizedSorter:
             GPUABiSorter().sort(np.zeros(8, dtype=np.float32))
 
     def test_rejects_duplicate_ids(self):
-        values = repro.make_values(
-            np.zeros(4, dtype=np.float32), np.array([0, 1, 1, 2])
-        )
-        with pytest.raises(SortInputError):
+        # Packed by hand: make_values itself rejects repeated ids.
+        values = np.zeros(4, dtype=repro.VALUE_DTYPE)
+        values["id"] = [0, 1, 1, 2]
+        with pytest.raises(SortInputError, match="unique"):
             GPUABiSorter().sort(values)
 
     def test_rejects_length_one(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.values import (
     as_key_id,
-    check_unique_ids,
+    check_values,
     ids_of,
     keys_of,
     make_values,
@@ -63,12 +63,23 @@ class TestTotalOrder:
         # With unique ids, exactly one of <, > holds for each pair.
         assert (lt != gt).all()
 
-    def test_check_unique_ids(self):
+    def test_check_values(self):
+        """The input contract: VALUE_DTYPE, no NaN key, unique ids."""
         ok = make_values(np.zeros(3, dtype=np.float32))
-        check_unique_ids(ok)
-        bad = make_values(np.zeros(3, dtype=np.float32), np.array([1, 1, 2]))
-        with pytest.raises(SortInputError):
-            check_unique_ids(bad)
+        assert check_values(ok) is ok
+        bad = ok.copy()
+        bad["id"] = [1, 2, 1]
+        with pytest.raises(SortInputError, match="unique"):
+            check_values(bad)
+        with pytest.raises(SortInputError, match="unique"):
+            make_values(np.zeros(3, dtype=np.float32), np.array([1, 2, 1]))
+        nan = ok.copy()
+        nan["key"][1] = np.nan
+        with pytest.raises(SortInputError, match="NaN"):
+            check_values(nan)
+        with pytest.raises(SortInputError, match="VALUE_DTYPE"):
+            check_values(np.zeros(3))
+        assert len(check_values(np.empty(0, dtype=ok.dtype))) == 0
 
 
 @pytest.mark.slow

@@ -57,10 +57,6 @@ class TestCompositeOrder:
         # -0.0 == +0.0 in the reference order: ids alone decide.
         assert list(np.argsort(composite, kind="stable")) == [1, 3, 2, 0]
 
-    def test_nan_reports_unvectorizable(self):
-        values = _values([0.5, np.nan], [0, 1])
-        assert composite_keys(values) is None
-
 
 class TestPlannedTier:
     def test_planner_defaults_to_vectorized(self, rng):

@@ -10,8 +10,8 @@ that may and may not change:
   requests, shared records), and every result -- the first and the
   replayed -- equals a ``trace=True`` reference run;
 * a memo entry is never served to another program, GPU model or mapping;
-* input checks still fire on memo hits, and inputs without a strict
-  order neither use nor write the memo.
+* out-of-contract inputs (repeated ids, NaN keys) are rejected at the
+  request on memo hits too, and neither use nor write the memo.
 """
 
 from __future__ import annotations
@@ -206,24 +206,24 @@ class TestInputChecksOnMemoHits:
             )
 
     @pytest.mark.parametrize("engine, n", MEMO_FACES)
-    def test_nan_keys_fall_back_and_write_no_entry(self, drives, engine, n):
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_nan_keys_rejected_and_write_no_entry(self, drives, engine, n, trace):
         rng = seeded_rng(7)
         values = _values(rng, n)
         values["key"][rng.integers(0, n, size=5)] = np.nan
-        _assert_matches_reference(
-            _sort(engine, values), _sort(engine, values, trace=True)
-        )
+        with pytest.raises(SortInputError, match="NaN"):
+            _sort(engine, values, trace=trace)
         assert drives.count == 0
         assert stream_tier._RUNS == {}
 
     @pytest.mark.parametrize("engine, n", MEMO_FACES)
-    def test_nan_keys_ignore_a_primed_entry(self, drives, engine, n):
+    def test_nan_keys_rejected_and_leave_a_primed_entry(self, drives, engine, n):
         rng = seeded_rng(8)
         _sort(engine, _values(rng, n))
         primed = dict(stream_tier._RUNS)
         values = _values(rng, n)
         values["key"][rng.integers(0, n, size=5)] = np.nan
-        _assert_matches_reference(
-            _sort(engine, values), _sort(engine, values, trace=True)
-        )
+        with pytest.raises(SortInputError, match="NaN"):
+            _sort(engine, values)
+        assert drives.count == 1
         assert stream_tier._RUNS == primed

@@ -92,11 +92,6 @@ class TestMergeEquivalence:
         )
         _assert_merge_identical([a, b])
 
-    def test_nan_keys_fall_back_identically(self):
-        a = _as_sorted_run([0.1, 0.9], [0, 1])
-        b = _values([0.5, np.nan], [2, 3])  # unsortable: left as given
-        _assert_merge_identical([a, b])
-
     def test_empty_and_mid_exhausting_runs(self):
         empty = _values([], [])
         early = _as_sorted_run([0.01, 0.02, 0.03], [0, 1, 2])  # exhausts first

@@ -8,9 +8,9 @@ caller can observe -- sorted bytes, the :class:`StreamOpRecord` log,
 :class:`MachineCounters`, the cache-efficiency-weighted modeled cost,
 and the engine telemetry (minus ``wall_time_s``, the one measured
 field).  The grid includes the inputs that break naive fast paths:
-non-power-of-two lengths (padding), n in {0, 1}, NaN keys and duplicate
-(key, id) composites (wholesale reference fallback), duplicate ids
-(identical errors), and the memoized repeat-length path.
+non-power-of-two lengths (padding), n in {0, 1}, and the memoized
+repeat-length path.  NaN keys and duplicate ids are outside the input
+contract: both tiers reject them at the request with the same error.
 """
 
 from __future__ import annotations
@@ -135,16 +135,13 @@ class TestABiSortEquivalence:
         )
 
     @pytest.mark.parametrize("engine", ABISORT_ENGINES)
-    def test_nan_keys_fall_back_identically(self, engine):
+    @pytest.mark.parametrize("tier", ["reference", "vectorized"])
+    def test_nan_keys_rejected_at_the_request(self, engine, tier):
         rng = seeded_rng(9)
         values = _random_values(rng, 64)
         values["key"][rng.integers(0, 64, size=5)] = np.nan
-        ref = _sort_tier(engine, values, "reference")
-        vec = _sort_tier(engine, values, "vectorized")
-        # sorted_output refuses (no strict order), so the vectorized tier
-        # re-runs the reference interpreter wholesale: identical anyway.
-        assert sorted_output(values) is None
-        _assert_identical(ref, vec)
+        with pytest.raises(SortInputError, match="NaN"):
+            _sort_tier(engine, values, tier)
 
     @pytest.mark.parametrize("engine", ABISORT_ENGINES)
     @pytest.mark.parametrize("tier", ["reference", "vectorized"])
@@ -188,16 +185,13 @@ class TestNetworkEquivalence:
         )
 
     @pytest.mark.parametrize("engine", NETWORK_ENGINES)
-    def test_duplicate_composites_fall_back_identically(self, engine):
-        # Networks never check id uniqueness; equal (key, id) pairs mean
-        # the total order is not strict, sorted_output refuses, and the
-        # vectorized tier must replay the reference network verbatim.
+    @pytest.mark.parametrize("tier", ["reference", "vectorized"])
+    def test_duplicate_composites_rejected_at_the_request(self, engine, tier):
+        # Equal (key, id) pairs leave no strict order for a network (which
+        # is not stable) to reproduce; the request rejects them up front.
         values = _values([0.5, 0.5, 0.25, 0.25], ids=[7, 7, 3, 3])
-        assert sorted_output(values) is None
-        _assert_identical(
-            _sort_tier(engine, values, "reference"),
-            _sort_tier(engine, values, "vectorized"),
-        )
+        with pytest.raises(SortInputError, match="unique"):
+            _sort_tier(engine, values, tier)
 
 
 class TestShardedEquivalence:
@@ -220,20 +214,21 @@ class TestSortedOutput:
         rng = seeded_rng(5)
         values = _random_values(rng, 333)
         out = sorted_output(values)
-        assert out is not None
         assert out.tobytes() == reference_sort(values).tobytes()
 
-    def test_refuses_wrong_dtype_and_unstrict_orders(self):
-        assert sorted_output(np.arange(4, dtype=np.float32)) is None
-        nan = _values([0.5, np.nan])
-        assert sorted_output(nan) is None
-        dup = _values([0.5, 0.5], ids=[1, 1])
-        assert sorted_output(dup) is None
+    def test_out_of_contract_requests_are_rejected(self):
+        cases = {
+            "VALUE_DTYPE": np.arange(4, dtype=np.float32),
+            "NaN": _values([0.5, np.nan]),
+            "unique": _values([0.5, 0.5], ids=[1, 1]),
+        }
+        for match, values in cases.items():
+            with pytest.raises(SortInputError, match=match):
+                repro.SortRequest(values=values).to_values()
 
     def test_canonicalizes_signed_zero(self):
         values = _values([-0.0, 0.0], ids=[1, 0])
         out = sorted_output(values)
-        assert out is not None
         assert out.tobytes() == reference_sort(values).tobytes()
 
 

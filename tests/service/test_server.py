@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
+from repro.errors import SortInputError
 from repro.service import (
     ServiceConfig,
     SortService,
@@ -332,6 +334,44 @@ def test_malformed_keys_still_get_a_response():
                 await server.wait_closed()
 
     _run(run())
+
+
+def test_out_of_contract_sort_lines_get_one_error_line_each():
+    lines = [
+        (b'{"id": 1, "keys": [1, 1, 0, 2], "ids": [3, 3, 1, 2]}\n',
+         repro.SortRequest(keys=[1, 1, 0, 2], ids=[3, 3, 1, 2])),
+        (b'{"id": 2, "keys": [1.0, NaN]}\n', repro.SortRequest(keys=[1.0, np.nan])),
+    ]
+
+    async def run():
+        async with SortService(devices=1, coalesce_window_ms=1.0) as svc:
+            server, port = await _open(svc)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                got = []
+                for line, _request in lines:
+                    writer.write(line)
+                    await writer.drain()
+                    got.append(json.loads(await reader.readline()))
+                # An extra line for either request would be read here
+                # instead of the ping's answer.
+                writer.write(b'{"id": 3, "op": "ping"}\n')
+                await writer.drain()
+                got.append(json.loads(await reader.readline()))
+                return got
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+    got = _run(run())
+    for (_line, request), resp in zip(lines, got):
+        with pytest.raises(SortInputError) as err:
+            request.to_values()
+        assert resp == {"id": resp["id"], "error": str(err.value)}
+    assert [r["id"] for r in got] == [1, 2, 3]
+    assert got[2] == {"id": 3, "ok": True}
 
 
 def test_a_line_over_64_kib_is_served(rng):

@@ -15,7 +15,12 @@ import pytest
 
 import repro
 from repro.engines.base import SortTelemetry
-from repro.errors import CapabilityError, ServiceError, ServiceOverloadError
+from repro.errors import (
+    CapabilityError,
+    ServiceError,
+    ServiceOverloadError,
+    SortInputError,
+)
 from repro.service import ServiceConfig, SortService
 
 # Power-of-two length so the sorting-network engines are feasible too.
@@ -167,6 +172,30 @@ def test_execution_errors_propagate_and_count(rng):
             assert len(ok) == 1000
         assert svc.stats.failed == 1
         assert svc.stats.completed == 1
+
+    asyncio.run(run())
+
+
+@pytest.mark.parametrize("engine", [None, "cpu-std", "sharded-abisort"])
+def test_out_of_contract_requests_raise_and_release_their_slot(engine):
+    repeated = repro.SortRequest(
+        keys=np.array([1, 1, 0, 2], np.float32), ids=np.array([3, 3, 1, 2])
+    )
+    nan = repro.SortRequest(keys=np.array([1.0, np.nan], np.float32))
+
+    async def run():
+        async with SortService(
+            devices=1, max_pending=1, coalesce_window_ms=1.0
+        ) as svc:
+            for request, match in ((repeated, "unique"), (nan, "NaN")):
+                with pytest.raises(SortInputError, match=match):
+                    await svc.submit(request, engine=engine)
+                assert svc.pending == 0
+            # max_pending=1: only a released slot admits the next request.
+            ok = await svc.submit(repro.SortRequest(keys=[2.0, 1.0]), engine=engine)
+            assert list(ok.ids) == [1, 0]
+        assert svc.stats.failed == 2
+        assert svc.stats.rejected == 0
 
     asyncio.run(run())
 

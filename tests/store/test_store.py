@@ -14,7 +14,9 @@ import pytest
 
 import repro
 from repro.errors import SortInputError
-from repro.store import MANIFEST_NAME, SortedStore
+from repro.cluster.sharded import merge_sorted_runs
+from repro.store import MANIFEST_NAME, SortedStore, compaction
+from repro.store import store as store_module
 from repro.workloads.rng import seeded_rng
 
 #: The acceptance matrix: at least three distinct compaction policies.
@@ -119,6 +121,74 @@ class TestQueryEdges:
         assert store.insert(np.empty(0, dtype=np.float32)) is None
         with pytest.raises(SortInputError, match="1-D"):
             store.insert(np.zeros((2, 2), dtype=np.float32))
+
+
+class TestInputContract:
+    """One batch is checked at its request; batches meet only in merges."""
+
+    @staticmethod
+    def _files(path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    @pytest.mark.parametrize(
+        "keys, ids, match",
+        [
+            ([0.3, 0.4, 0.5], [7, 8, 7], "unique"),
+            ([0.3, float("nan")], None, "NaN"),
+        ],
+    )
+    def test_rejected_insert_leaves_the_store_untouched(
+        self, tmp_path, keys, ids, match
+    ):
+        store = SortedStore(tmp_path, engine="cpu-std")
+        store.insert(np.asarray([0.1, 0.2], dtype=np.float32))
+        before = self._files(tmp_path)
+        with pytest.raises(SortInputError, match=match):
+            store.insert(np.asarray(keys, dtype=np.float32), ids=ids)
+        assert self._files(tmp_path) == before
+        assert store.run_count == 1
+        assert store.stats.ingested_pairs == 2
+
+    def test_ids_reused_across_inserts_merge_like_the_reference(
+        self, tmp_path, monkeypatch
+    ):
+        """Equal (key, id) composites from two inserts -- ``(+0.0, 1)``
+        then ``(-0.0, 1)``, and ``(0.5, 2)`` twice -- go through the
+        reference loser-tree merge: byte for byte, signed zeros included."""
+        batches = [
+            ([0.0, 0.5, 0.25, 1.0], [1, 2, 3, 4]),
+            ([-0.0, 0.5, 0.75, -1.0], [1, 2, 5, 6]),
+        ]
+
+        def answers(path):
+            handle = SortedStore(path, engine="cpu-std")
+            for keys, ids in batches:
+                handle.insert(np.asarray(keys, dtype=np.float32), ids=ids)
+            out = [handle.range(-2.0, 2.0), handle.range(0.0, 0.5)]
+            out += [handle.top_k(k) for k in (2, 3, 8)]
+            handle.compact()
+            out += [handle.range(-2.0, 2.0), handle.top_k(3)]
+            return out
+
+        vectorized = answers(tmp_path / "vectorized")
+        with monkeypatch.context() as patch:
+            for module in (store_module, compaction):
+                patch.setattr(
+                    module,
+                    "merge_sorted_runs",
+                    lambda runs, **kw: merge_sorted_runs(runs, trace=True),
+                )
+            reference = answers(tmp_path / "reference")
+        assert [a.tobytes() for a in vectorized] == [
+            a.tobytes() for a in reference
+        ]
+        everything = np.concatenate(
+            [repro.make_values(keys, ids) for keys, ids in batches]
+        )
+        lexsorted = everything[np.lexsort((everything["id"], everything["key"]))]
+        for whole in (vectorized[0], vectorized[5]):
+            assert np.array_equal(whole["key"], lexsorted["key"])
+            assert np.array_equal(whole["id"], lexsorted["id"])
 
 
 class TestLifecycle:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import SubstreamError
+from repro.errors import SortInputError, SubstreamError
 from repro.stream.stream import (
     NODE_DTYPE,
     VALUE_DTYPE,
@@ -47,7 +47,7 @@ class TestMakeValues:
 
     def test_nan_keys_rejected(self):
         """NaN breaks the (key, id) total order the algorithm needs."""
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(SortInputError, match="NaN"):
             make_values(np.array([1.0, np.nan], dtype=np.float32))
 
     def test_infinities_allowed(self):

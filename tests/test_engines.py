@@ -127,8 +127,34 @@ def hostile_requests(draw, any_length: bool):
     return np.array(keys, dtype=np.float32), np.array(ids, dtype=np.uint32)
 
 
+@st.composite
+def out_of_contract_requests(draw, any_length: bool):
+    """A hostile request broken one way: a repeated id or a NaN key."""
+    keys, ids = draw(hostile_requests(any_length))
+    n = keys.shape[0]
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 2))
+    j += j >= i
+    if draw(st.booleans()):
+        ids[j] = ids[i]
+    else:
+        keys[i] = np.nan
+    return keys, ids
+
+
+def _request(form: str, keys, ids, **kw) -> SortRequest:
+    """The same input as ``values=`` (packed by hand) or ``keys=``/``ids=``."""
+    if form == "keys":
+        return SortRequest(keys=keys, ids=ids, **kw)
+    values = np.empty(keys.shape[0], dtype=repro.VALUE_DTYPE)
+    values["key"] = keys
+    values["id"] = ids
+    return SortRequest(values=values, **kw)
+
+
 class TestLexsortContract:
-    """Every engine, traced or not, returns exactly ``np.lexsort`` order."""
+    """Every engine, traced or not, returns exactly ``np.lexsort`` order --
+    and every engine rejects the same out-of-contract inputs."""
 
     @pytest.mark.parametrize("trace", (False, True), ids=("memo", "traced"))
     @pytest.mark.parametrize("engine", ENGINES)
@@ -140,6 +166,28 @@ class TestLexsortContract:
         request = SortRequest(keys=keys, ids=ids, trace=trace)
         result = repro.sort(request, engine=engine)
         assert np.array_equal(result.ids, ids[np.lexsort((ids, keys))])
+
+    @pytest.mark.parametrize("form", ("values", "keys"))
+    @pytest.mark.parametrize("trace", (False, True), ids=("memo", "traced"))
+    @pytest.mark.parametrize("engine", repro.engines.available())
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_out_of_contract_inputs_rejected(self, engine, trace, form, data):
+        any_length = repro.engines.capabilities(engine).any_length
+        keys, ids = data.draw(out_of_contract_requests(any_length))
+        with pytest.raises(repro.SortInputError):
+            repro.sort(_request(form, keys, ids, trace=trace), engine=engine)
+
+    @pytest.mark.parametrize("form", ("values", "keys"))
+    @pytest.mark.parametrize("trace", (False, True), ids=("memo", "traced"))
+    def test_repeated_ids_in_different_shards_rejected(self, trace, form, rng):
+        n = 4096
+        keys = rng.random(n, dtype=np.float32)
+        ids = np.arange(n, dtype=np.uint32)
+        ids[n - 1] = ids[0]  # first and last shard
+        request = _request(form, keys, ids, trace=trace, devices=2)
+        with pytest.raises(repro.SortInputError, match="unique"):
+            repro.sort(request, engine="sharded-abisort")
 
 
 class TestUniformTrivialInputs:
