@@ -67,21 +67,20 @@ from repro.service import ServiceConfig, SortService
 from repro.store import SortedStore, StoreConfig
 
 
-def plan(request, **kwargs):
+def plan(request, *, max_devices: int = 4):
     """The planner's decision for ``request`` without executing it.
 
     Accepts the same request forms as :func:`repro.sort` (a
     :class:`SortRequest` or a bare array); returns the
     :class:`repro.planner.SortPlan` that ``repro.sort(request)`` would
-    execute.  ``kwargs`` construct a dedicated
-    :class:`repro.planner.Planner` (e.g. ``max_devices=8``); with none,
-    the shared default planner (and its plan cache) answers.
+    execute.  ``max_devices`` caps the cluster the plan may pick; the
+    shared :func:`repro.planner.default_planner` for that cap (and its
+    plan cache) answers.
     """
     from repro.engines import _as_request
     from repro.planner import default_planner
 
-    chosen = Planner(**kwargs) if kwargs else default_planner()
-    return chosen.plan(_as_request(request))
+    return default_planner(max_devices).plan(_as_request(request))
 
 
 __version__ = "1.6.0"

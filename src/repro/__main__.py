@@ -273,14 +273,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
     the winner starred.  ``--batch`` additionally plans a batch of that
     many identical-shape requests (cluster size + LPT placement).
     """
-    from repro.planner import Planner
+    from repro.planner import default_planner
 
     gpu, host = _gpu_host(args.gpu)
     keys = generate_keys(args.dist, args.n, seed=args.seed)
     request = repro.SortRequest(
         keys=keys, gpu=gpu, host=host, devices=args.devices
     )
-    planner = Planner(max_devices=args.max_devices)
+    planner = default_planner(args.max_devices)
     print(planner.plan(request).explain())
     if args.batch > 1:
         batch = planner.plan_batch([request] * args.batch)

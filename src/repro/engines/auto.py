@@ -50,22 +50,14 @@ class AutoEngine(SortEngine):
         any_length=True, key_value=True, out_of_core=True, stable=True
     )
 
-    def __init__(self, planner=None):
-        self._planner = planner
+    def __init__(self):
         self._engines: dict[str, SortEngine] = {}
-
-    @property
-    def planner(self):
-        if self._planner is None:
-            from repro.planner.planner import default_planner
-
-            self._planner = default_planner()
-        return self._planner
 
     def sort(self, request: SortRequest) -> SortResult:
         from repro.engines.registry import get
+        from repro.planner.planner import default_planner
 
-        plan = self.planner.plan(request)
+        plan = default_planner().plan(request)
         if plan.devices is not None and request.devices != plan.devices:
             request = dataclasses.replace(request, devices=plan.devices)
         engine = self._engines.get(plan.engine)

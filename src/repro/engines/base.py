@@ -224,10 +224,8 @@ class SortTelemetry:
         batch on a 4-device cluster used 4 devices, not 4 per request
         summed.
         """
-        for f in fields(self):
-            if f.name in ("n", "requests", "devices"):
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _SUMMED_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.n += other.n
         self.requests += other.requests
         self.devices = max(self.devices, other.devices)
@@ -262,6 +260,15 @@ class SortTelemetry:
             )
         parts.append(f"wall {self.wall_time_s * 1e3:.1f} ms")
         return ", ".join(parts)
+
+
+#: The :class:`SortTelemetry` fields :meth:`SortTelemetry.add` sums: all
+#: but ``n``/``requests`` (added separately) and ``devices`` (maximum).
+_SUMMED_FIELDS = tuple(
+    f.name
+    for f in fields(SortTelemetry)
+    if f.name not in ("n", "requests", "devices")
+)
 
 
 @dataclass

@@ -41,7 +41,7 @@ from repro.fleet.policy import (
     WeightedFairSharePolicy,
     make_policy,
 )
-from repro.fleet.scheduler import CostOracle, FleetScheduler, Job
+from repro.fleet.scheduler import FleetScheduler, Job
 from repro.fleet.stats import FleetReport, TenantStats, jain_index
 from repro.workloads.traces import Tenant, Trace, TraceRequest
 
@@ -58,7 +58,6 @@ __all__ = [
     "make_policy",
     "FleetScheduler",
     "FleetObserver",
-    "CostOracle",
     "Job",
     "FleetReport",
     "TenantStats",

@@ -1,20 +1,22 @@
 """The trace-replay harness: one call from trace to fleet report.
 
 :func:`replay` runs one trace under one policy;
-:func:`compare_policies` runs the same trace under several (sharing one
-:class:`~repro.fleet.scheduler.CostOracle`, so the planner prices each
-request size once); :func:`replay_scenario` builds a named scenario from
+:func:`compare_policies` runs the same trace under several;
+:func:`replay_scenario` builds a named scenario from
 :data:`repro.workloads.traces.SCENARIOS` first.  All three are thin over
-:class:`~repro.fleet.scheduler.FleetScheduler` -- everything is virtual
-time, so results depend only on (trace, policy, pool parameters) and
-replays are bit-reproducible.
+:class:`~repro.fleet.scheduler.FleetScheduler`, whose service times come
+from the process-wide single-device planner
+(:func:`repro.planner.default_planner`), so every replay in a process
+prices each request size once.  Everything is virtual time, so results
+depend only on (trace, policy, pool parameters) and replays are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.policy import POLICIES, SchedulingPolicy
-from repro.fleet.scheduler import CostOracle, FleetScheduler
+from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.stats import FleetReport
 from repro.workloads.rng import DEFAULT_SEED
 from repro.workloads.traces import Trace, scenario_trace
@@ -31,7 +33,6 @@ def replay(
     queue_bound: int = 64,
     max_preemptions: int = 2,
     execute: bool = False,
-    oracle: CostOracle | None = None,
     observer=None,
 ) -> FleetReport:
     """Replay ``trace`` under ``policy`` and return the fleet report.
@@ -51,7 +52,6 @@ def replay(
         queue_bound=queue_bound,
         max_preemptions=max_preemptions,
         execute=execute,
-        oracle=oracle,
         observer=observer,
     ).run()
 
@@ -67,10 +67,8 @@ def compare_policies(
 ) -> dict[str, FleetReport]:
     """Replay ``trace`` under each policy (default: every built-in).
 
-    Returns ``{policy name: report}`` in the order given.  One shared
-    cost oracle prices each request size once across all replays.
+    Returns ``{policy name: report}`` in the order given.
     """
-    oracle = CostOracle()
     return {
         name: replay(
             trace,
@@ -79,7 +77,6 @@ def compare_policies(
             autoscaler=autoscaler,
             queue_bound=queue_bound,
             max_preemptions=max_preemptions,
-            oracle=oracle,
         )
         for name in (policies if policies is not None else sorted(POLICIES))
     }

@@ -3,8 +3,9 @@
 :class:`FleetScheduler` replays one :class:`~repro.workloads.traces.Trace`
 through a discrete-event simulation in *virtual milliseconds*: arrivals,
 completions, and autoscaler ticks are heap events, and a job's service
-time is its planner-predicted cost (:class:`repro.planner.Planner` over
-the paper's calibrated cost models, one modeled device per fleet slot).
+time is its planner-predicted cost (the shared single-device
+:func:`repro.planner.default_planner` over the paper's calibrated cost
+models, one modeled device per fleet slot).
 No wall clock ever enters a decision, which is what makes every replay
 bit-reproducible: same trace + same policy = the same event sequence,
 the same statistics, byte for byte.
@@ -42,11 +43,11 @@ from repro.errors import SortInputError
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.policy import SchedulingPolicy, make_policy
 from repro.fleet.stats import FleetReport, TenantStats, jain_index
-from repro.planner import Planner
+from repro.planner import default_planner
 from repro.workloads.generators import generate_keys
 from repro.workloads.traces import Tenant, Trace, TraceRequest
 
-__all__ = ["Job", "CostOracle", "FleetScheduler"]
+__all__ = ["Job", "FleetScheduler"]
 
 #: Service time charged for degenerate (n <= 1) requests, so completions
 #: still strictly follow their starts in the event order.
@@ -89,33 +90,27 @@ class Job:
         return self.started_ms - self.request.arrival_ms
 
 
-class CostOracle:
-    """Planner-predicted service times, memoised per request size.
+def _duration_ms(n: int) -> float:
+    """Modeled service time for a size-``n`` sort on one device.
 
     The fleet models each pool slot as one paper device, so a request's
-    service time is the planner's cheapest single-device plan for its
-    size.  Cost depends only on the request *shape*, so a zeros array of
-    the right length probes it without generating workload keys.
+    service time is the cheapest single-device plan for its size.  Cost
+    depends only on the request *shape*, so a zeros array of the right
+    length probes it without generating workload keys, and the shared
+    planner's plan cache prices each size once per process.
     """
-
-    def __init__(self, planner: Planner | None = None):
-        self._planner = planner or Planner(max_devices=1)
-        self._cost_ms: dict[int, float] = {}
-
-    def duration_ms(self, n: int) -> float:
-        """Modeled service time for a size-``n`` sort on one device."""
-        if n <= 1:
-            return _EPS_MS
-        cached = self._cost_ms.get(n)
-        if cached is None:
-            probe = SortRequest(keys=np.zeros(n, dtype=np.float32))
-            cached = max(self._planner.plan(probe).cost_ms, _EPS_MS)
-            self._cost_ms[n] = cached
-        return cached
+    if n <= 1:
+        return _EPS_MS
+    probe = SortRequest(keys=np.zeros(n, dtype=np.float32))
+    return max(default_planner(1).plan(probe).cost_ms, _EPS_MS)
 
 
 class FleetScheduler:
     """Replay one trace under one policy on a modeled device pool.
+
+    Each job's service time is priced once, at construction, by the
+    process-wide ``default_planner(1)``: replays share its plan cache,
+    and a scheduler built after a registry change sees the new engines.
 
     Parameters
     ----------
@@ -137,9 +132,6 @@ class FleetScheduler:
     execute:
         Run completed requests through the real engine stack and keep
         their sorted arrays in :attr:`results`.
-    oracle:
-        Optional shared :class:`CostOracle` (replays of the same trace
-        family reuse its memo).
     observer:
         Optional :class:`~repro.fleet.observe.FleetObserver` (or any
         object with its hook methods).  The scheduler calls it on every
@@ -159,7 +151,6 @@ class FleetScheduler:
         queue_bound: int = 64,
         max_preemptions: int = 2,
         execute: bool = False,
-        oracle: CostOracle | None = None,
         observer=None,
     ):
         if devices < 1:
@@ -176,7 +167,6 @@ class FleetScheduler:
         self.queue_bound = queue_bound
         self.max_preemptions = max_preemptions
         self.execute = execute
-        self.oracle = oracle or CostOracle()
         self.observer = observer
         self.pool_size = (
             autoscaler.clamp(devices) if autoscaler else devices
@@ -186,7 +176,7 @@ class FleetScheduler:
                 index=index,
                 request=request,
                 tenant=trace.tenant(request.tenant),
-                duration_ms=self.oracle.duration_ms(request.n),
+                duration_ms=_duration_ms(request.n),
             )
             for index, request in enumerate(trace.requests)
         ]

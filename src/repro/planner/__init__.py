@@ -14,8 +14,9 @@ the registered backends, ``engine="auto"`` (the default) builds a
   :class:`CompactionCostModel` that prices ``repro.store`` compactions
   and :func:`plan_compaction` which picks their (fan-in, devices);
 * :mod:`repro.planner.planner` -- the :class:`Planner` (enumerate ->
-  score -> pick), the shape-keyed LRU :class:`PlanCache`, and batch
-  (LPT) placement.
+  score -> pick), the shape-keyed LRU :class:`PlanCache`, batch (LPT)
+  placement, and :func:`default_planner`, the one shared planner per
+  device cap that every caller in the process plans through.
 
 Cost of the first plan: scoring a non-trivial shape calibrates every
 feasible stream engine's cost curve (a dozen probe sorts each, largest

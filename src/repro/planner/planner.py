@@ -138,7 +138,7 @@ class PlanCache:
     idiom: an :class:`OrderedDict` with move-to-end on hit), invalidated
     as a whole when the engine registry's generation changes."""
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise EngineError("plan cache needs capacity >= 1")
         self.capacity = capacity
@@ -197,10 +197,13 @@ class Planner:
         Largest cluster the planner may pick for cluster-aware engines
         and batch placement.
     cache_size:
-        Plan-cache capacity (plans per distinct request shape).
+        Plan-cache capacity (plans per distinct request shape).  The
+        default holds every size of a scenario trace (``diurnal`` has
+        382 distinct sizes): an LRU smaller than a replay's sizes misses
+        on every lookup when the trace is replayed again.
     """
 
-    def __init__(self, *, max_devices: int = 4, cache_size: int = 256):
+    def __init__(self, *, max_devices: int = 4, cache_size: int = 1024):
         if max_devices < 1:
             raise EngineError("planner needs max_devices >= 1")
         self.max_devices = max_devices
@@ -324,13 +327,16 @@ class Planner:
         return self.plan(request).explain()
 
 
-#: The process-wide planner ``engine="auto"`` dispatches through.
-_DEFAULT: Planner | None = None
+#: The process-wide planners, one per device cap (created on first use).
+_PLANNERS: dict[int, Planner] = {}
 
 
-def default_planner() -> Planner:
-    """The shared planner instance (created on first use)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Planner()
-    return _DEFAULT
+def default_planner(max_devices: int = 4) -> Planner:
+    """The shared planner for ``max_devices``: ``engine="auto"`` plans with
+    the default cap, the service and the fleet with ``1`` (one modeled
+    device per worker or pool slot).  Every caller with the same cap
+    shares one plan cache, which the registry generation invalidates."""
+    planner = _PLANNERS.get(max_devices)
+    if planner is None:
+        planner = _PLANNERS[max_devices] = Planner(max_devices=max_devices)
+    return planner

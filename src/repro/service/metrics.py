@@ -30,6 +30,7 @@ import time
 
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, MetricsRegistry
 from repro.obs.trace import SpanRecorder
+from repro.planner.planner import default_planner
 
 __all__ = ["ServiceInstrumentation", "instrument"]
 
@@ -106,22 +107,21 @@ class ServiceInstrumentation:
             "Back-off hint rejected clients receive",
             fn=lambda: service.config.retry_after_ms,
         )
+        # The service plans with the process-wide single-device planner,
+        # so these count every caller of default_planner(1) in the process.
+        cache = default_planner(1).cache
         reg.counter(
             "repro_planner_cache_hits_total", "Plan-cache hits",
-            fn=lambda: service._planner.cache.hits if service._planner else 0,
+            fn=lambda: cache.hits,
         )
         reg.counter(
             "repro_planner_cache_misses_total", "Plan-cache misses",
-            fn=lambda: (
-                service._planner.cache.misses if service._planner else 0
-            ),
+            fn=lambda: cache.misses,
         )
         reg.gauge(
             "repro_planner_cache_hit_ratio",
             "Plan-cache hits over lookups",
-            fn=lambda: (
-                service._planner.cache.hit_ratio if service._planner else 0.0
-            ),
+            fn=lambda: cache.hit_ratio,
         )
         self.queue_wait = reg.histogram(
             "repro_service_queue_wait_ms",

@@ -49,7 +49,7 @@ from repro.engines import _as_request, registry
 from repro.engines.base import SortRequest, SortResult, SortTelemetry
 from repro.engines.telemetry import pipeline_tasks_for_results
 from repro.errors import EngineError, ServiceError, ServiceOverloadError
-from repro.planner.planner import Planner
+from repro.planner.planner import default_planner
 from repro.service.config import ServiceConfig
 
 __all__ = [
@@ -228,7 +228,6 @@ class SortService:
         self._pending = 0
         self._devices: list[Device] = []
         self._scheduler: Scheduler | None = None
-        self._planner: Planner | None = None
         self._intake: asyncio.Queue | None = None
         self._worker_queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
@@ -267,10 +266,6 @@ class SortService:
         self._loop = asyncio.get_running_loop()
         self._devices = make_devices(cfg.devices, gpu=cfg.gpu, host=cfg.host)
         self._scheduler = Scheduler(self._devices, overlap=True)
-        # Per-request plans stay single-device: the service's parallelism
-        # is the worker pool itself, so the planner must not nest modeled
-        # clusters inside one worker.
-        self._planner = Planner(max_devices=1)
         self._intake = asyncio.Queue()
         self._worker_queues = [asyncio.Queue() for _ in self._devices]
         self._workers = [
@@ -482,7 +477,10 @@ class SortService:
         """
         request = ticket.request
         if ticket.engine in (None, "auto"):
-            plan = self._planner.plan(request)
+            # Single-device plans: the service's parallelism is the worker
+            # pool itself, so the planner must not nest modeled clusters
+            # inside one worker.
+            plan = default_planner(1).plan(request)
             ticket.plan = plan
             ticket.exec_engine = plan.engine
             return plan.cost_ms
@@ -509,7 +507,7 @@ class SortService:
         whole pool, since pinned requests may have no plan to weigh.
         """
         if all(t.plan is not None for t in tickets):
-            batch_plan = self._planner.plan_batch(
+            batch_plan = default_planner(1).plan_batch(
                 [t.request for t in tickets], max_devices=len(self._devices)
             )
             return list(batch_plan.assignment)

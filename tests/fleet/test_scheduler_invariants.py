@@ -17,7 +17,6 @@ from repro.engines.base import SortRequest
 from repro.fleet import (
     POLICIES,
     Autoscaler,
-    CostOracle,
     FleetScheduler,
     Tenant,
     Trace,
@@ -25,10 +24,6 @@ from repro.fleet import (
 )
 from repro.workloads.traces import TenantLoad, generate_trace
 from repro.workloads.generators import paper_workload
-
-#: One oracle for the whole module so the planner prices each size once.
-ORACLE = CostOracle()
-
 
 def _stress_trace(seed: int) -> Trace:
     """A contention-heavy trace: quotas, deadlines, floods, mixed sizes."""
@@ -68,7 +63,6 @@ def _run(seed: int, policy: str) -> FleetScheduler:
         policy,
         devices=2,
         queue_bound=4,
-        oracle=ORACLE,
     )
     scheduler.run()
     return scheduler
@@ -160,7 +154,6 @@ class TestPoolBounds:
             devices=1,
             autoscaler=Autoscaler(min_devices=1, max_devices=3, tick_ms=10.0),
             queue_bound=4,
-            oracle=ORACLE,
         )
         report = sched.run()
         assert 1 <= report.pool_min <= report.pool_max <= 3
@@ -181,7 +174,6 @@ class TestOutputIdentity:
             policy,
             devices=2,
             execute=True,
-            oracle=ORACLE,
         )
         report = sched.run()
         assert report.completed == len(requests)

@@ -145,6 +145,18 @@ class TestPlannerScoring:
         assert plan.shape.n == 640
         assert repro.plan(SortRequest(keys=keys), max_devices=2) is not plan
 
+    def test_one_shared_planner_per_device_cap(self, rng):
+        assert default_planner() is default_planner(4)
+        assert default_planner(1) is default_planner(1)
+        assert default_planner(1) is not default_planner(2)
+        assert default_planner(2).max_devices == 2
+        with pytest.raises(EngineError):
+            default_planner(0)
+        keys = rng.random(704, np.float32)
+        plan = repro.plan(keys, max_devices=2)
+        assert default_planner(2).plan(SortRequest(keys=keys)) is plan
+        assert repro.plan(keys) is default_planner().plan(SortRequest(keys=keys))
+
 
 class TestPlanCache:
     def test_hits_misses_and_capacity(self, rng):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.obs import parse_exposition, read_samples
+from repro.planner import default_planner
 from repro.service import (
     ServiceConfig,
     SortService,
@@ -197,11 +198,16 @@ def test_planner_cache_metrics_track_repeat_shapes(rng):
 
         return SortRequest(keys=keys)
 
+    # The service plans with the process-wide single-device planner, so
+    # the metrics count its cache; clear it to start the count from zero.
+    cache = default_planner(1).cache
+    cache.clear()
     svc = SortService(devices=1, coalesce_window_ms=0.0)
     inst = instrument(svc)
     submit_twice(svc)
     hits = inst.registry.get("repro_planner_cache_hits_total").value
     misses = inst.registry.get("repro_planner_cache_misses_total").value
+    assert (hits, misses) == (cache.hits, cache.misses)
     assert misses >= 1
     assert hits + misses >= 2
     ratio = inst.registry.get("repro_planner_cache_hit_ratio").value
