@@ -5,9 +5,9 @@ planner -> service``; see ``docs/architecture.md``): an asyncio service
 that accepts concurrent sort requests, coalesces them into planner-sized
 batches under a latency/size window, applies admission control with
 bounded queues (rejecting with a retry-after hint when saturated), and
-executes through the existing plan -> execute path on a worker pool --
-one worker per modeled cluster :class:`~repro.cluster.device.Device`,
-LPT-placed like the ``sort_batch`` cluster fast path.
+executes through the existing plan -> execute path on a pool of modeled
+cluster :class:`~repro.cluster.device.Device`\\ s, each sorting one
+request at a time, LPT-placed like the ``sort_batch`` cluster fast path.
 
 Three entry points:
 

@@ -4,7 +4,7 @@ One frozen dataclass holds every tuning knob of
 :class:`repro.service.SortService`; ``docs/service.md`` walks through what
 each one trades off.  The defaults target the paper's Table-3 system (a
 GeForce 7800 GTX cluster over PCIe) and a small interactive deployment:
-4 workers, 2 ms coalesce windows, batches of up to 32 requests, and a
+4 devices, 2 ms coalesce windows, batches of up to 32 requests, and a
 256-request admission bound.
 """
 
@@ -30,9 +30,9 @@ class ServiceConfig:
     Attributes
     ----------
     devices:
-        Worker-pool size: one asyncio worker per modeled cluster
-        :class:`~repro.cluster.device.Device`.  Coalesced batches are
-        LPT-placed across these workers
+        Device-pool size: the number of modeled cluster
+        :class:`~repro.cluster.device.Device`\\ s, each sorting one
+        request at a time.  Coalesced batches are LPT-placed across them
         (:meth:`~repro.cluster.scheduler.Scheduler.assign_lpt`).
     gpu, host:
         Hardware models every device of the pool is built from (the
@@ -48,10 +48,11 @@ class ServiceConfig:
         :class:`~repro.errors.ServiceOverloadError` instead of growing an
         unbounded queue.
     coalesce_window_ms:
-        How long the coalescer holds a forming batch open for more
-        arrivals after its first request, in wall milliseconds.  Larger
-        windows build bigger batches (better placement, fewer schedules)
-        at the price of added latency on the first request.
+        How long a forming batch stays open for more arrivals after its
+        first request, in wall milliseconds; ``0`` seals every request
+        as its own batch.  Larger windows build bigger batches (better
+        placement, fewer schedules) at the price of added latency on the
+        first request.
     max_batch:
         Batch-size cap: a batch dispatches as soon as it holds this many
         requests, window notwithstanding.

@@ -12,13 +12,15 @@ execute pipeline.  Callers :meth:`~SortService.submit` individual
    for ``coalesce_window_ms`` (or until ``max_batch`` requests arrive);
 3. **plans** the batch: per-request engine choice through the cost-model
    planner (:meth:`~repro.planner.Planner.plan`), and placement across
-   the worker pool through :meth:`~repro.planner.Planner.plan_batch` /
+   the device pool through :meth:`~repro.planner.Planner.plan_batch` /
    :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` -- the same LPT
    policy the ``sort_batch`` cluster fast path uses;
-4. **executes** each request on its assigned worker (one asyncio worker
-   per modeled cluster :class:`~repro.cluster.device.Device`, engines
-   instantiated once per worker so layout caches stay warm), off the
-   event loop via the default thread executor;
+4. **executes** each device's share of the batch in placement order, one
+   request at a time per modeled cluster
+   :class:`~repro.cluster.device.Device` (a per-device lock keeps that
+   order across batches; engines are instantiated once per device so
+   layout caches stay warm), off the event loop via the default thread
+   executor;
 5. **accounts**: each result's telemetry gains ``queue_wait_ms`` /
    ``coalesce_ms`` (measured) and ``service_makespan_ms`` (the modeled
    critical path of the batch's overlapped upload/sort/download schedule,
@@ -26,8 +28,8 @@ execute pipeline.  Callers :meth:`~SortService.submit` individual
    :class:`ServiceStats` aggregates them across the service's lifetime.
 
 Results are **bit-identical** to calling :func:`repro.sort` directly with
-the same request: workers dispatch through the very same engine path, and
-the service only adds scheduling around it.
+the same request: every request runs through the very same engine path,
+and the service only adds scheduling around it.
 
 Three entry points: ``async`` :meth:`SortService.submit` inside a running
 service (``async with SortService(...) as svc``), the synchronous
@@ -60,12 +62,6 @@ __all__ = [
     "close_default",
 ]
 
-#: Intake sentinel: stop the coalescer (and then the workers).
-_STOP = object()
-#: Intake sentinel: seal the currently forming batch immediately.
-_FLUSH = object()
-
-
 @dataclass
 class _Ticket:
     """One in-flight submission: request, routing, and its future."""
@@ -79,16 +75,6 @@ class _Ticket:
     exec_engine: str = ""
     result: SortResult | None = None
     error: BaseException | None = None
-
-
-@dataclass
-class _Batch:
-    """One coalesced batch: tickets, their placement, a completion latch."""
-
-    tickets: list[_Ticket]
-    assignment: list[int]
-    completed: asyncio.Event
-    remaining: int
 
 
 @dataclass
@@ -228,11 +214,11 @@ class SortService:
         self._pending = 0
         self._devices: list[Device] = []
         self._scheduler: Scheduler | None = None
-        self._intake: asyncio.Queue | None = None
-        self._worker_queues: list[asyncio.Queue] = []
-        self._workers: list[asyncio.Task] = []
-        self._coalescer: asyncio.Task | None = None
-        self._finalizers: set[asyncio.Task] = set()
+        self._locks: list[asyncio.Lock] = []
+        self._engines: list[dict[str, object]] = []
+        self._forming: list[_Ticket] = []
+        self._timer: asyncio.TimerHandle | None = None
+        self._batches: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -259,45 +245,31 @@ class SortService:
         return self.stats.snapshot()
 
     async def start(self) -> "SortService":
-        """Build the worker pool and start accepting submissions."""
+        """Build the device pool and start accepting submissions."""
         if self._started:
             raise ServiceError("service is already running")
         cfg = self.config
         self._loop = asyncio.get_running_loop()
         self._devices = make_devices(cfg.devices, gpu=cfg.gpu, host=cfg.host)
         self._scheduler = Scheduler(self._devices, overlap=True)
-        self._intake = asyncio.Queue()
-        self._worker_queues = [asyncio.Queue() for _ in self._devices]
-        self._workers = [
-            asyncio.create_task(self._worker(i), name=f"repro-service-worker{i}")
-            for i in range(len(self._devices))
-        ]
-        self._coalescer = asyncio.create_task(
-            self._coalesce(), name="repro-service-coalescer"
-        )
+        self._locks = [asyncio.Lock() for _ in self._devices]
+        self._engines = [{} for _ in self._devices]
         self._started = True
         self._closing = False
         return self
 
     async def close(self) -> None:
-        """Drain in-flight work, then stop the coalescer and workers.
+        """Seal the forming batch, then drain every batch in flight.
 
         Every already-admitted request completes (its future resolves)
         before ``close`` returns; new submissions are rejected as soon as
-        closing begins.  Idempotent.
+        closing begins, so no batch can start after the seal.  Idempotent.
         """
         if not self._started:
             return
         self._closing = True
-        self._intake.put_nowait(_STOP)
-        await self._coalescer
-        # The coalescer has dispatched every admitted ticket; wait for the
-        # per-batch finalizers (they resolve the futures), then the workers.
-        while self._finalizers:
-            await asyncio.gather(*list(self._finalizers))
-        for queue in self._worker_queues:
-            queue.put_nowait(_STOP)
-        await asyncio.gather(*self._workers)
+        self._seal()
+        await asyncio.gather(*self._batches)
         self._started = False
 
     async def __aenter__(self) -> "SortService":
@@ -331,7 +303,7 @@ class SortService:
         req = _as_request(request)
         chosen = engine if engine is not None else self.config.engine
         if chosen is not None and chosen not in registry.available():
-            # Fail fast, as repro.sort() would; never hand the coalescer a
+            # Fail fast, as repro.sort() would; never seal a batch with a
             # name it cannot route.
             raise EngineError(
                 f"unknown engine {chosen!r}; available: "
@@ -353,7 +325,12 @@ class SortService:
             future=asyncio.get_running_loop().create_future(),
             submitted=time.perf_counter(),
         )
-        self._intake.put_nowait(ticket)
+        self._forming.append(ticket)
+        window_s = self.config.coalesce_window_ms / 1e3
+        if len(self._forming) >= self.config.max_batch or not window_s:
+            self._seal()
+        elif len(self._forming) == 1:
+            self._timer = self._loop.call_later(window_s, self._seal)
         return await ticket.future
 
     async def flush(self) -> None:
@@ -362,10 +339,8 @@ class SortService:
         A no-op when no batch is forming.  Useful for tests and for
         latency-sensitive callers that know no more traffic is coming.
         """
-        if not self.is_running:
-            return
-        self._intake.put_nowait(_FLUSH)
-        await asyncio.sleep(0)
+        if self.is_running:
+            self._seal()
 
     def map(self, requests, engine: str | None = None) -> list[SortResult]:
         """Sort ``requests`` through the service, synchronously.
@@ -396,177 +371,49 @@ class SortService:
 
         return asyncio.run(_run())
 
-    # -- the coalescer -------------------------------------------------------
+    # -- batches -------------------------------------------------------------
 
-    async def _coalesce(self) -> None:
-        """Form batches under the latency/size window and dispatch them."""
-        window_s = self.config.coalesce_window_ms / 1e3
-        while True:
-            first = await self._intake.get()
-            if first is _STOP:
-                return
-            if first is _FLUSH:
-                continue
-            batch = [first]
-            deadline = time.perf_counter() + window_s
-            stop = False
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._intake.get(), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if item is _STOP:
-                    stop = True
-                    break
-                if item is _FLUSH:
-                    break
-                batch.append(item)
-            self._dispatch(batch)
-            if stop:
-                return
-
-    def _dispatch(self, tickets: list[_Ticket]) -> None:
-        """Plan and place one sealed batch onto the worker queues.
-
-        Routing failures (an unplannable shape, a cost model rejecting)
-        mark their ticket failed instead of killing the coalescer; the
-        finalizer re-raises them through the ticket's future.
-        """
+    def _seal(self) -> None:
+        """Close the forming batch and start running it (no-op if empty)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if not self._forming:
+            return
+        tickets, self._forming = self._forming, []
         sealed = time.perf_counter()
         for ticket in tickets:
             ticket.coalesce_ms = (sealed - ticket.submitted) * 1e3
+        task = self._loop.create_task(self._run_batch(tickets))
+        self._batches.add(task)
+        task.add_done_callback(self._batches.discard)
+
+    async def _run_batch(self, tickets: list[_Ticket]) -> None:
+        """Route, place and execute one sealed batch, then account for it.
+
+        Routing failures (an unplannable shape, a cost model rejecting)
+        mark their ticket failed and skip execution; every future is
+        resolved at the end, with the ticket's result or its error.
+        """
         weights: list[float] = []
         for ticket in tickets:
             try:
                 weights.append(self._route(ticket))
-            except BaseException as err:
+            except Exception as err:
                 ticket.error = err
                 weights.append(0.0)
-        runnable = [
-            (i, t) for i, t in enumerate(tickets) if t.error is None
-        ]
         assignment = self._place(tickets, weights)
-        batch = _Batch(
-            tickets=tickets,
-            assignment=assignment,
-            completed=asyncio.Event(),
-            remaining=len(runnable),
-        )
         self.stats.largest_batch = max(self.stats.largest_batch, len(tickets))
-        for index, ticket in runnable:
-            self._worker_queues[assignment[index]].put_nowait((ticket, batch))
-        if not runnable:
-            batch.completed.set()
-        finalizer = asyncio.create_task(self._finalize(batch))
-        self._finalizers.add(finalizer)
-        finalizer.add_done_callback(self._finalizers.discard)
-
-    def _route(self, ticket: _Ticket) -> float:
-        """Resolve one ticket's executing engine; return its LPT weight.
-
-        Un-pinned tickets go through the planner (their winning
-        :class:`~repro.planner.SortPlan` rides along and is attached to
-        the result, exactly like ``engine="auto"`` dispatch); pinned
-        tickets are priced by the pinned engine's cost model when it has
-        one, falling back to ``n`` -- relative order is all LPT needs.
-        """
-        request = ticket.request
-        if ticket.engine in (None, "auto"):
-            # Single-device plans: the service's parallelism is the worker
-            # pool itself, so the planner must not nest modeled clusters
-            # inside one worker.
-            plan = default_planner(1).plan(request)
-            ticket.plan = plan
-            ticket.exec_engine = plan.engine
-            return plan.cost_ms
-        ticket.exec_engine = ticket.engine
-        model = registry.cost_model(ticket.engine)
-        if model is not None:
-            try:
-                return model.estimate(request).cost_ms
-            except Exception:
-                pass  # infeasible shapes surface at execution, as in sort()
-        values = request.values if request.values is not None else request.keys
-        return float(0 if values is None else len(values))
-
-    def _place(self, tickets: list[_Ticket], weights: list[float]) -> list[int]:
-        """LPT placement of one batch across the worker pool.
-
-        When every ticket went through the planner,
-        :meth:`~repro.planner.Planner.plan_batch` is the brain: it both
-        sizes the cluster (the smallest device count within tolerance of
-        the best predicted makespan -- idle workers stay idle for thin
-        gains) and LPT-places the requests on it.  Batches with pinned
-        engines fall back to plain
-        :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` over the
-        whole pool, since pinned requests may have no plan to weigh.
-        """
-        if all(t.plan is not None for t in tickets):
-            batch_plan = default_planner(1).plan_batch(
-                [t.request for t in tickets], max_devices=len(self._devices)
-            )
-            return list(batch_plan.assignment)
-        return self._scheduler.assign_lpt(weights)
-
-    # -- workers and finalization --------------------------------------------
-
-    async def _worker(self, index: int) -> None:
-        """Serve one device's queue; engines are cached per worker."""
-        queue = self._worker_queues[index]
-        engines: dict[str, object] = {}
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await queue.get()
-            if item is _STOP:
-                return
-            ticket, batch = item
-            started = time.perf_counter()
-            try:
-                engine = engines.get(ticket.exec_engine)
-                if engine is None:
-                    engine = registry.get(ticket.exec_engine)
-                    engines[ticket.exec_engine] = engine
-                request = ticket.request
-                plan = ticket.plan
-                if (
-                    plan is not None
-                    and plan.devices is not None
-                    and request.devices != plan.devices
-                ):
-                    request = replace(request, devices=plan.devices)
-                # Off the event loop: the sort itself is synchronous
-                # simulation code, and the loop must stay responsive for
-                # admission control and the socket server.
-                result = await loop.run_in_executor(None, engine.sort, request)
-                if plan is not None:
-                    result.plan = plan
-                result.telemetry.queue_wait_ms = (
-                    started - ticket.submitted
-                ) * 1e3
-                result.telemetry.coalesce_ms = ticket.coalesce_ms
-                ticket.result = result
-                if self.observer is not None:
-                    self.observer.on_execute(
-                        index, (time.perf_counter() - started) * 1e3, ticket
-                    )
-            except BaseException as err:  # resolve the future either way
-                ticket.error = err
-            finally:
-                batch.remaining -= 1
-                if batch.remaining == 0:
-                    batch.completed.set()
-
-    async def _finalize(self, batch: _Batch) -> None:
-        """Schedule the completed batch, fill telemetry, resolve futures."""
-        await batch.completed.wait()
+        shares: dict[int, list[_Ticket]] = {}
+        for ticket, device in zip(tickets, assignment):
+            if ticket.error is None:
+                shares.setdefault(device, []).append(ticket)
+        await asyncio.gather(
+            *(self._run_device(device, share) for device, share in shares.items())
+        )
         done = [
-            (t, batch.assignment[i])
-            for i, t in enumerate(batch.tickets)
+            (t, device)
+            for t, device in zip(tickets, assignment)
             if t.result is not None
         ]
         if done:
@@ -584,7 +431,7 @@ class SortService:
                 self.stats.completed += 1
             if self.observer is not None:
                 self.observer.on_batch(done, schedule)
-        for ticket in batch.tickets:
+        for ticket in tickets:
             self._pending -= 1
             if ticket.future.done():
                 # The submitter cancelled (e.g. wait_for timeout): nothing
@@ -596,6 +443,96 @@ class SortService:
                 ticket.future.set_exception(ticket.error)
             else:
                 ticket.future.set_result(ticket.result)
+
+    def _route(self, ticket: _Ticket) -> float:
+        """Resolve one ticket's executing engine; return its LPT weight.
+
+        Un-pinned tickets go through the planner (their winning
+        :class:`~repro.planner.SortPlan` rides along and is attached to
+        the result, exactly like ``engine="auto"`` dispatch); pinned
+        tickets are priced by the pinned engine's cost model when it has
+        one, falling back to ``n`` -- relative order is all LPT needs.
+        """
+        request = ticket.request
+        if ticket.engine in (None, "auto"):
+            # Single-device plans: the service's parallelism is the device
+            # pool itself, so the planner must not nest modeled clusters
+            # inside one device.
+            plan = default_planner(1).plan(request)
+            ticket.plan = plan
+            ticket.exec_engine = plan.engine
+            return plan.cost_ms
+        ticket.exec_engine = ticket.engine
+        model = registry.cost_model(ticket.engine)
+        if model is not None:
+            try:
+                return model.estimate(request).cost_ms
+            except Exception:
+                pass  # infeasible shapes surface at execution, as in sort()
+        values = request.values if request.values is not None else request.keys
+        return float(0 if values is None else len(values))
+
+    def _place(self, tickets: list[_Ticket], weights: list[float]) -> list[int]:
+        """LPT placement of one batch across the device pool.
+
+        When every ticket went through the planner,
+        :meth:`~repro.planner.Planner.plan_batch` is the brain: it both
+        sizes the cluster (the smallest device count within tolerance of
+        the best predicted makespan -- idle devices stay idle for thin
+        gains) and LPT-places the requests on it.  Batches with pinned
+        engines fall back to plain
+        :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` over the
+        whole pool, since pinned requests may have no plan to weigh.
+        """
+        if all(t.plan is not None for t in tickets):
+            batch_plan = default_planner(1).plan_batch(
+                [t.request for t in tickets], max_devices=len(self._devices)
+            )
+            return list(batch_plan.assignment)
+        return self._scheduler.assign_lpt(weights)
+
+    async def _run_device(self, index: int, tickets: list[_Ticket]) -> None:
+        """Execute one device's share of a batch, in placement order.
+
+        The device's lock is FIFO, so shares of successive batches run one
+        after another and the device sorts one request at a time.
+        """
+        engines = self._engines[index]
+        async with self._locks[index]:
+            for ticket in tickets:
+                started = time.perf_counter()
+                try:
+                    engine = engines.get(ticket.exec_engine)
+                    if engine is None:
+                        engine = registry.get(ticket.exec_engine)
+                        engines[ticket.exec_engine] = engine
+                    request = ticket.request
+                    plan = ticket.plan
+                    if (
+                        plan is not None
+                        and plan.devices is not None
+                        and request.devices != plan.devices
+                    ):
+                        request = replace(request, devices=plan.devices)
+                    # Off the event loop: the sort itself is synchronous
+                    # simulation code, and the loop must stay responsive
+                    # for admission control and the socket server.
+                    result = await self._loop.run_in_executor(
+                        None, engine.sort, request
+                    )
+                    if plan is not None:
+                        result.plan = plan
+                    result.telemetry.queue_wait_ms = (
+                        started - ticket.submitted
+                    ) * 1e3
+                    result.telemetry.coalesce_ms = ticket.coalesce_ms
+                    ticket.result = result
+                    if self.observer is not None:
+                        self.observer.on_execute(
+                            index, (time.perf_counter() - started) * 1e3, ticket
+                        )
+                except Exception as err:  # delivered through the future
+                    ticket.error = err
 
 
 #: The process-default service :func:`submit` lazily starts.
