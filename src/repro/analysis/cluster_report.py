@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.cluster.scheduler import ClusterSchedule
 from repro.cluster.sharded import ShardedSortResult
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = [
     "build_report",
@@ -193,7 +194,7 @@ def format_store_stats(stats, title: str = "store stats") -> str:
         lines.append(
             f"read amplification {stats.read_amplification:.2f}x "
             f"({stats.query_read_bytes} disk bytes for "
-            f"{stats.query_pairs * 8} returned)"
+            f"{stats.query_pairs * PAIR_BYTES} returned)"
         )
     if stats.compactions:
         lines.append(

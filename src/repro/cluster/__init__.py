@@ -30,6 +30,7 @@ from repro.cluster.scheduler import (
     PipelineTask,
     Scheduler,
     StageEvent,
+    lpt,
 )
 from repro.cluster.sharded import (
     ShardedSorter,
@@ -48,6 +49,7 @@ __all__ = [
     "DeviceTimeline",
     "ClusterSchedule",
     "Scheduler",
+    "lpt",
     "ShardedSorter",
     "ShardedSortResult",
     "merge_sorted_runs",

@@ -28,8 +28,11 @@ the output is bit-identical to a single-device sort for *any* shard count
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro.cluster.scheduler import PipelineTask
 from repro.errors import SortInputError
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = ["Shard", "ShardPlan", "ShardPlanner"]
 
@@ -64,6 +67,21 @@ class ShardPlan:
         sharded cost model pads each to its power of two, exactly as the
         executor does)."""
         return tuple(len(s) for s in self.shards)
+
+    def pipeline_tasks(self, sort_ms: Sequence[float]) -> list[PipelineTask]:
+        """One upload -> sort -> download task per shard, in shard order:
+        the shard's pairs go up and come back down, and it sorts for its
+        ``sort_ms`` entry."""
+        return [
+            PipelineTask(
+                label=f"shard{shard.index}",
+                device=shard.device,
+                upload_bytes=len(shard) * PAIR_BYTES,
+                sort_ms=ms,
+                download_bytes=len(shard) * PAIR_BYTES,
+            )
+            for shard, ms in zip(self.shards, sort_ms)
+        ]
 
     @property
     def used_devices(self) -> int:

@@ -26,12 +26,13 @@ is scheduled).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import ModelError
 from repro.cluster.device import Device
 
 __all__ = ["PipelineTask", "StageEvent", "DeviceTimeline", "ClusterSchedule",
-           "Scheduler"]
+           "Scheduler", "lpt"]
 
 #: Stage names in pipeline order.
 STAGES = ("upload", "sort", "download")
@@ -230,31 +231,31 @@ class Scheduler:
             schedule.makespan_ms = start + merge_ms
         return schedule
 
-    def assign_round_robin(self, count: int) -> list[int]:
-        """Device indices for ``count`` independent tasks, round-robin.
-
-        The right placement for *equal-size* tasks on homogeneous devices
-        (where it coincides with earliest-finish-time); for mixed sizes
-        prefer :meth:`assign_lpt`, which round-robin can serialize badly
-        (one huge request plus small ones all landing on device 0).
-        """
-        order = [d.index for d in self.devices]
-        return [order[i % len(order)] for i in range(count)]
-
     def assign_lpt(self, weights: list[float]) -> list[int]:
-        """Longest-processing-time placement of ``count`` weighted tasks.
+        """:func:`lpt` placement of ``weights`` on this scheduler's devices."""
+        return lpt(weights, [d.index for d in self.devices])[0]
 
-        The classic 4/3-approximation for makespan on identical machines:
-        visit tasks in decreasing weight and put each on the currently
-        least-loaded device.  Deterministic: weight ties keep input order,
-        load ties pick the lowest device index.  Returns the device index
-        per task, in input order.
-        """
-        order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-        loads = {d.index: 0.0 for d in self.devices}
-        assignment = [0] * len(weights)
-        for i in order:
-            device = min(loads, key=lambda d: (loads[d], d))
-            assignment[i] = device
-            loads[device] += weights[i]
-        return assignment
+
+def lpt(
+    weights: list[float], devices: Iterable[int]
+) -> tuple[list[int], dict[int, float]]:
+    """Longest-processing-time placement of weighted tasks on ``devices``.
+
+    The classic 4/3-approximation for makespan on identical machines:
+    visit tasks in decreasing weight and put each on the currently
+    least-loaded device.  Deterministic: weight ties keep input order,
+    load ties pick the lowest device index.  Returns the device index per
+    task (in input order) and each device's load, summed in input order
+    so every caller's modeled makespan is the same float.
+    """
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    placed = {d: 0.0 for d in devices}
+    assignment = [0] * len(weights)
+    for i in order:
+        device = min(placed, key=lambda d: (placed[d], d))
+        assignment[i] = device
+        placed[device] += weights[i]
+    loads = dict.fromkeys(placed, 0.0)
+    for weight, device in zip(weights, assignment):
+        loads[device] += weight
+    return assignment, loads

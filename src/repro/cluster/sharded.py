@@ -29,13 +29,13 @@ import numpy as np
 from repro.core.api import ABiSortConfig
 from repro.cluster.device import Device, make_devices
 from repro.cluster.planner import ShardPlan, ShardPlanner
-from repro.cluster.scheduler import ClusterSchedule, PipelineTask, Scheduler
+from repro.cluster.scheduler import ClusterSchedule, Scheduler
 from repro.errors import SortInputError
 from repro.exec import ReferenceBackend, VectorizedBackend
 from repro.exec.stream_tier import modeled_cost, sort_on_stream
 # Unused here, but the stackbench layer tracer wraps this module attribute.
 from repro.exec.stream_tier import counting_sort_run  # noqa: F401
-from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem
+from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, cpu_sort_time_ms
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
 
@@ -150,9 +150,7 @@ class ShardedSorter:
             )
 
         runs: list[np.ndarray] = []
-        tasks: list[PipelineTask] = []
         shard_sort_ms: list[float] = []
-        itemsize = values.dtype.itemsize
         for shard in plan.shards:
             chunk = values[shard.start : shard.stop]
             sort_ms = 0.0
@@ -167,25 +165,17 @@ class ShardedSorter:
                 sorted_chunk = chunk.copy()
             runs.append(sorted_chunk)
             shard_sort_ms.append(sort_ms)
-            nbytes = len(shard) * itemsize
-            tasks.append(
-                PipelineTask(
-                    label=f"shard{shard.index}",
-                    device=shard.device,
-                    upload_bytes=nbytes,
-                    sort_ms=sort_ms,
-                    download_bytes=nbytes,
-                )
-            )
 
         if len(runs) > 1:
             merged, comparisons = merge_sorted_runs(runs, trace=self.trace)
         else:
             merged, comparisons = runs[0], 0
-        merge_ms = comparisons * self.host.cpu_op_ns * 1e-6
+        merge_ms = cpu_sort_time_ms(comparisons, self.host)
 
         scheduler = Scheduler(self.devices, overlap=self.overlap)
-        schedule = scheduler.run(tasks, merge_ms=merge_ms)
+        schedule = scheduler.run(
+            plan.pipeline_tasks(shard_sort_ms), merge_ms=merge_ms
+        )
         return ShardedSortResult(
             values=merged,
             plan=plan,

@@ -207,12 +207,9 @@ def _sort_batch_cluster(
     results = [eng.sort(r) for r in requests]
 
     scheduler = Scheduler(cluster, overlap=True)
-    specs, weights = result_stage_specs(results, link)
+    _specs, weights = result_stage_specs(results, link)
     assignment = scheduler.assign_lpt(weights)
-    tasks = pipeline_tasks_for_results(
-        results, assignment, link, specs=specs, weights=weights
-    )
-    schedule = scheduler.run(tasks)
+    schedule = scheduler.run(pipeline_tasks_for_results(results, assignment, link))
 
     total = aggregate_telemetry(results)
     fill_schedule_telemetry(total, schedule, devices=len(cluster))

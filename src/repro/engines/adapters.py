@@ -83,15 +83,8 @@ def _machine_telemetry(
     machine: StreamMachine, request: SortRequest, *, tiled: bool
 ) -> SortTelemetry:
     """Telemetry from a stream machine's op log + the request's cost model."""
-    counters = machine.counters()
-    telemetry = SortTelemetry(
-        stream_ops=counters.stream_ops,
-        kernel_ops=counters.kernel_ops,
-        copy_ops=counters.copy_ops,
-        kernel_instances=counters.instances,
-        bytes_moved=counters.total_bytes,
-        gather_bytes=counters.gather_bytes,
-    )
+    telemetry = SortTelemetry()
+    add_machine_counters(telemetry, machine.counters())
     if request.model_time:
         telemetry.modeled_gpu_ms = modeled_cost(
             machine,

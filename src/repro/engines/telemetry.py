@@ -92,31 +92,22 @@ def result_stage_specs(
 
 
 def pipeline_tasks_for_results(
-    results: "list[SortResult]",
-    assignment: "list[int]",
-    link,
-    *,
-    label: str = "req",
-    specs: "list[tuple[int, float]] | None" = None,
-    weights: "list[float] | None" = None,
+    results: "list[SortResult]", assignment: "list[int]", link
 ):
     """Scheduler tasks for completed results under a device assignment.
 
     Builds one :class:`~repro.cluster.scheduler.PipelineTask` per result,
-    placed on ``assignment[i]``, in LPT service order (heaviest first,
-    matching the placement's load accounting -- ties keep input order).
-    ``specs``/``weights`` accept a precomputed :func:`result_stage_specs`
-    pair so callers that already derived the placement from the weights do
-    not pay for them twice.
+    placed on ``assignment[i]``, in LPT service order (heaviest first by
+    :func:`result_stage_specs` weight, matching the placement's load
+    accounting -- ties keep input order).
     """
     from repro.cluster.scheduler import PipelineTask  # late: avoid cycle
 
-    if specs is None or weights is None:
-        specs, weights = result_stage_specs(results, link)
+    specs, weights = result_stage_specs(results, link)
     order = sorted(range(len(results)), key=lambda i: (-weights[i], i))
     return [
         PipelineTask(
-            label=f"{label}{i}",
+            label=f"req{i}",
             device=assignment[i],
             upload_bytes=specs[i][0],
             sort_ms=specs[i][1],

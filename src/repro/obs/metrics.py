@@ -381,14 +381,11 @@ class MetricsRegistry:
     Each component owns (or is handed) a registry and registers its
     instruments once; :meth:`expose` renders the whole registry in the
     text format, :meth:`collect` flattens it into :class:`Sample` records
-    for the NDJSON time-series sampler.  Registries may be **chained**
-    (``registry.attach(other)``): the service's registry attaches the
-    store's so one scrape covers both.
+    for the NDJSON time-series sampler.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
-        self._attached: list[MetricsRegistry] = []
 
     # -- registration --------------------------------------------------------
 
@@ -428,53 +425,23 @@ class MetricsRegistry:
         """Register a :class:`Histogram` over ``buckets``."""
         return self._register(Histogram(name, help, labelnames, buckets))
 
-    def attach(self, other: "MetricsRegistry") -> None:
-        """Include ``other``'s metrics in this registry's expositions."""
-        if other is self or other in self._attached:
-            return
-        overlap = set(self._names()) & set(other._names())
-        if overlap:
-            raise ObsError(
-                f"cannot attach registry: duplicate metrics {sorted(overlap)}"
-            )
-        self._attached.append(other)
-
     # -- collection ----------------------------------------------------------
 
-    def _names(self) -> list[str]:
-        names = list(self._metrics)
-        for attached in self._attached:
-            names.extend(attached._names())
-        return names
-
-    def _all_metrics(self) -> list[_Metric]:
-        metrics = list(self._metrics.values())
-        for attached in self._attached:
-            metrics.extend(attached._all_metrics())
-        return metrics
-
     def get(self, name: str) -> _Metric | None:
-        """The registered metric called ``name`` (attached included)."""
-        found = self._metrics.get(name)
-        if found is not None:
-            return found
-        for attached in self._attached:
-            found = attached.get(name)
-            if found is not None:
-                return found
-        return None
+        """The registered metric called ``name``."""
+        return self._metrics.get(name)
 
     def collect(self) -> list[Sample]:
         """Every (metric, labelset) flattened to one :class:`Sample`."""
         out: list[Sample] = []
-        for metric in self._all_metrics():
+        for metric in self._metrics.values():
             out.extend(metric.samples())
         return out
 
     def expose(self) -> str:
         """The registry in the text exposition format (trailing newline)."""
         lines: list[str] = []
-        for metric in self._all_metrics():
+        for metric in self._metrics.values():
             lines.extend(metric.expose())
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -68,6 +68,7 @@ from repro.stream.gpu_model import (
     cpu_sort_time_ms,
     transfer_round_trip_ms,
 )
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = [
     "StreamCostModel",
@@ -82,9 +83,6 @@ __all__ = [
     "plan_compaction",
     "builtin_cost_model",
 ]
-
-#: Bytes of one value/pointer pair on the bus.
-PAIR_BYTES = 8
 
 
 def next_pow2(n: int) -> int:
@@ -154,7 +152,7 @@ class ShardedCostModel(CostModel):
     def estimate(self, request, *, devices=None) -> CostEstimate:
         from repro.cluster.device import make_devices
         from repro.cluster.planner import ShardPlanner
-        from repro.cluster.scheduler import PipelineTask, Scheduler
+        from repro.cluster.scheduler import Scheduler
 
         n = _shape_n(request)
         count = devices or request.devices or 2
@@ -163,30 +161,24 @@ class ShardedCostModel(CostModel):
         curve = calibrate_stream_engine(self.base_engine, request)
         plan = ShardPlanner(count, self.slices_per_device).plan(n)
 
-        tasks = []
+        sort_ms = []
         gpu_ms = 0.0
-        for shard, length in zip(plan.shards, plan.lengths()):
-            sort_ms = curve.predict_ms(next_pow2(length)) if length >= 2 else 0.0
-            gpu_ms += sort_ms
-            nbytes = length * PAIR_BYTES
-            tasks.append(
-                PipelineTask(
-                    label=f"shard{shard.index}",
-                    device=shard.device,
-                    upload_bytes=nbytes,
-                    sort_ms=sort_ms,
-                    download_bytes=nbytes,
-                )
+        for length in plan.lengths():
+            sort_ms.append(
+                curve.predict_ms(next_pow2(length)) if length >= 2 else 0.0
             )
+            gpu_ms += sort_ms[-1]
         comparisons = (
             loser_tree_merge_comparisons(n, len(plan.shards))
             if len(plan.shards) > 1
             else 0
         )
-        merge_ms = comparisons * request.host.cpu_op_ns * 1e-6
+        merge_ms = cpu_sort_time_ms(comparisons, request.host)
 
         cluster = make_devices(count, gpu=request.gpu, host=request.host)
-        schedule = Scheduler(cluster, overlap=True).run(tasks, merge_ms=merge_ms)
+        schedule = Scheduler(cluster, overlap=True).run(
+            plan.pipeline_tasks(sort_ms), merge_ms=merge_ms
+        )
         return CostEstimate(
             modeled_gpu_ms=gpu_ms,
             modeled_cpu_ms=merge_ms,
@@ -353,7 +345,7 @@ class CompactionCostModel:
 
     Groups within one pass are independent, so a pass's makespan is the
     max device load under the cluster's deterministic LPT placement
-    (:meth:`~repro.cluster.scheduler.Scheduler.assign_lpt`) -- each
+    (:func:`~repro.cluster.scheduler.lpt`) -- each
     modeled device streams its groups from its own disk, exactly as the
     sharded sorter assumes per-device buses.  The estimate's
     ``makespan_ms`` sums the per-pass makespans.
@@ -424,19 +416,14 @@ class CompactionCostModel:
 
     def estimate(self, run_lengths, *, fan_in: int, devices: int = 1) -> CostEstimate:
         """Full-compaction cost at one (fan-in, device-count) point."""
-        from repro.cluster.device import make_devices
-        from repro.cluster.scheduler import Scheduler
+        from repro.cluster.scheduler import lpt
 
         if devices < 1:
             raise ModelError(f"compaction needs >= 1 device, got {devices}")
-        scheduler = Scheduler(make_devices(devices, host=self.host))
         cpu_ms = io_ms = makespan_ms = 0.0
         for groups in self.passes(run_lengths, fan_in):
             estimates = [self.group_estimate(group) for group in groups]
-            weights = [e.cost_ms for e in estimates]
-            loads = {d: 0.0 for d in range(devices)}
-            for weight, device in zip(weights, scheduler.assign_lpt(weights)):
-                loads[device] += weight
+            _assignment, loads = lpt([e.cost_ms for e in estimates], range(devices))
             makespan_ms += max(loads.values())
             cpu_ms += sum(e.modeled_cpu_ms for e in estimates)
             io_ms += sum(e.modeled_io_ms for e in estimates)

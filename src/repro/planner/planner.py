@@ -18,7 +18,7 @@ one :class:`~repro.engines.base.SortRequest` into a :class:`SortPlan`:
 
 :meth:`Planner.plan_batch` extends the pick to a whole batch: per-request
 plans supply the task weights, LPT placement
-(:meth:`~repro.cluster.scheduler.Scheduler.assign_lpt`) balances them
+(:func:`~repro.cluster.scheduler.lpt`) balances them
 across device counts, and the smallest cluster within
 :data:`BATCH_TOLERANCE` of the best predicted makespan wins -- more
 devices are never free in a real deployment, so the planner does not burn
@@ -283,8 +283,7 @@ class Planner:
         smallest cluster within :data:`BATCH_TOLERANCE` of the best
         makespan wins.
         """
-        from repro.cluster.device import make_devices
-        from repro.cluster.scheduler import Scheduler
+        from repro.cluster.scheduler import lpt
 
         if not requests:
             raise EngineError("cannot plan an empty batch")
@@ -294,19 +293,8 @@ class Planner:
 
         candidates: list[tuple[int, list[int], float]] = []
         for devices in range(1, max(limit, 1) + 1):
-            scheduler = Scheduler(
-                make_devices(
-                    devices, gpu=requests[0].gpu, host=requests[0].host
-                ),
-                overlap=True,
-            )
-            assignment = scheduler.assign_lpt(weights)
-            loads: dict[int, float] = {}
-            for index, device in enumerate(assignment):
-                loads[device] = loads.get(device, 0.0) + weights[index]
-            candidates.append(
-                (devices, assignment, max(loads.values(), default=0.0))
-            )
+            assignment, loads = lpt(weights, range(devices))
+            candidates.append((devices, assignment, max(loads.values())))
         best_makespan = min(makespan for _d, _a, makespan in candidates)
         # Smallest cluster within tolerance of the best: candidates are in
         # increasing device order, so the first qualifying one wins.

@@ -193,8 +193,14 @@ async def start_server(
     deterministically.  ``store`` (a :class:`repro.store.SortedStore`)
     enables the ``{"op": "store"}`` protocol lines.  The caller owns the
     server, service, and store lifecycles.
+
+    ``server.wait_closed()`` also waits for every open connection's
+    handler to answer its lines and close, as Python 3.12.1+ does for all
+    servers: on 3.11 a handler still running when the loop ends is
+    cancelled mid-close and logs a ``CancelledError`` traceback.
     """
     served = 0
+    handlers: set[asyncio.Task] = set()
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         write_lock = asyncio.Lock()
@@ -208,8 +214,13 @@ async def start_server(
             else:
                 response = await _serve_line(service, line, store)
             async with write_lock:
+                if writer.is_closing():
+                    return  # the client went away: nothing to deliver
                 writer.write((json.dumps(response) + "\n").encode())
-                await writer.drain()
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    return
             served += 1
             if limit is not None and served >= limit and done is not None:
                 done.set()
@@ -225,6 +236,8 @@ async def start_server(
                 except asyncio.LimitOverrunError as err:
                     await _skip_line(reader, err.consumed)
                     line = None  # answered with the "line too long" error
+                except ConnectionError:
+                    break  # reset by the client: answer nothing more
                 if line is None or line.strip():
                     # Serve concurrently so one connection's pipelined
                     # lines can coalesce into a single batch.
@@ -240,7 +253,21 @@ async def start_server(
             except (ConnectionError, OSError):  # client went away first
                 pass
 
-    return await asyncio.start_server(handle, host, port, limit=MAX_LINE_BYTES)
+    def accept(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.create_task(handle(reader, writer))
+        handlers.add(task)
+        task.add_done_callback(handlers.discard)
+
+    server = await asyncio.start_server(accept, host, port, limit=MAX_LINE_BYTES)
+    listener_closed = server.wait_closed
+
+    async def wait_closed() -> None:
+        await listener_closed()
+        while handlers:
+            await asyncio.gather(*handlers, return_exceptions=True)
+
+    server.wait_closed = wait_closed
+    return server
 
 
 async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:

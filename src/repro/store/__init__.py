@@ -34,8 +34,9 @@ from repro.planner.models import (
 )
 from repro.store.compaction import CompactionReport, run_compaction
 from repro.store.manifest import MANIFEST_NAME, RunMeta, StoreManifest
-from repro.store.runs import PAIR_BYTES, read_run, read_run_slice, write_run
+from repro.store.runs import read_run, read_run_slice, write_run
 from repro.store.store import SortedStore, StoreConfig, StoreStats
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = [
     "MANIFEST_NAME",

@@ -29,12 +29,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.cluster.device import make_devices
-from repro.cluster.scheduler import Scheduler
+from repro.cluster.scheduler import lpt
 from repro.cluster.sharded import merge_sorted_runs
 from repro.planner.models import CompactionCostModel
 from repro.store.manifest import RunMeta
-from repro.store.runs import PAIR_BYTES, write_run
+from repro.store.runs import write_run
+from repro.stream.gpu_model import cpu_sort_time_ms
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = ["CompactionReport", "run_compaction"]
 
@@ -83,9 +84,6 @@ def run_compaction(store, *, fan_in: int, devices: int, predicted_ms: float):
     model = CompactionCostModel(
         host=store.config.host, memory_pairs=store.config.memory_pairs
     )
-    scheduler = Scheduler(
-        make_devices(devices, gpu=store.config.gpu, host=store.config.host)
-    )
     runs_before = len(store.manifest.runs)
     passes = merged_pairs = comparisons = 0
     cpu_ms = io_ms = makespan_ms = 0.0
@@ -102,7 +100,7 @@ def run_compaction(store, *, fan_in: int, devices: int, predicted_ms: float):
             model.group_estimate([meta.n for meta in group]).cost_ms
             for group in groups
         ]
-        assignment = scheduler.assign_lpt(weights)
+        assignment, _loads = lpt(weights, range(devices))
         loads = {d: 0.0 for d in range(devices)}
         consumed: list[RunMeta] = []
         produced: list[tuple[RunMeta, object]] = []
@@ -125,11 +123,9 @@ def run_compaction(store, *, fan_in: int, devices: int, predicted_ms: float):
             # Modeled accounting: the streamed buffered merge the cost
             # model assumes, with the tree's actual comparison count.
             estimate = model.group_estimate(lengths)
-            measured = (
-                comps * store.config.host.cpu_op_ns * 1e-6 + estimate.modeled_io_ms
-            )
-            loads[device] += measured
-            cpu_ms += comps * store.config.host.cpu_op_ns * 1e-6
+            merge_ms = cpu_sort_time_ms(comps, store.config.host)
+            loads[device] += merge_ms + estimate.modeled_io_ms
+            cpu_ms += merge_ms
             io_ms += estimate.modeled_io_ms
             store.disk.reads += len(group)
             store.disk.writes += 1

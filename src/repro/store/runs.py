@@ -24,18 +24,14 @@ import numpy as np
 from repro.errors import StoreError
 from repro.hybrid.disk import DiskStats
 from repro.store.manifest import TMP_SUFFIX
-from repro.stream.stream import VALUE_DTYPE
+from repro.stream.stream import PAIR_BYTES, VALUE_DTYPE
 
 __all__ = [
-    "PAIR_BYTES",
     "write_run",
     "read_run",
     "read_run_slice",
     "bisect_run",
 ]
-
-#: Bytes of one value/pointer pair on disk.
-PAIR_BYTES = VALUE_DTYPE.itemsize
 
 
 def write_run(path: Path, values: np.ndarray, stats: DiskStats | None = None) -> None:

@@ -53,19 +53,14 @@ from repro.store.manifest import (
     RunMeta,
     StoreManifest,
 )
-from repro.store.runs import (
-    PAIR_BYTES,
-    bisect_run,
-    read_run,
-    read_run_slice,
-    write_run,
-)
+from repro.store.runs import bisect_run, read_run, read_run_slice, write_run
 from repro.stream.gpu_model import (
     GEFORCE_7800_GTX,
     PCIE_SYSTEM,
     GPUModel,
     HostSystem,
 )
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = ["StoreConfig", "StoreStats", "SortedStore"]
 

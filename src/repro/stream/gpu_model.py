@@ -58,6 +58,7 @@ from repro.errors import ModelError
 from repro.stream.cache import CacheConfig, block_read_efficiency, gather_efficiency
 from repro.stream.context import StreamOpRecord
 from repro.stream.mapping2d import Mapping2D
+from repro.stream.stream import PAIR_BYTES
 
 #: Cycles per kernel instance, by kernel name.  Derived from the arithmetic
 #: in each kernel body (comparisons, swaps, address updates); see the kernel
@@ -221,14 +222,14 @@ def cpu_sort_time_ms(counted_ops: int, host: HostSystem) -> float:
     return counted_ops * host.cpu_op_ns * 1e-6
 
 
-def transfer_round_trip_ms(n_pairs: int, host: HostSystem, pair_bytes: int = 8) -> float:
+def transfer_round_trip_ms(n_pairs: int, host: HostSystem) -> float:
     """CPU->GPU->CPU transfer time for ``n_pairs`` value/pointer pairs.
 
     Section 8: moving 2^20 pairs to the GPU and back takes ~100 ms over AGP
     and ~20 ms over PCI Express; the presets below are calibrated to exactly
     those round-trip figures.
     """
-    total_bytes = 2 * n_pairs * pair_bytes
+    total_bytes = 2 * n_pairs * PAIR_BYTES
     return total_bytes / (host.bus_roundtrip_gb_s * 1e9) * 1e3
 
 

@@ -40,6 +40,10 @@ from repro.errors import SortInputError, SubstreamError
 #: Sort-key/record-pointer pair (paper Listing 1, ``value_t``).
 VALUE_DTYPE = np.dtype([("key", np.float32), ("id", np.uint32)])
 
+#: Bytes of one value/pointer pair: what the bus, the disk and every cost
+#: model move per element (Section 8's 8-byte pairs).
+PAIR_BYTES = VALUE_DTYPE.itemsize
+
 #: Bitonic tree node (paper Listing 1, ``node_t``).  ``left``/``right`` are
 #: indexes into a node stream; -1 marks "unused" (leaves and spare nodes).
 NODE_DTYPE = np.dtype(

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.errors import ModelError
 from repro.stream.gpu_model import AGP_SYSTEM, PCIE_SYSTEM, HostSystem
+from repro.stream.stream import PAIR_BYTES
 
 __all__ = [
     "TransferLink",
@@ -38,9 +39,6 @@ __all__ = [
     "AGP_LINK",
     "PCIE_LINK",
 ]
-
-#: Bytes of one value/pointer pair (float32 key + uint32 id).
-PAIR_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,13 @@ class TransferLink:
         """Modeled milliseconds to move ``nbytes`` GPU -> CPU."""
         return self._one_way_ms(nbytes, self.down_gb_s)
 
-    def round_trip_ms(self, n_pairs: int, pair_bytes: int = PAIR_BYTES) -> float:
+    def round_trip_ms(self, n_pairs: int) -> float:
         """Upload + download of ``n_pairs`` value/pointer pairs.
 
         With the calibrated presets this reproduces the paper's Section-8
         round-trip figures (~100 ms AGP / ~20 ms PCIe for 2^20 pairs).
         """
-        nbytes = n_pairs * pair_bytes
+        nbytes = n_pairs * PAIR_BYTES
         return self.upload_ms(nbytes) + self.download_ms(nbytes)
 
     def _one_way_ms(self, nbytes: int, gb_s: float) -> float:

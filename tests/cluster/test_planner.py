@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ShardPlanner
 from repro.errors import SortInputError
+from repro.stream.stream import PAIR_BYTES
 
 
 class TestShardPlanner:
@@ -44,6 +45,15 @@ class TestShardPlanner:
         plan = ShardPlanner(4).plan(0)
         assert plan.shards == ()
         assert plan.used_devices == 0
+
+    def test_pipeline_tasks_move_each_shards_pairs(self):
+        plan = ShardPlanner(2, slices_per_device=2).plan(1001)
+        tasks = plan.pipeline_tasks([1.0, 2.0, 3.0, 4.0])
+        assert [t.label for t in tasks] == ["shard0", "shard1", "shard2", "shard3"]
+        assert [t.device for t in tasks] == [0, 0, 1, 1]
+        assert [t.sort_ms for t in tasks] == [1.0, 2.0, 3.0, 4.0]
+        for task, length in zip(tasks, plan.lengths()):
+            assert task.upload_bytes == task.download_bytes == length * PAIR_BYTES
 
     def test_invalid_parameters(self):
         with pytest.raises(SortInputError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import PipelineTask, Scheduler, make_devices
+from repro.cluster import PipelineTask, Scheduler, lpt, make_devices
 from repro.errors import ModelError
 from repro.stream.gpu_model import AGP_SYSTEM, PCIE_SYSTEM, HostSystem
 from repro.stream.transfer import AGP_LINK, PCIE_LINK, TransferLink, link_for_host
@@ -145,6 +145,29 @@ class TestScheduler:
         )
         assert schedule.serialized_ms > schedule.transfer_ms
 
-    def test_round_robin_assignment(self):
-        scheduler = Scheduler(make_devices(3))
-        assert scheduler.assign_round_robin(7) == [0, 1, 2, 0, 1, 2, 0]
+
+class TestLpt:
+    def test_loads_sum_in_input_order(self):
+        # In LPT order 1e16 + 1.0 rounds back to 1e16 twice; the input
+        # order adds the two small weights first, which every caller's
+        # modeled makespan depends on.
+        assignment, loads = lpt([1.0, 1.0, 1e16], [0])
+        assert assignment == [0, 0, 0]
+        assert loads == {0: 1e16 + 2}
+        assert 1e16 + 2 != 1e16 + 1.0 + 1.0
+
+    def test_weight_ties_keep_input_order(self):
+        assert lpt([2.0, 2.0, 2.0], range(3)) == (
+            [0, 1, 2], {0: 2.0, 1: 2.0, 2: 2.0}
+        )
+        assert lpt([1.0, 3.0, 1.0, 1.0], range(2)) == (
+            [1, 0, 1, 1], {0: 3.0, 1: 3.0}
+        )
+
+    def test_empty_input(self):
+        assert lpt([], range(2)) == ([], {0: 0.0, 1: 0.0})
+
+    def test_scheduler_delegates_to_lpt(self):
+        weights = [4.0, 7.0, 1.0, 3.0, 3.0]
+        scheduler = Scheduler(make_devices(2))
+        assert scheduler.assign_lpt(weights) == lpt(weights, range(2))[0]

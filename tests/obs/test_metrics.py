@@ -59,15 +59,6 @@ class TestRegistry:
         parsed = parse_exposition(reg.expose())
         assert parsed["repro_pending"].samples[("repro_pending", ())] == 11.0
 
-    def test_attach_chains_registries_into_one_exposition(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("repro_a_total", "A").inc()
-        b.counter("repro_b_total", "B").inc(2)
-        a.attach(b)
-        parsed = parse_exposition(a.expose())
-        assert set(parsed) == {"repro_a_total", "repro_b_total"}
-        assert a.get("repro_b_total") is not None
-
     def test_registry_errors(self):
         reg = MetricsRegistry()
         reg.counter("repro_dup_total", "dup")
@@ -81,10 +72,6 @@ class TestRegistry:
             reg.counter("repro_cb_total", "cb", ("a",), fn=lambda: 0)
         with pytest.raises(ObsError):
             reg.counter("repro_down_total", "down").inc(-1)
-        other = MetricsRegistry()
-        other.counter("repro_dup_total", "collides")
-        with pytest.raises(ObsError):
-            reg.attach(other)
 
     def test_histogram_rejects_bad_buckets(self):
         reg = MetricsRegistry()

@@ -4,7 +4,10 @@ Random mixes of valid sort lines, pings, bad JSON, non-object JSON and
 invalid UTF-8 are pipelined on one connection in random chunks.  Every
 complete line must get exactly one response, sort lines must answer
 sorted keys, and the connection must still answer a ping afterwards.
-One server (on its own event-loop thread) serves every example.
+Clients that vanish with lines in flight, mid-line or with a reset must
+leave the server answering fresh connections, every admitted request
+resolved, and nothing logged by the server's loop.  One server (on its
+own event-loop thread) serves every example.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import struct
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -47,8 +52,14 @@ _lines = st.lists(
 
 @contextmanager
 def _server_thread():
-    """Yield the port of a service + server running on a private loop."""
+    """Yield the port and service of a server running on a private loop.
+
+    Anything the loop's exception handler receives (an unretrieved task
+    error, a failed connection callback) fails the test at shutdown.
+    """
     loop = asyncio.new_event_loop()
+    logged: list[dict] = []
+    loop.set_exception_handler(lambda _loop, context: logged.append(context))
     ready = threading.Event()
     box: dict = {}
 
@@ -56,6 +67,7 @@ def _server_thread():
         async with SortService(devices=1, coalesce_window_ms=1.0) as svc:
             server = await start_server(svc)
             box["port"] = server.sockets[0].getsockname()[1]
+            box["service"] = svc
             box["stop"] = asyncio.Event()
             ready.set()
             await box["stop"].wait()
@@ -66,13 +78,14 @@ def _server_thread():
     thread.start()
     try:
         assert ready.wait(TIMEOUT_S), "server thread did not start"
-        yield box["port"]
+        yield box["port"], box["service"]
     finally:
         if "stop" in box:
             loop.call_soon_threadsafe(box["stop"].set)
         thread.join(TIMEOUT_S)
         assert not thread.is_alive()
         loop.close()
+    assert not logged, logged
 
 
 def _encode(index: int, kind: str, body) -> bytes:
@@ -84,7 +97,7 @@ def _encode(index: int, kind: str, body) -> bytes:
 
 
 def test_pipelined_random_lines_get_one_response_each():
-    with _server_thread() as port:
+    with _server_thread() as (port, _service):
 
         @settings(max_examples=25)
         @given(lines=_lines, data=st.data())
@@ -123,5 +136,43 @@ def test_pipelined_random_lines_get_one_response_each():
                 elif kind == "ping":
                     assert by_id[i] == {"id": i, "ok": True}
             assert all("error" in r for r in responses if r["id"] is None)
+
+        check()
+
+
+def test_abrupt_disconnects_leave_the_server_serving():
+    with _server_thread() as (port, service):
+
+        @settings(max_examples=25)
+        @given(
+            lines=_lines,
+            ending=st.sampled_from(["in_flight", "mid_line", "reset"]),
+        )
+        def check(lines, ending):
+            payload = b"".join(
+                _encode(i, kind, body) + b"\n"
+                for i, (kind, body) in enumerate(lines)
+            )
+            if ending == "mid_line":
+                payload += b'{"id": "torn", "keys": [1.0, 0.5'
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=TIMEOUT_S
+            ) as sock:
+                if ending == "reset":
+                    # Zero linger: close() sends RST instead of FIN.
+                    sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                sock.sendall(payload)
+            # Closed without reading a single response.
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=TIMEOUT_S
+            ) as sock, sock.makefile("rb") as stream:
+                sock.sendall(b'{"op": "ping", "id": "fresh"}\n')
+                assert json.loads(stream.readline()) == {"id": "fresh", "ok": True}
+            deadline = time.monotonic() + TIMEOUT_S
+            while service.pending and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.pending == 0
 
         check()

@@ -235,10 +235,30 @@ def test_cli_serve_limit_smoke(rng):
         assert proc.returncode == 0, err
         assert "service stats" in out
         assert "2 completed" in out
+        # Shutdown drains the connection handlers instead of cancelling
+        # them (which logs a CancelledError traceback on Python 3.11).
+        assert "Traceback" not in err and "CancelledError" not in err, err
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+
+
+def test_socket_example_shuts_down_cleanly():
+    """The service tour closes its server and leaves ``asyncio.run``
+    right after its last round trip: no handler may be left to cancel."""
+    proc = subprocess.run(
+        [sys.executable, "examples/service_tour.py"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={"PYTHONPATH": "src"},
+        timeout=TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "NDJSON socket" in proc.stdout
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "CancelledError" not in proc.stderr, proc.stderr
 
 
 def test_parse_errors():

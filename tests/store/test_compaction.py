@@ -13,6 +13,7 @@ from repro.store import (
     plan_compaction,
 )
 from repro.store.runs import read_run
+from repro.workloads.generators import generate_keys
 
 
 def _fill(store, rng, batches=6, size=512):
@@ -49,6 +50,24 @@ class TestPlanning:
         by_fan = {c.fan_in: c.cost_ms for c in plan.candidates if c.devices == 1}
         assert by_fan[plan.fan_in] < by_fan[2]
         assert by_fan[plan.fan_in] < by_fan[8]
+
+    def test_exact_tie_picks_fewest_devices(self, tmp_path):
+        # Five equal runs at fan-in 3 merge as groups of 3 and 2, then 2:
+        # two or more devices give the same per-pass makespans, summed to
+        # the same float, so the tie must resolve to the smallest cluster.
+        store = SortedStore(tmp_path, engine="cpu-std")
+        for seed in range(1, 6):
+            store.insert(generate_keys("uniform", 3000, seed))
+        plan = store.compaction_plan()
+        tied = {
+            c.devices: c.cost_ms
+            for c in plan.candidates
+            if c.fan_in == 3 and c.devices > 1
+        }
+        assert tied == dict.fromkeys((2, 3, 4), 1294.7465419999999)
+        assert (plan.fan_in, plan.devices) == (3, 2)
+        report = store.compact()
+        assert report.makespan_ms == report.predicted_ms == plan.cost_ms
 
     def test_explain_stars_the_winner(self):
         text = plan_compaction([512] * 4).explain()
