@@ -4,15 +4,21 @@ The scale-out sort the cluster subsystem exists for:
 
 1. :class:`~repro.cluster.planner.ShardPlanner` partitions the input into
    contiguous shards (one or more pipeline slices per device);
-2. every shard is sorted by :func:`repro.exec.stream_tier.sort_on_stream`
-   and its machine is logged on the shard's device (so op logs and
-   counters stay per device);
+2. every shard's stream machine is logged on the shard's device (so op
+   logs and counters stay per device).  With ``trace=True``, or a single
+   non-empty shard, :func:`repro.exec.stream_tier.sort_on_stream` sorts
+   the shard and returns its machine.  Otherwise no shard is sorted:
+   the machine comes from the stream tier's memo
+   (:func:`~repro.exec.stream_tier.counting_machine`), because the merge
+   of step 4 is the sorted runs' only reader and sorts the union anyway;
 3. the :class:`~repro.cluster.scheduler.Scheduler` lays the shards'
    upload/sort/download stages onto the devices' modeled resources,
    overlapping transfers with compute (Section 7 generalised to N devices);
-4. the sorted shard runs are recombined by a k-way merge reusing
-   :class:`repro.hybrid.external.LoserTree` under the same (key, id) total
-   order the devices sorted by.
+4. the shard runs are recombined by :func:`merge_sorted_runs` under the
+   same (key, id) total order the devices sort by: a
+   :class:`repro.hybrid.external.LoserTree` merge of the sorted runs
+   with ``trace=True``, else one SIMD argsort of the union of the raw
+   shards, which plays the same comparison count in closed form.
 
 Because the total order is identical at every step, the output is
 **bit-identical** to a single-device GPU-ABiSort of the whole input, for
@@ -32,12 +38,13 @@ from repro.cluster.planner import ShardPlan, ShardPlanner
 from repro.cluster.scheduler import ClusterSchedule, Scheduler
 from repro.errors import SortInputError
 from repro.exec import ReferenceBackend, VectorizedBackend
-from repro.exec.stream_tier import modeled_cost, sort_on_stream
+from repro.exec.stream_tier import counting_machine, modeled_cost, sort_on_stream
 # Unused here, but the stackbench layer tracer wraps this module attribute.
 from repro.exec.stream_tier import counting_sort_run  # noqa: F401
 from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, cpu_sort_time_ms
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
+from repro.workloads.records import pad_to_power_of_two
 
 __all__ = ["ShardedSorter", "ShardedSortResult", "merge_sorted_runs"]
 
@@ -52,7 +59,10 @@ def merge_sorted_runs(
     stage).  Empty runs are skipped; a single run returns a copy with
     zero comparisons.  ``trace=True`` plays every match on the reference
     backend, the default merges with numpy (see :mod:`repro.exec`) -- the
-    merged bytes and the comparison count are identical either way.
+    merged bytes and the comparison count are identical either way.  The
+    numpy merge is one argsort of the union, so under the (key, id)
+    contract it also sorts two or more *unsorted* runs (see
+    :meth:`~repro.exec.vectorized.VectorizedBackend.merge_runs`).
     """
     backend = ReferenceBackend if trace else VectorizedBackend
     return backend().merge_runs(runs)
@@ -149,6 +159,10 @@ class ShardedSorter:
                 shard_sort_ms=[0.0] * len(plan.shards),
             )
 
+        # The vectorized merge is one argsort of the union, so with two or
+        # more shards (the planner makes none empty) it is the only sort a
+        # shard needs: each shard's machine comes from the memo, unsorted.
+        unsorted = not self.trace and len(plan.shards) > 1
         runs: list[np.ndarray] = []
         shard_sort_ms: list[float] = []
         for shard in plan.shards:
@@ -156,14 +170,17 @@ class ShardedSorter:
             sort_ms = 0.0
             if chunk.shape[0] >= 2:
                 device = self.devices[shard.device]
-                sorted_chunk, machine = sort_on_stream(
-                    self.config, chunk, trace=self.trace
-                )
+                machine = None
+                if unsorted:
+                    padded = pad_to_power_of_two(chunk)[0]
+                    machine = counting_machine(self.config, padded)
+                if machine is None:
+                    chunk, machine = sort_on_stream(
+                        self.config, chunk, trace=self.trace
+                    )
                 device.machines.append(machine)
                 sort_ms = modeled_cost(machine, device.gpu, self.mapping).total_ms
-            else:
-                sorted_chunk = chunk.copy()
-            runs.append(sorted_chunk)
+            runs.append(chunk)
             shard_sort_ms.append(sort_ms)
 
         if len(runs) > 1:

@@ -18,7 +18,9 @@ fast-analytical / cycle-accurate split:
 
 ``vectorized``
     Whole-array numpy execution of the same algorithms: k runs merge as
-    one stable argsort of their concatenated composite keys, and whole
+    one argsort (numpy's default kind, x86-simd-sort on AVX-512 CPUs) of
+    their concatenated composite keys, which need not be sorted runs at
+    all (the sharded sorter passes its raw shards), and whole
     stream-kernel passes -- the ABiSort bitonic-tree levels, network
     columns, and layout remaps -- execute as batched array ops through
     the *stream tier* (:mod:`repro.exec.stream_tier`): one composite

@@ -47,7 +47,10 @@ shards, external run formation, the key generator and the timing tables
 -- sorts through :func:`sort_on_stream`, which pads to a power of two
 under the one padding rule of
 :func:`~repro.workloads.records.pad_to_power_of_two`, serves the sort
-from the memo or the reference interpreter, and strips the padding.
+from the memo or the reference interpreter, and strips the padding.  The
+one caller that needs a machine but no sorted output -- the sharded
+sorter, whose merge sorts the union of its raw shards -- pads and calls
+the memo lookup :func:`counting_machine` alone.
 
 **Fallback conditions** (wholesale, to the reference interpreter -- the
 tier contract is bit-identity, so anything not provably coverable runs the
@@ -90,6 +93,7 @@ __all__ = [
     "StreamTierUnsupported",
     "CountingStreamMachine",
     "sorted_output",
+    "counting_machine",
     "counting_sort_run",
     "counting_network_run",
     "sort_on_stream",
@@ -247,17 +251,22 @@ class _CountingRun:
 _RUNS: dict[tuple, _CountingRun] = {}
 
 
-def _counting_run(key, values, drive):
-    """Serve ``values`` from the memo entry ``key``, driving it on a miss.
+def counting_machine(program, values: np.ndarray) -> CountingStreamMachine | None:
+    """The machine sorting ``values`` with ``program`` logs, without sorting.
 
-    ``drive()`` runs the program on a counting machine.  Threads racing on
-    a miss drive equal runs; the first wins.
+    ``values`` has a power-of-two length (pad it first).  The machine is
+    served from the memo entry ``(program, len(values))``, driven on a
+    miss; only a miss reads ``values``.  Returns ``None`` when the memo
+    declines (``validate_levels``, or an unprofiled kernel).  Threads
+    racing on a miss drive equal runs; the first wins.
     """
-    out = sorted_output(values)
+    if isinstance(program, ABiSortConfig) and program.validate_levels:
+        return None  # the validator reads stream contents mid-sort
+    key = (program, values.shape[0])
     run = _RUNS.get(key)
     if run is None:
         try:
-            driven = drive()
+            driven = _run_program(program, values, _counting_machine)[1]
         except StreamTierUnsupported:
             return None
         run = _RUNS.setdefault(
@@ -273,7 +282,14 @@ def _counting_run(key, values, drive):
     machine.ops.extend(run.ops)
     machine.peak_alloc_bytes = run.peak_alloc_bytes
     machine.run = run
-    return out, machine
+    return machine
+
+
+def _counting_run(program, values: np.ndarray):
+    """:func:`sorted_output` plus :func:`counting_machine`, or ``None``."""
+    out = sorted_output(values)
+    machine = counting_machine(program, values)
+    return None if machine is None else (out, machine)
 
 
 def _counting_machine(distinct_io: bool) -> CountingStreamMachine:
@@ -310,13 +326,7 @@ def counting_sort_run(
     kernel).  ``values`` meets the input contract (see
     :func:`sorted_output`).
     """
-    if config.validate_levels:
-        return None  # the validator reads stream contents mid-sort
-    return _counting_run(
-        (config, values.shape[0]),
-        values,
-        lambda: _run_program(config, values, _counting_machine)[1],
-    )
+    return _counting_run(config, values)
 
 
 def counting_network_run(
@@ -328,11 +338,7 @@ def counting_network_run(
     point such as :func:`repro.baselines.bitonic_network.gpusort_stream`.
     Same contract as :func:`counting_sort_run`.
     """
-    return _counting_run(
-        (stream_sorter, values.shape[0]),
-        values,
-        lambda: _run_program(stream_sorter, values, _counting_machine)[1],
-    )
+    return _counting_run(stream_sorter, values)
 
 
 def sort_on_stream(

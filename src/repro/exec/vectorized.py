@@ -2,12 +2,15 @@
 
 The trick that makes a bit-identical fast path possible is the paper's
 own distinctness device: with unique (key, id) pairs the total order is
-*strict*, so the sorted union of sorted runs is unique -- any correct
-merge algorithm must produce the byte-for-byte reference output.  The
+*strict*, so the sorted union of any runs is unique -- any correct sort
+or merge must produce the byte-for-byte reference output.  The
 implementation therefore reduces the (key, id) order to one ``uint64``
-composite per record and merges k runs with one stable argsort over
-their concatenated composites (:func:`strict_order`; timsort finds the
-runs), with no per-element Python.
+composite per record and sorts the concatenated composites with one
+argsort of numpy's default kind (:func:`strict_order`; x86-simd-sort
+where the CPU supports it, e.g. AVX-512), with no per-element Python.  The
+composites are unique, so stability would change nothing; and since the
+argsort never looks for runs, the runs it merges need not be sorted --
+the sharded sorter hands it raw shards.
 
 Composite construction (:func:`composite_keys`) uses the classic
 order-preserving float trick: reinterpret the float32 key as its IEEE
@@ -15,9 +18,9 @@ bit pattern, flip all bits of negatives and the sign bit of
 non-negatives, and the unsigned integer order equals the float order --
 including denormals and the infinities.  ``-0.0`` and ``+0.0`` compare
 *equal* under Python/NumPy float comparison (the reference tree then
-tie-breaks by id), but their bit patterns differ; keys equal to zero are
-canonicalized to ``+0.0`` before the bit transform so the composite
-agrees with the reference tie-break.
+tie-breaks by id), but their bit patterns differ; adding ``+0.0`` to
+every key maps ``-0.0`` to ``+0.0`` before the bit transform, so the
+composite agrees with the reference tie-break.
 
 Inputs meet the (key, id) contract -- no NaN key, unique ids -- because
 :meth:`~repro.engines.base.SortRequest.to_values` checks it once per
@@ -51,28 +54,29 @@ def composite_keys(values: np.ndarray) -> np.ndarray:
     under the reference comparison (floats compared numerically with
     ``-0.0 == +0.0``, ids breaking ties).
     """
-    keys = np.ascontiguousarray(values["key"])
-    # -0.0 == +0.0 in the reference order; collapse the two bit patterns
-    # so the id tie-break decides, exactly as the loser tree does.
-    keys = np.where(keys == np.float32(0.0), np.float32(0.0), keys)
-    bits = keys.view(np.uint32)
-    negative = (bits & _SIGN) != 0
-    bits = np.where(negative, ~bits, bits | _SIGN)
-    composite = bits.astype(np.uint64) << np.uint64(32)
-    composite |= values["id"].astype(np.uint64)
+    # -0.0 + 0.0 == +0.0: collapse the two zeros so the id tie-break
+    # decides, exactly as the loser tree does.  The sum is a fresh array.
+    bits = (values["key"] + np.float32(0.0)).view(np.uint32)
+    # Negatives (arithmetic shift fills with ones) flip every bit,
+    # non-negatives only the sign bit.
+    bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | _SIGN
+    composite = bits.astype(np.uint64)
+    composite <<= np.uint64(32)
+    composite |= values["id"]
     return composite
 
 
 def strict_order(values: np.ndarray) -> np.ndarray | None:
     """The permutation that sorts ``values`` by (key, id), or ``None``.
 
-    One stable argsort of the composites, then an adjacent-equality check:
+    One argsort of the composites, then an adjacent-equality check:
     ``None`` when two records share a composite, i.e. the order is not
-    strict and the reference output is not forced.  On a concatenation
-    of sorted runs this is the k-way merge order.
+    strict and the reference output is not forced.  ``values`` need not
+    be presorted in any way; on a concatenation of sorted runs this is
+    the k-way merge order.
     """
     composite = composite_keys(values)
-    order = np.argsort(composite, kind="stable")
+    order = np.argsort(composite)
     ranked = composite[order]
     if (ranked[1:] == ranked[:-1]).any():
         return None
@@ -94,7 +98,13 @@ class VectorizedBackend(ExecutionBackend):
     name = "vectorized"
 
     def merge_runs(self, runs: list[np.ndarray]) -> tuple[np.ndarray, int]:
-        """Vectorized k-way merge (see :class:`ExecutionBackend`)."""
+        """Vectorized k-way merge (see :class:`ExecutionBackend`).
+
+        One argsort of the union, so with unique composites the runs need
+        not be sorted: two or more live runs come back as their sorted
+        union, while a single live run comes back as a copy, as given.
+        Only the shared-composite fallback relies on sorted runs.
+        """
         # Late import: repro.analysis pulls in cluster reporting, which
         # imports the cluster layer, which imports this package.
         from repro.analysis.complexity import loser_tree_merge_comparisons

@@ -147,6 +147,25 @@ class StoreStats:
         return payload
 
 
+def _float32_window(lo: float, hi: float) -> tuple[np.float32, np.float32]:
+    """The tightest float32 bounds holding every float32 key in ``[lo, hi]``.
+
+    A float32 key ``k`` has ``lo <= k <= hi`` (compared in float64, as
+    :func:`~repro.store.runs.bisect_run` compares) iff ``lo32 <= k <=
+    hi32``.  Searching a float32 key column with float32 needles keeps
+    :func:`numpy.searchsorted` from promoting the whole column to float64
+    on every query.
+    """
+    with np.errstate(over="ignore"):  # beyond float32 range rounds to inf
+        lo32, hi32 = np.float32(lo), np.float32(hi)
+    # Compare as Python floats: numpy would cast ``lo`` down to float32.
+    if float(lo32) < lo:
+        lo32 = np.nextafter(lo32, np.float32(np.inf))
+    if float(hi32) > hi:
+        hi32 = np.nextafter(hi32, np.float32(-np.inf))
+    return lo32, hi32
+
+
 class SortedStore:
     """A persistent LSM-style store of sorted (key, id) pairs.
 
@@ -298,6 +317,7 @@ class SortedStore:
         lo, hi = float(lo), float(hi)
         if np.isnan(lo) or np.isnan(hi) or lo > hi:
             raise SortInputError(f"bad range [{lo}, {hi}]")
+        lo32, hi32 = _float32_window(lo, hi)
         with self._lock:
             read0 = self.disk.bytes_read
             slices = []
@@ -308,8 +328,8 @@ class SortedStore:
                 if cached is not None:
                     self._cache.move_to_end(meta.name)
                     self._stats.cache_hits += 1
-                    start = int(np.searchsorted(cached["key"], lo, side="left"))
-                    stop = int(np.searchsorted(cached["key"], hi, side="right"))
+                    start = int(np.searchsorted(cached["key"], lo32, side="left"))
+                    stop = int(np.searchsorted(cached["key"], hi32, side="right"))
                     if stop > start:
                         slices.append(cached[start:stop])
                     continue

@@ -116,6 +116,38 @@ class TestQueryEdges:
         assert point.shape[0] == 1 and point["key"][0] == np.float32(0.5)
         assert store.top_k(100).shape[0] == 3
 
+    def test_bounds_between_float32_keys_match_disk_bisect_and_mask(
+        self, tmp_path, rng
+    ):
+        # Float64 bounds one float64 ulp inside a stored key: rounding them
+        # to float32 lands *on* that key, so a cached search with rounded
+        # needles would wrongly include it.
+        keys = rng.standard_normal(4096).astype(np.float32)
+        keys[:4] = [0.0, -0.0, np.inf, -np.inf]
+        cached = SortedStore(tmp_path / "cached", engine="cpu-std")
+        disk = SortedStore(tmp_path / "disk", engine="cpu-std", cache_pairs=0)
+        for store in (cached, disk):
+            for part in np.array_split(keys, 3):
+                store.insert(part)
+        ref = _reference([keys])
+        wide = ref["key"].astype(np.float64)
+        distinct = np.unique(wide[np.isfinite(wide)])
+        for lo_key, hi_key in rng.choice(distinct, (40, 2)):
+            lo_key, hi_key = sorted((lo_key, hi_key))
+            lo = np.nextafter(lo_key, np.inf)
+            hi = np.nextafter(hi_key, -np.inf)
+            if lo > hi:
+                continue
+            want = ref[(wide >= lo) & (wide <= hi)]
+            assert np.array_equal(cached.range(lo, hi), want)
+            assert np.array_equal(disk.range(lo, hi), want)
+        assert cached.stats.cache_misses == 0
+        assert disk.stats.cache_hits == 0
+        for lo, hi in ((1e39, np.inf), (-np.inf, -1e39), (-1e-46, 1e-46)):
+            want = ref[(wide >= lo) & (wide <= hi)]
+            assert np.array_equal(cached.range(lo, hi), want)
+            assert np.array_equal(disk.range(lo, hi), want)
+
     def test_insert_validation(self, tmp_path):
         store = SortedStore(tmp_path)
         assert store.insert(np.empty(0, dtype=np.float32)) is None
