@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitonic_tree import build_inorder_links, inorder_of_complete_tree
+from repro.core.bitonic_tree import inorder_of_complete_tree
 from repro.stream.kernel import KernelContext
 from repro.stream.stream import NODE_DTYPE, VALUE_DTYPE, values_greater
 
@@ -287,8 +287,3 @@ def init_tree_links_body(ctx: KernelContext) -> None:
     nodes["left"] = slot - half
     nodes["right"] = slot + half
     ctx.push("nodes", nodes)
-
-
-def build_inorder_links_for_block(base: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Re-export of :func:`repro.core.bitonic_tree.build_inorder_links`."""
-    return build_inorder_links(base, size)

@@ -178,39 +178,21 @@ def sort_batch(
             devices = default_planner().plan_batch(requests).devices
         else:
             devices = None
-    if devices is not None and devices > 1 and requests:
-        return _sort_batch_cluster(requests, engine, devices)
     eng = get(engine)
     results = [eng.sort(r) for r in requests]
-    return BatchResult(results=results, telemetry=aggregate_telemetry(results))
-
-
-def _sort_batch_cluster(
-    requests: list[SortRequest], engine: str | None, devices: int
-) -> BatchResult:
-    """The ``sort_batch`` fast path: requests scheduled across devices.
-
-    The device models (GPU + host/link) come from the first request -- a
-    cluster is physical hardware, not a per-request property.  All
-    requests run through one shared engine instance (the same warm-cache
-    reuse as the sequential path); the modeled schedule then places each
-    request's upload/sort/download on its LPT-assigned device.
-    """
+    total = aggregate_telemetry(results)
+    if devices is None or devices <= 1 or not requests:
+        return BatchResult(results=results, telemetry=total)
     from repro.cluster.device import make_devices
     from repro.cluster.scheduler import Scheduler
 
-    cluster = make_devices(
-        devices, gpu=requests[0].gpu, host=requests[0].host
-    )
+    # The device models (GPU + host/link) come from the first request: a
+    # cluster is physical hardware, not a per-request property.
+    cluster = make_devices(devices, gpu=requests[0].gpu, host=requests[0].host)
     link = cluster[0].link
-    eng = get(engine)
-    results = [eng.sort(r) for r in requests]
-
     scheduler = Scheduler(cluster, overlap=True)
     _specs, weights = result_stage_specs(results, link)
     assignment = scheduler.assign_lpt(weights)
     schedule = scheduler.run(pipeline_tasks_for_results(results, assignment, link))
-
-    total = aggregate_telemetry(results)
     fill_schedule_telemetry(total, schedule, devices=len(cluster))
     return BatchResult(results=results, telemetry=total, schedule=schedule)

@@ -8,9 +8,10 @@ special cases.  Serving a request is the two-phase pipeline:
 1. **plan**: :meth:`repro.planner.Planner.plan` scores every
    capability-feasible backend's cost model and picks the cheapest
    (engine, devices) pair -- cached per request shape;
-2. **execute**: the chosen backend serves the request through the exact
-   same path an explicit ``engine="<name>"`` call takes, so the output is
-   bit-identical to naming the engine yourself.
+2. **execute**: :func:`execute` -- the one place a routed request becomes
+   an engine call, for ``auto``, the service and the fleet alike -- runs
+   the plan on the exact path an explicit ``engine="<name>"`` call takes,
+   so the output is bit-identical to naming the engine yourself.
 
 The returned :class:`~repro.engines.base.SortResult` reports the backend
 that actually ran as ``engine`` and carries the winning
@@ -20,6 +21,7 @@ that actually ran as ``engine`` and carries the winning
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.engines.base import (
     EngineCapabilities,
@@ -27,8 +29,35 @@ from repro.engines.base import (
     SortRequest,
     SortResult,
 )
+from repro.engines.registry import get
 
-__all__ = ["AutoEngine"]
+if TYPE_CHECKING:
+    from repro.planner import SortPlan
+
+__all__ = ["AutoEngine", "execute"]
+
+
+def execute(
+    engines: dict[str, SortEngine],
+    name: str,
+    request: SortRequest,
+    plan: "SortPlan | None" = None,
+) -> SortResult:
+    """Serve ``request`` on engine ``name``, running ``plan`` when given.
+
+    ``engines`` is the caller's warm-instance cache (each name is built
+    once, so layout caches stay warm).  A plan's device count overrides
+    the request's, on a copy, and the plan rides back as ``result.plan``.
+    """
+    engine = engines.get(name)
+    if engine is None:
+        engine = engines[name] = get(name)
+    if plan is not None and plan.devices not in (None, request.devices):
+        request = dataclasses.replace(request, devices=plan.devices)
+    result = engine.sort(request)
+    if plan is not None:
+        result.plan = plan
+    return result
 
 
 class AutoEngine(SortEngine):
@@ -54,18 +83,10 @@ class AutoEngine(SortEngine):
         self._engines: dict[str, SortEngine] = {}
 
     def sort(self, request: SortRequest) -> SortResult:
-        from repro.engines.registry import get
         from repro.planner.planner import default_planner
 
         plan = default_planner().plan(request)
-        if plan.devices is not None and request.devices != plan.devices:
-            request = dataclasses.replace(request, devices=plan.devices)
-        engine = self._engines.get(plan.engine)
-        if engine is None:
-            engine = self._engines[plan.engine] = get(plan.engine)
-        result = engine.sort(request)
-        result.plan = plan
-        return result
+        return execute(self._engines, plan.engine, request, plan)
 
     def _run(self, values, request):  # pragma: no cover - sort() overrides
         raise NotImplementedError("AutoEngine dispatches in sort()")

@@ -24,11 +24,11 @@ answers:
 * **work safety** -- shrinking the pool (autoscaler) never cancels a
   running job; the pool drains to the target instead.
 
-``execute=True`` additionally runs every completed request through the
-real engine stack (``repro.sort`` of its seeded workload) and keeps the
-sorted arrays, so tests can assert fleet outputs are bit-identical to
-direct sorts; the default leaves execution modeled (costs only), which
-is what benchmarks want.
+``execute=True`` additionally sorts every completed request's seeded
+workload: the job runs the plan it was priced with
+(:func:`repro.engines.auto.execute`), and the sorted arrays are kept so
+tests can assert them bit-identical to direct sorts; the default leaves
+execution modeled (costs only), which is what benchmarks want.
 """
 
 from __future__ import annotations
@@ -38,18 +38,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engines.base import SortRequest, SortTelemetry
+from repro.engines.auto import execute
+from repro.engines.base import SortEngine, SortRequest, SortTelemetry
 from repro.errors import SortInputError
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.policy import SchedulingPolicy, make_policy
 from repro.fleet.stats import FleetReport, TenantStats, jain_index
-from repro.planner import default_planner
+from repro.planner import SortPlan, default_planner
 from repro.workloads.generators import generate_keys
 from repro.workloads.traces import Tenant, Trace, TraceRequest
 
 __all__ = ["Job", "FleetScheduler"]
 
-#: Service time charged for degenerate (n <= 1) requests, so completions
+#: Service time charged for zero-cost (n <= 1) requests, so completions
 #: still strictly follow their starts in the event order.
 _EPS_MS = 1e-6
 
@@ -61,7 +62,8 @@ class Job:
     index: int
     request: TraceRequest
     tenant: Tenant
-    duration_ms: float
+    #: The single-device plan that prices the job and, executed, runs it.
+    plan: SortPlan
     #: ``queued`` | ``running`` | ``completed`` | ``evicted``.
     state: str = "queued"
     #: Virtual time the current/last execution began (None before any).
@@ -83,6 +85,11 @@ class Job:
     spans: list[tuple[float, float, str]] = field(default_factory=list)
 
     @property
+    def duration_ms(self) -> float:
+        """Modeled service time: the plan's cost, at least :data:`_EPS_MS`."""
+        return max(self.plan.cost_ms, _EPS_MS)
+
+    @property
     def wait_ms(self) -> float:
         """Arrival to the start of the execution that completed."""
         if self.started_ms is None:
@@ -90,26 +97,12 @@ class Job:
         return self.started_ms - self.request.arrival_ms
 
 
-def _duration_ms(n: int) -> float:
-    """Modeled service time for a size-``n`` sort on one device.
-
-    The fleet models each pool slot as one paper device, so a request's
-    service time is the cheapest single-device plan for its size.  Cost
-    depends only on the request *shape*, so a zeros array of the right
-    length probes it without generating workload keys, and the shared
-    planner's plan cache prices each size once per process.
-    """
-    if n <= 1:
-        return _EPS_MS
-    probe = SortRequest(keys=np.zeros(n, dtype=np.float32))
-    return max(default_planner(1).plan(probe).cost_ms, _EPS_MS)
-
-
 class FleetScheduler:
     """Replay one trace under one policy on a modeled device pool.
 
-    Each job's service time is priced once, at construction, by the
-    process-wide ``default_planner(1)``: replays share its plan cache,
+    Each job is planned once, at construction, by the process-wide
+    ``default_planner(1)``: that plan is both its service time and, with
+    ``execute=True``, what runs.  Replays share the planner's plan cache,
     and a scheduler built after a registry change sees the new engines.
 
     Parameters
@@ -130,8 +123,8 @@ class FleetScheduler:
         Displacement budget per job; at the cap a job can no longer be
         chosen as a victim (the progress guarantee).
     execute:
-        Run completed requests through the real engine stack and keep
-        their sorted arrays in :attr:`results`.
+        Run each completed request's plan on its seeded workload and keep
+        the sorted arrays in :attr:`results`.
     observer:
         Optional :class:`~repro.fleet.observe.FleetObserver` (or any
         object with its hook methods).  The scheduler calls it on every
@@ -171,15 +164,20 @@ class FleetScheduler:
         self.pool_size = (
             autoscaler.clamp(devices) if autoscaler else devices
         )
+        planner = default_planner(1)
         self.jobs: list[Job] = [
             Job(
                 index=index,
                 request=request,
                 tenant=trace.tenant(request.tenant),
-                duration_ms=_duration_ms(request.n),
+                # Plans depend only on the shape: no workload keys needed.
+                plan=planner.plan(
+                    SortRequest(keys=np.zeros(request.n, dtype=np.float32))
+                ),
             )
             for index, request in enumerate(trace.requests)
         ]
+        self._engines: dict[str, SortEngine] = {}
         #: Sorted output per completed job index (``execute=True`` only).
         self.results: dict[int, np.ndarray] = {}
         self._queue: list[Job] = []
@@ -308,10 +306,10 @@ class FleetScheduler:
             self._execute(job)
 
     def _execute(self, job: Job) -> None:
-        from repro.engines import sort
-
         keys = generate_keys("uniform", job.request.n, seed=job.request.seed)
-        result = sort(SortRequest(keys=keys))
+        result = execute(
+            self._engines, job.plan.engine, SortRequest(keys=keys), job.plan
+        )
         self.results[job.index] = result.values
         if self._telemetry is None:
             self._telemetry = result.telemetry

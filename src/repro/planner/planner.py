@@ -17,12 +17,11 @@ one :class:`~repro.engines.base.SortRequest` into a :class:`SortPlan`:
    the engine registry's population changes.
 
 :meth:`Planner.plan_batch` extends the pick to a whole batch: per-request
-plans supply the task weights, LPT placement
-(:func:`~repro.cluster.scheduler.lpt`) balances them
-across device counts, and the smallest cluster within
-:data:`BATCH_TOLERANCE` of the best predicted makespan wins -- more
-devices are never free in a real deployment, so the planner does not burn
-them for thin gains.
+plans supply the task weights, :meth:`Planner.place` LPT-places them
+(:func:`~repro.cluster.scheduler.lpt`) across device counts, and the
+smallest cluster within :data:`BATCH_TOLERANCE` of the best predicted
+makespan wins -- more devices are never free in a real deployment, so
+the planner does not burn them for thin gains.
 """
 
 from __future__ import annotations
@@ -274,10 +273,19 @@ class Planner:
     def plan_batch(
         self, requests: list[SortRequest], *, max_devices: int | None = None
     ) -> BatchPlan:
-        """Cluster size + LPT assignment for a batch of requests.
+        """Cluster size + LPT assignment for a batch of requests: each
+        request is planned individually, then the plans go to
+        :meth:`place`."""
+        return self.place(
+            [self.plan(r) for r in requests], max_devices=max_devices
+        )
 
-        Each request is planned individually (those plans decide its task
-        weight: its predicted serialized cost); then, for every cluster
+    def place(
+        self, plans: list[SortPlan], *, max_devices: int | None = None
+    ) -> BatchPlan:
+        """Cluster size + LPT assignment for already-planned requests.
+
+        Each plan's predicted cost is its task weight; for every cluster
         size up to ``max_devices``, the weights are LPT-placed and the
         batch makespan approximated by the heaviest device load.  The
         smallest cluster within :data:`BATCH_TOLERANCE` of the best
@@ -285,10 +293,9 @@ class Planner:
         """
         from repro.cluster.scheduler import lpt
 
-        if not requests:
+        if not plans:
             raise EngineError("cannot plan an empty batch")
-        limit = min(max_devices or self.max_devices, len(requests))
-        plans = tuple(self.plan(r) for r in requests)
+        limit = min(max_devices or self.max_devices, len(plans))
         weights = [p.cost_ms for p in plans]
 
         candidates: list[tuple[int, list[int], float]] = []
@@ -306,7 +313,7 @@ class Planner:
         return BatchPlan(
             devices=chosen[0],
             assignment=tuple(chosen[1]),
-            plans=plans,
+            plans=tuple(plans),
             predicted_makespan_ms=chosen[2],
         )
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 
+from repro.engines.cost import measured_cost_ms
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, MetricsRegistry
 from repro.obs.trace import SpanRecorder
 from repro.planner.planner import default_planner
@@ -164,13 +165,10 @@ class ServiceInstrumentation:
             self._device_children[device] = child
         child.inc(busy_ms)
         plan = ticket.plan
-        result = ticket.result
-        if plan is not None and result is not None:
-            executed = result.telemetry.modeled_makespan_ms
+        if plan is not None:
+            executed = measured_cost_ms(ticket.result, ticket.request)
             if executed:
-                self.plan_error.observe(
-                    abs(plan.cost_ms - executed) / executed
-                )
+                self.plan_error.observe(abs(plan.cost_ms - executed) / executed)
 
     def on_batch(self, done, schedule) -> None:
         """One batch finalized: ``done`` is ``[(ticket, device), ...]``.

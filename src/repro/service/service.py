@@ -12,15 +12,16 @@ execute pipeline.  Callers :meth:`~SortService.submit` individual
    for ``coalesce_window_ms`` (or until ``max_batch`` requests arrive);
 3. **plans** the batch: per-request engine choice through the cost-model
    planner (:meth:`~repro.planner.Planner.plan`), and placement across
-   the device pool through :meth:`~repro.planner.Planner.plan_batch` /
+   the device pool from those plans through
+   :meth:`~repro.planner.Planner.place` /
    :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` -- the same LPT
    policy the ``sort_batch`` cluster fast path uses;
 4. **executes** each device's share of the batch in placement order, one
    request at a time per modeled cluster
    :class:`~repro.cluster.device.Device` (a per-device lock keeps that
-   order across batches; engines are instantiated once per device so
-   layout caches stay warm), off the event loop via the default thread
-   executor;
+   order across batches), running each routed plan through
+   :func:`repro.engines.auto.execute` (one warm engine cache per device)
+   off the event loop via the default thread executor;
 5. **accounts**: each result's telemetry gains ``queue_wait_ms`` /
    ``coalesce_ms`` (measured) and ``service_makespan_ms`` (the modeled
    critical path of the batch's overlapped upload/sort/download schedule,
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field, replace
 from repro.cluster.device import Device, make_devices
 from repro.cluster.scheduler import Scheduler
 from repro.engines import _as_request, registry
+from repro.engines.auto import execute
 from repro.engines.base import SortRequest, SortResult, SortTelemetry
 from repro.engines.telemetry import pipeline_tasks_for_results
 from repro.errors import EngineError, ServiceError, ServiceOverloadError
@@ -197,7 +199,8 @@ class SortService:
         results = SortService(devices=4).map(requests)
 
     Construction takes a :class:`~repro.service.ServiceConfig` (or its
-    fields as keyword arguments).  See the module docstring for the
+    fields as keyword arguments).  Each request is planned once, and that
+    plan both places and runs it.  See the module docstring for the
     pipeline a submission travels and ``docs/service.md`` for tuning.
     """
 
@@ -476,17 +479,17 @@ class SortService:
         """LPT placement of one batch across the device pool.
 
         When every ticket went through the planner,
-        :meth:`~repro.planner.Planner.plan_batch` is the brain: it both
-        sizes the cluster (the smallest device count within tolerance of
-        the best predicted makespan -- idle devices stay idle for thin
-        gains) and LPT-places the requests on it.  Batches with pinned
-        engines fall back to plain
+        :meth:`~repro.planner.Planner.place` is the brain: on the routed
+        plans, it both sizes the cluster (the smallest device count within
+        tolerance of the best predicted makespan -- idle devices stay idle
+        for thin gains) and LPT-places the requests on it.  Batches with
+        pinned engines fall back to plain
         :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` over the
         whole pool, since pinned requests may have no plan to weigh.
         """
         if all(t.plan is not None for t in tickets):
-            batch_plan = default_planner(1).plan_batch(
-                [t.request for t in tickets], max_devices=len(self._devices)
+            batch_plan = default_planner(1).place(
+                [t.plan for t in tickets], max_devices=len(self._devices)
             )
             return list(batch_plan.assignment)
         return self._scheduler.assign_lpt(weights)
@@ -502,26 +505,13 @@ class SortService:
             for ticket in tickets:
                 started = time.perf_counter()
                 try:
-                    engine = engines.get(ticket.exec_engine)
-                    if engine is None:
-                        engine = registry.get(ticket.exec_engine)
-                        engines[ticket.exec_engine] = engine
-                    request = ticket.request
-                    plan = ticket.plan
-                    if (
-                        plan is not None
-                        and plan.devices is not None
-                        and request.devices != plan.devices
-                    ):
-                        request = replace(request, devices=plan.devices)
                     # Off the event loop: the sort itself is synchronous
                     # simulation code, and the loop must stay responsive
                     # for admission control and the socket server.
                     result = await self._loop.run_in_executor(
-                        None, engine.sort, request
+                        None, execute, engines, ticket.exec_engine,
+                        ticket.request, ticket.plan,
                     )
-                    if plan is not None:
-                        result.plan = plan
                     result.telemetry.queue_wait_ms = (
                         started - ticket.submitted
                     ) * 1e3

@@ -212,3 +212,44 @@ def test_planner_cache_metrics_track_repeat_shapes(rng):
     assert hits + misses >= 2
     ratio = inst.registry.get("repro_planner_cache_hit_ratio").value
     assert ratio == pytest.approx(hits / (hits + misses))
+
+
+def _plan_error(inst) -> tuple[float, float]:
+    """``(count, sum)`` of the planner relative-error histogram."""
+    samples = {
+        s.name: s.value
+        for s in inst.registry.get("repro_planner_relative_error").samples()
+    }
+    return (
+        samples["repro_planner_relative_error_count"],
+        samples["repro_planner_relative_error_sum"],
+    )
+
+
+def test_planner_relative_error_observes_every_routed_request(rng):
+    from repro.engines.base import SortRequest
+
+    # Single-device plans: cpu-std below ~60k pairs, abisort-brook above.
+    sizes = (256, 1000, 4096, 20000, 65536, 100000)
+    svc = SortService(devices=2, coalesce_window_ms=5.0, max_batch=8)
+    inst = instrument(svc)
+    results = svc.map(
+        [SortRequest(keys=rng.random(n, dtype=np.float32)) for n in sizes]
+    )
+    assert all(r.plan is not None for r in results)
+    assert {r.engine for r in results} == {"cpu-std", "abisort-brook"}
+    count, total = _plan_error(inst)
+    assert count == len(sizes)
+    assert total < 0.5
+
+
+def test_planner_relative_error_is_exact_for_a_cpu_std_plan(rng):
+    from repro.engines.base import SortRequest
+
+    svc = SortService(devices=1, coalesce_window_ms=0.0)
+    inst = instrument(svc)
+    (result,) = svc.map([SortRequest(keys=rng.random(4096, dtype=np.float32))])
+    assert result.engine == "cpu-std"
+    count, total = _plan_error(inst)
+    assert count == 1
+    assert total < 1e-9

@@ -306,3 +306,34 @@ def test_unknown_engine_rejected_at_submit(rng):
 
 def test_map_empty_and_results_order():
     assert SortService(devices=1).map([]) == []
+
+
+def test_all_planned_batch_plans_each_request_once(rng):
+    from repro.planner import default_planner
+
+    class Placement:
+        """Observer recording which device executed each request."""
+
+        def __init__(self):
+            self.device = {}
+
+        def on_execute(self, device, busy_ms, ticket):
+            self.device[id(ticket.request)] = device
+
+        def on_batch(self, done, schedule):
+            pass
+
+    requests = [_request(rng, 256 << (i % 4)) for i in range(8)]
+    cache = default_planner(1).cache
+    lookups = cache.hits + cache.misses
+    svc = SortService(devices=4, coalesce_window_ms=50.0, max_batch=8)
+    svc.observer = placement = Placement()
+    results = svc.map(requests)
+    # Routing plans each request once; placement reuses those plans.
+    assert cache.hits + cache.misses - lookups == len(requests)
+    assert svc.stats.batches == 1
+    assert all(r.plan is not None for r in results)
+    expected = default_planner(1).plan_batch(requests, max_devices=4)
+    assert [placement.device[id(r)] for r in requests] == list(
+        expected.assignment
+    )
