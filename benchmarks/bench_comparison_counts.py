@@ -86,7 +86,7 @@ def test_measured_work_gap_via_engines(benchmark, bench_json):
     def run():
         return {
             engine: repro.sort(
-                repro.SortRequest(keys=keys, model_time=False), engine=engine
+                repro.SortRequest(keys=keys), engine=engine
             ).telemetry
             for engine in engines
         }

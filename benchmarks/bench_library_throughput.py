@@ -2,8 +2,7 @@
 
 Per the "no optimization without measuring" rule, these track the wall-time
 hot spots of the *simulation itself*: the full sorters (dispatched through
-the unified engine API, with ``model_time=False`` so the cost model stays
-out of the measurement), the individual vectorised kernels, the Morton
+the unified engine API), the individual vectorised kernels, the Morton
 mapping, and the cache simulator.  They give pytest-benchmark statistics a
 regression baseline -- the numbers are about this library's Python
 performance, not about the modeled 2006 hardware.
@@ -38,10 +37,9 @@ def _mean_s(benchmark) -> float | None:
 
 
 def _engine_throughput(benchmark, bench_json, engine: str, n: int = N):
-    """Benchmark one registered engine end to end (telemetry counted, cost
-    model off); the engine instance is reused across rounds, as in
-    :func:`repro.sort_batch`."""
-    request = repro.SortRequest(values=paper_workload(n), model_time=False)
+    """Benchmark one registered engine end to end, telemetry included, on
+    the registry's one instance of it."""
+    request = repro.SortRequest(values=paper_workload(n))
     eng = repro.engines.get(engine)
     result = benchmark(eng.sort, request)
     assert result.values.shape == (n,)

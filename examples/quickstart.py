@@ -53,8 +53,7 @@ def main() -> None:
         ("overlapped, unoptimized ", "abisort-overlapped"),
         ("overlapped, optimized   ", "abisort"),
     ]:
-        res = repro.sort(repro.SortRequest(keys=keys, model_time=False),
-                         engine=engine)
+        res = repro.sort(repro.SortRequest(keys=keys), engine=engine)
         assert np.array_equal(res.values, result)
         t = res.telemetry
         print(f"{label}: {t.stream_ops:5d} stream ops, "

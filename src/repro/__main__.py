@@ -244,12 +244,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(
             serve_forever(
-                None,  # config lives on the service already
+                service,
                 args.host,
                 args.port,
                 limit=args.limit,
                 on_ready=on_ready,
-                service=service,
                 store=store,
                 metrics_out=args.metrics_out,
                 trace_out=args.trace_out,
@@ -343,9 +342,7 @@ def cmd_ops(args: argparse.Namespace) -> int:
     Without ``--engine``: the paper's three program variants.  With it: the
     named backend only.
     """
-    request = repro.SortRequest(
-        keys=generate_keys("uniform", args.n, seed=0), model_time=False
-    )
+    request = repro.SortRequest(keys=generate_keys("uniform", args.n, seed=0))
     if args.engine:
         rows = [(args.engine, args.engine)]
     else:
@@ -554,7 +551,7 @@ def _health(args):
         queue_bound=args["queue_bound"],
         observer=observer,
     )
-    return analyze_pool_health(report, observer=observer)
+    return analyze_pool_health(report, observer)
 
 
 #: CLI-only ops, declared from the same parameter groups as the table.

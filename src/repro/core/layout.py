@@ -112,16 +112,7 @@ def phase_block(log_n: int, j: int, stage: int, phase: int) -> PhaseBlock:
             f"phase {phase} outside 0..{num_phases(j, stage) - 1} "
             f"(stage {stage}, level {j})"
         )
-    scale = num_trees(log_n, j)
-    k = stage
-    length = (1 << k) * scale
-    if phase == 0:
-        start = 0
-    elif phase == 1:
-        start = (1 << k) * scale
-    else:
-        start = ((1 << (k + phase - 1)) + (1 << k)) * scale
-    return PhaseBlock(stage, phase, start, length)
+    return _table1_block(log_n, j, stage, phase)
 
 
 def phase_block_unchecked(log_n: int, j: int, stage: int, phase: int) -> PhaseBlock:
@@ -134,15 +125,20 @@ def phase_block_unchecked(log_n: int, j: int, stage: int, phase: int) -> PhaseBl
     iterator for that final phase therefore needs the formula one step past
     the valid range.
     """
+    return _table1_block(log_n, j, stage, phase)
+
+
+def _table1_block(log_n: int, j: int, stage: int, phase: int) -> PhaseBlock:
+    """The Table-1 formula, for any phase (the two public entry points
+    stay separate so each can be patched on its own)."""
     scale = num_trees(log_n, j)
-    k = stage
-    length = (1 << k) * scale
+    length = (1 << stage) * scale
     if phase == 0:
         start = 0
     elif phase == 1:
-        start = (1 << k) * scale
+        start = length
     else:
-        start = ((1 << (k + phase - 1)) + (1 << k)) * scale
+        start = ((1 << (stage + phase - 1)) + (1 << stage)) * scale
     return PhaseBlock(stage, phase, start, length)
 
 

@@ -146,12 +146,10 @@ def sort(request, engine: str | None = None, devices: int | None = None) -> Sort
 def sort_batch(
     requests, engine: str | None = None, devices: int | str | None = None
 ) -> BatchResult:
-    """Serve a sequence of requests on one shared engine.
+    """Serve a sequence of requests on one engine, one after another.
 
-    The engine instance is constructed once and reused for every request --
-    layout plans, kernel closures, and any mapping caches warm up on the
-    first sort and are shared by the rest of the batch (with the default
-    ``engine="auto"`` this holds per *planned* backend).  Returns a
+    With the default ``engine="auto"`` each request is planned on its
+    own, exactly as :func:`sort` would plan it.  Returns a
     :class:`BatchResult` with the per-request results plus one aggregate
     :class:`SortTelemetry` summed over the batch (``telemetry.requests``
     counts the batch size).

@@ -85,13 +85,12 @@ def _machine_telemetry(
     """Telemetry from a stream machine's op log + the request's cost model."""
     telemetry = SortTelemetry()
     add_machine_counters(telemetry, machine.counters())
-    if request.model_time:
-        telemetry.modeled_gpu_ms = modeled_cost(
-            machine,
-            request.gpu,
-            None if tiled else request.mapping or ZOrderMapping(),
-            request.gpu.tiled_read_efficiency if tiled else None,
-        ).total_ms
+    telemetry.modeled_gpu_ms = modeled_cost(
+        machine,
+        request.gpu,
+        None if tiled else request.mapping or ZOrderMapping(),
+        request.gpu.tiled_read_efficiency if tiled else None,
+    ).total_ms
     return telemetry
 
 
@@ -127,10 +126,6 @@ class ShardedABiSortEngine(SortEngine):
     links, and a loser-tree k-way merge recombines the runs.  Output is
     bit-identical to the single-device ``abisort`` engine for any device
     count.
-
-    This engine always runs the cost model (the overlapped schedule *is*
-    modeled time), so the cluster telemetry fields are populated regardless
-    of ``request.model_time``.
     """
 
     name = "sharded-abisort"
@@ -139,18 +134,12 @@ class ShardedABiSortEngine(SortEngine):
         "loser-tree merge"
     )
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
-
-    def __init__(
-        self,
-        devices: int = 2,
-        slices_per_device: int = 2,
-        overlap: bool = True,
-        config: ABiSortConfig | None = None,
-    ):
-        self.default_devices = devices
-        self.slices_per_device = slices_per_device
-        self.overlap = overlap
-        self.config = config or ABiSortConfig()
+    #: Device count when the request names none.
+    default_devices = 2
+    #: Shards per device (read by the engine's cost model too).
+    slices_per_device = 2
+    overlap = True
+    config = ABiSortConfig()
 
     def _run(self, values, request):
         from repro.cluster.device import make_devices
@@ -219,13 +208,10 @@ class TransitionSortEngine(SortEngine):
 
     def _run(self, values, request):
         out = odd_even_transition_sort(values)
+        ops = odd_even_transition_exchanges(values.shape[0])
         telemetry = SortTelemetry(
-            cpu_ops=odd_even_transition_exchanges(values.shape[0])
+            cpu_ops=ops, modeled_cpu_ms=cpu_sort_time_ms(ops, request.host)
         )
-        if request.model_time:
-            telemetry.modeled_cpu_ms = cpu_sort_time_ms(
-                telemetry.cpu_ops, request.host
-            )
         return out, telemetry, None
 
 
@@ -239,11 +225,10 @@ class QuicksortEngine(SortEngine):
     def _run(self, values, request):
         counters = CPUSortCounters()
         out = quicksort(values, counters)
-        telemetry = SortTelemetry(cpu_ops=counters.total_ops)
-        if request.model_time:
-            telemetry.modeled_cpu_ms = cpu_sort_time_ms(
-                counters.total_ops, request.host
-            )
+        telemetry = SortTelemetry(
+            cpu_ops=counters.total_ops,
+            modeled_cpu_ms=cpu_sort_time_ms(counters.total_ops, request.host),
+        )
         return out, telemetry, None
 
 
@@ -263,13 +248,10 @@ class StdSortEngine(SortEngine):
     def _run(self, values, request):
         from repro.analysis.complexity import library_sort_comparisons
 
+        ops = library_sort_comparisons(values.shape[0])
         telemetry = SortTelemetry(
-            cpu_ops=library_sort_comparisons(values.shape[0])
+            cpu_ops=ops, modeled_cpu_ms=cpu_sort_time_ms(ops, request.host)
         )
-        if request.model_time:
-            telemetry.modeled_cpu_ms = cpu_sort_time_ms(
-                telemetry.cpu_ops, request.host
-            )
         return std_sort(values), telemetry, None
 
 
@@ -289,9 +271,10 @@ class ExternalSortEngine(SortEngine):
         any_length=True, key_value=True, out_of_core=True, stable=True
     )
 
-    def __init__(self, chunk_size: int = 1 << 12, merge_buffer: int = 1 << 8):
-        self.chunk_size = chunk_size
-        self.merge_buffer = merge_buffer
+    #: In-core run length and merge read/write buffer, in records (read by
+    #: the engine's cost model too).
+    chunk_size = 1 << 12
+    merge_buffer = 1 << 8
 
     def _run(self, values, request):
         sorter = ExternalSorter(
@@ -309,13 +292,12 @@ class ExternalSortEngine(SortEngine):
             cpu_ops=report.merge_comparisons,
             disk_seeks=report.disk_seeks,
             disk_bytes=report.disk_bytes,
-        )
-        if request.model_time:
-            telemetry.modeled_gpu_ms = report.gpu_modeled_ms
-            telemetry.modeled_io_ms = report.io_modeled_ms
-            telemetry.modeled_cpu_ms = cpu_sort_time_ms(
+            modeled_gpu_ms=report.gpu_modeled_ms,
+            modeled_io_ms=report.io_modeled_ms,
+            modeled_cpu_ms=cpu_sort_time_ms(
                 report.merge_comparisons, request.host
-            )
+            ),
+        )
         return out, telemetry, None
 
 

@@ -10,8 +10,9 @@ special cases.  Serving a request is the two-phase pipeline:
    (engine, devices) pair -- cached per request shape;
 2. **execute**: :func:`execute` -- the one place a routed request becomes
    an engine call, for ``auto``, the service and the fleet alike -- runs
-   the plan on the exact path an explicit ``engine="<name>"`` call takes,
-   so the output is bit-identical to naming the engine yourself.
+   the plan on the registry's one instance of the chosen engine, the
+   exact path an explicit ``engine="<name>"`` call takes, so the output
+   is bit-identical to naming the engine yourself.
 
 The returned :class:`~repro.engines.base.SortResult` reports the backend
 that actually ran as ``engine`` and carries the winning
@@ -38,23 +39,16 @@ __all__ = ["AutoEngine", "execute"]
 
 
 def execute(
-    engines: dict[str, SortEngine],
-    name: str,
-    request: SortRequest,
-    plan: "SortPlan | None" = None,
+    name: str, request: SortRequest, plan: "SortPlan | None" = None
 ) -> SortResult:
     """Serve ``request`` on engine ``name``, running ``plan`` when given.
 
-    ``engines`` is the caller's warm-instance cache (each name is built
-    once, so layout caches stay warm).  A plan's device count overrides
-    the request's, on a copy, and the plan rides back as ``result.plan``.
+    A plan's device count overrides the request's, on a copy, and the
+    plan rides back as ``result.plan``.
     """
-    engine = engines.get(name)
-    if engine is None:
-        engine = engines[name] = get(name)
     if plan is not None and plan.devices not in (None, request.devices):
         request = dataclasses.replace(request, devices=plan.devices)
-    result = engine.sort(request)
+    result = get(name).sort(request)
     if plan is not None:
         result.plan = plan
     return result
@@ -65,9 +59,7 @@ class AutoEngine(SortEngine):
 
     Declares every capability flag: the planner only routes to backends
     that actually serve the request, so "what can auto do" is the union
-    of the registry.  Chosen backends are instantiated once per name and
-    reused, preserving the batch-mode warm-cache behaviour of running a
-    single engine instance.
+    of the registry.
     """
 
     name = "auto"
@@ -79,14 +71,11 @@ class AutoEngine(SortEngine):
         any_length=True, key_value=True, out_of_core=True, stable=True
     )
 
-    def __init__(self):
-        self._engines: dict[str, SortEngine] = {}
-
     def sort(self, request: SortRequest) -> SortResult:
         from repro.planner.planner import default_planner
 
         plan = default_planner().plan(request)
-        return execute(self._engines, plan.engine, request, plan)
+        return execute(plan.engine, request, plan)
 
     def _run(self, values, request):  # pragma: no cover - sort() overrides
         raise NotImplementedError("AutoEngine dispatches in sort()")

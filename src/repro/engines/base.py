@@ -108,10 +108,8 @@ class SortRequest:
     stable.  Either form must meet the input contract: no NaN key and
     unique ids (see :meth:`to_values`).
 
-    The remaining fields select the *telemetry* the caller wants: the
-    hardware models used for modeled-time estimates, and whether to run the
-    cost model at all (``model_time=False`` skips it, for wall-clock
-    microbenchmarks of the simulation itself).  ``require`` lists capability
+    ``gpu``, ``host`` and ``mapping`` are the hardware models the
+    modeled-time telemetry is costed under.  ``require`` lists capability
     flags the serving engine must declare, e.g. ``("out_of_core",)``.
     """
 
@@ -122,7 +120,6 @@ class SortRequest:
     gpu: GPUModel = GEFORCE_7800_GTX
     host: HostSystem = PCIE_SYSTEM
     mapping: Mapping2D | None = None
-    model_time: bool = True
     #: Device count for cluster-aware engines (``sharded-abisort``) and the
     #: ``sort_batch`` fast path; ``None`` keeps the engine's own default.
     #: Single-device engines ignore it.
@@ -346,9 +343,10 @@ class SortEngine(ABC):
     capability checking, the uniform empty/single-element semantics, and
     wall-time measurement.
 
-    Engine instances are reusable and hold no per-request state beyond
-    caches; :func:`repro.sort_batch` relies on this, constructing each
-    engine once and running the whole batch through it.
+    Engine instances hold no state between requests: the registry builds
+    one per name and every caller (:func:`repro.sort`,
+    :func:`repro.sort_batch`, the service, the fleet) shares it, from any
+    thread.
 
     Engines may additionally expose a :class:`repro.engines.cost.CostModel`
     via :attr:`cost_model` -- a predictor of the modeled cost the engine's

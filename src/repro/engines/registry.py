@@ -2,9 +2,10 @@
 
 The registry maps engine names to zero-argument factories producing
 :class:`~repro.engines.base.SortEngine` instances.  Factories (rather than
-instances) keep registration import-cheap and let callers hold independent
-engine objects; :func:`get` builds a fresh instance each call, and
-:func:`repro.sort_batch` reuses one instance across a whole batch.
+instances) keep registration import-cheap: :func:`get` builds each engine
+on first use and then returns that same instance.  Engines hold no state
+between requests (the stream tier memoizes by program and length, not by
+engine object), so one instance per name serves every caller.
 
 Extending the registry is one decorator::
 
@@ -41,10 +42,8 @@ __all__ = [
 
 _REGISTRY: dict[str, Callable[[], SortEngine]] = {}
 
-#: Capability records by engine name, filled lazily so capability queries
-#: (``available(require=...)``, ``capabilities``, CapabilityError messages)
-#: never construct engines beyond the first lookup per name.
-_CAPABILITIES: dict[str, EngineCapabilities] = {}
+#: The engine instance per name, built by :func:`get` on first use.
+_INSTANCES: dict[str, SortEngine] = {}
 
 #: Cost models by engine name, filled lazily (building one may trigger
 #: calibration probes; see :func:`cost_model`).
@@ -76,7 +75,6 @@ def register(
         raise EngineError(f"engine name must be a non-empty string, got {name!r}")
 
     def _do_register(f: Callable[[], SortEngine]):
-        global _GENERATION
         if not callable(f):
             raise EngineError(f"engine factory for {name!r} is not callable")
         if name in _REGISTRY and not replace:
@@ -85,10 +83,7 @@ def register(
                 f"to override"
             )
         _REGISTRY[name] = f
-        _CAPABILITIES.pop(name, None)
-        _COST_MODELS.pop(name, None)
-        _evict_calibrations(name)
-        _GENERATION += 1
+        _forget(name)
         return f
 
     if factory is None:
@@ -96,35 +91,39 @@ def register(
     return _do_register(factory)
 
 
-def _evict_calibrations(name: str) -> None:
-    """Drop any probe-calibrated cost curves measured from ``name``.
+def _forget(name: str) -> None:
+    """Drop everything derived from ``name``'s old factory.
 
-    Goes through ``sys.modules`` so the registry never imports the
-    planner package eagerly: if calibration was never loaded, there is
-    nothing to evict.
+    That is its instance, its cost model and any probe-calibrated cost
+    curves.  Calibration is reached through ``sys.modules`` so the
+    registry never imports the planner package eagerly: if it was never
+    loaded, there is nothing to evict.
     """
     import sys
 
+    global _GENERATION
+    _INSTANCES.pop(name, None)
+    _COST_MODELS.pop(name, None)
     calibration = sys.modules.get("repro.planner.calibration")
     if calibration is not None:
         calibration.evict_engine(name)
+    _GENERATION += 1
 
 
 def unregister(name: str) -> None:
     """Remove ``name`` from the registry (for tests and plugins)."""
-    global _GENERATION
     if name not in _REGISTRY:
         raise EngineError(f"engine {name!r} is not registered")
     del _REGISTRY[name]
-    _CAPABILITIES.pop(name, None)
-    _COST_MODELS.pop(name, None)
-    _evict_calibrations(name)
-    _GENERATION += 1
+    _forget(name)
 
 
 def get(name: str | None = None) -> SortEngine:
-    """A fresh instance of the engine registered under ``name``."""
+    """The engine registered under ``name``, built on first use."""
     name = name or DEFAULT_ENGINE
+    engine = _INSTANCES.get(name)
+    if engine is not None:
+        return engine
     try:
         factory = _REGISTRY[name]
     except KeyError:
@@ -137,6 +136,7 @@ def get(name: str | None = None) -> SortEngine:
             f"factory for {name!r} returned {type(engine).__name__}, "
             f"not a SortEngine"
         )
+    _INSTANCES[name] = engine
     return engine
 
 
@@ -157,9 +157,7 @@ def available(*, require: Iterable[str] = ()) -> tuple[str, ...]:
 
 def capabilities(name: str) -> EngineCapabilities:
     """The capability record of the engine registered under ``name``."""
-    if name not in _CAPABILITIES:
-        _CAPABILITIES[name] = get(name).capabilities
-    return _CAPABILITIES[name]
+    return get(name).capabilities
 
 
 def cost_model(name: str) -> CostModel | None:

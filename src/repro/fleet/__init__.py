@@ -16,8 +16,7 @@ competing for devices.  This package schedules that competition:
 * :mod:`repro.fleet.autoscaler` -- reactive pool sizing from queue depth
   and utilization;
 * :mod:`repro.fleet.harness` -- :func:`~repro.fleet.harness.replay` /
-  :func:`~repro.fleet.harness.compare_policies` /
-  :func:`~repro.fleet.harness.replay_scenario`, the one-call drivers;
+  :func:`~repro.fleet.harness.compare_policies`, the one-call drivers;
 * :mod:`repro.fleet.stats` -- :class:`~repro.fleet.stats.FleetReport`
   with per-tenant makespan, p99 wait, Jain fairness, and
   preemption/eviction counters.
@@ -31,7 +30,7 @@ socket.  See ``docs/fleet.md``.
 """
 
 from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.harness import compare_policies, replay, replay_scenario
+from repro.fleet.harness import compare_policies, replay
 from repro.fleet.observe import FleetObserver
 from repro.fleet.policy import (
     POLICIES,
@@ -49,7 +48,6 @@ __all__ = [
     "Autoscaler",
     "replay",
     "compare_policies",
-    "replay_scenario",
     "SchedulingPolicy",
     "FifoPriorityPolicy",
     "WeightedFairSharePolicy",

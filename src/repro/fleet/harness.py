@@ -1,11 +1,9 @@
 """The trace-replay harness: one call from trace to fleet report.
 
 :func:`replay` runs one trace under one policy;
-:func:`compare_policies` runs the same trace under several;
-:func:`replay_scenario` builds a named scenario from
-:data:`repro.workloads.traces.SCENARIOS` first.  All three are thin over
-:class:`~repro.fleet.scheduler.FleetScheduler`, whose service times come
-from the process-wide single-device planner
+:func:`compare_policies` runs the same trace under several.  Both are
+thin over :class:`~repro.fleet.scheduler.FleetScheduler`, whose service
+times come from the process-wide single-device planner
 (:func:`repro.planner.default_planner`), so every replay in a process
 prices each request size once.  Everything is virtual time, so results
 depend only on (trace, policy, pool parameters) and replays are
@@ -18,10 +16,9 @@ from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.policy import POLICIES, SchedulingPolicy
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.stats import FleetReport
-from repro.workloads.rng import DEFAULT_SEED
-from repro.workloads.traces import Trace, scenario_trace
+from repro.workloads.traces import Trace
 
-__all__ = ["replay", "compare_policies", "replay_scenario"]
+__all__ = ["replay", "compare_policies"]
 
 
 def replay(
@@ -81,23 +78,3 @@ def compare_policies(
         for name in (policies if policies is not None else sorted(POLICIES))
     }
 
-
-def replay_scenario(
-    name: str,
-    policy: str | SchedulingPolicy = "weighted-fair",
-    *,
-    seed: int = DEFAULT_SEED,
-    duration_ms: float | None = None,
-    devices: int = 4,
-    autoscaler: Autoscaler | None = None,
-    queue_bound: int = 64,
-) -> FleetReport:
-    """Build the named scenario trace, then :func:`replay` it."""
-    trace = scenario_trace(name, seed=seed, duration_ms=duration_ms)
-    return replay(
-        trace,
-        policy,
-        devices=devices,
-        autoscaler=autoscaler,
-        queue_bound=queue_bound,
-    )

@@ -20,8 +20,8 @@ Everything is driven by the scheduler's *virtual* clock, so two replays
 of the same trace produce byte-identical metrics files, traces, and
 health reports -- the property the golden tests pin down.  With
 ``metrics_path`` set, the observer also persists its registry through a
-:class:`~repro.obs.sampler.MetricsSampler` every ``sample_every_ms`` of
-virtual time.
+:class:`~repro.obs.sampler.MetricsSampler` every
+:attr:`FleetObserver.SAMPLE_EVERY_MS` of virtual time.
 """
 
 from __future__ import annotations
@@ -45,24 +45,18 @@ class FleetObserver:
     ----------
     metrics_path:
         Optional NDJSON file; when given, the registry is sampled into it
-        every ``sample_every_ms`` of virtual time (plus a final sample).
-    sample_every_ms:
-        Virtual-time sampling cadence (default 50 ms).
-    span_capacity:
-        Ring size of the span recorder (default keeps every span of the
-        committed scenarios).
+        every :attr:`SAMPLE_EVERY_MS` of virtual time (plus a final
+        sample).
     """
 
-    def __init__(
-        self,
-        *,
-        metrics_path=None,
-        sample_every_ms: float = 50.0,
-        span_capacity: int = 65536,
-    ):
+    #: Virtual-time sampling cadence of ``metrics_path``.
+    SAMPLE_EVERY_MS = 50.0
+    #: Span ring size: keeps every span of the committed scenarios.
+    SPAN_CAPACITY = 65536
+
+    def __init__(self, *, metrics_path=None):
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(capacity=span_capacity)
-        self.sample_every_ms = float(sample_every_ms)
+        self.spans = SpanRecorder(capacity=self.SPAN_CAPACITY)
         self._sampler = (
             MetricsSampler(self.registry, metrics_path)
             if metrics_path is not None
@@ -237,7 +231,7 @@ class FleetObserver:
         self.occupancy.append((now, queued, running, pool))
         if self._sampler is not None and now >= self._next_sample_ms:
             self._sampler.sample(now)
-            self._next_sample_ms = now + self.sample_every_ms
+            self._next_sample_ms = now + self.SAMPLE_EVERY_MS
 
     def on_finish(self, now: float) -> None:
         """The replay drained; take the final sample."""

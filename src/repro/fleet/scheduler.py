@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engines.auto import execute
-from repro.engines.base import SortEngine, SortRequest, SortTelemetry
+from repro.engines.base import SortRequest, SortTelemetry
 from repro.errors import SortInputError
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.policy import SchedulingPolicy, make_policy
@@ -177,7 +177,6 @@ class FleetScheduler:
             )
             for index, request in enumerate(trace.requests)
         ]
-        self._engines: dict[str, SortEngine] = {}
         #: Sorted output per completed job index (``execute=True`` only).
         self.results: dict[int, np.ndarray] = {}
         self._queue: list[Job] = []
@@ -307,9 +306,7 @@ class FleetScheduler:
 
     def _execute(self, job: Job) -> None:
         keys = generate_keys("uniform", job.request.n, seed=job.request.seed)
-        result = execute(
-            self._engines, job.plan.engine, SortRequest(keys=keys), job.plan
-        )
+        result = execute(job.plan.engine, SortRequest(keys=keys), job.plan)
         self.results[job.index] = result.values
         if self._telemetry is None:
             self._telemetry = result.telemetry

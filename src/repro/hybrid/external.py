@@ -47,11 +47,6 @@ class ExternalSortReport:
     disk_bytes: int = 0
     io_modeled_ms: float = 0.0
 
-    @property
-    def total_modeled_ms(self) -> float:
-        """GPU + I/O modeled wall time."""
-        return self.gpu_modeled_ms + self.io_modeled_ms
-
     def summary(self) -> str:
         """One-line human-readable report."""
         return (

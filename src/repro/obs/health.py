@@ -1,9 +1,9 @@
 """Pool-health analysis over a fleet replay.
 
 :func:`analyze_pool_health` folds a
-:class:`~repro.fleet.stats.FleetReport` -- and, when available, the
-richer event stream a :class:`~repro.fleet.observe.FleetObserver`
-captured alongside it -- into one :class:`PoolHealth` summary:
+:class:`~repro.fleet.stats.FleetReport` and the event stream a
+:class:`~repro.fleet.observe.FleetObserver` captured alongside it into
+one :class:`PoolHealth` summary:
 
 * **per-device utilization and bubble time** -- how much of each pool
   slot's lifetime was spent running jobs versus sitting idle (the
@@ -37,6 +37,8 @@ __all__ = [
 HOT_DEVICE = 0.9
 #: Eviction share above which a tenant is flagged as shedding load.
 HOT_EVICTIONS = 0.05
+#: Virtual-time windows the replay's completions are bucketed into.
+TREND_WINDOWS = 20
 
 
 @dataclass(frozen=True)
@@ -132,20 +134,11 @@ class PoolHealth:
         }
 
 
-def _capacity_from_timeline(report) -> float:
-    """Integrate ``pool_size * dt`` over the report's pool timeline."""
-    timeline = list(report.pool_timeline) or [(0.0, report.devices)]
-    timeline.append((report.makespan_ms, timeline[-1][1]))
-    capacity = 0.0
-    for (t0, size), (t1, _next) in zip(timeline, timeline[1:]):
-        capacity += max(t1 - t0, 0.0) * size
-    return capacity
-
-
-def _wait_trend(observer, uptime_ms: float, windows: int) -> tuple:
+def _wait_trend(observer, uptime_ms: float) -> tuple:
     series = observer.completions_series
-    if not series or uptime_ms <= 0 or windows < 1:
+    if not series or uptime_ms <= 0:
         return ()
+    windows = TREND_WINDOWS
     width = uptime_ms / windows
     buckets: list[list[float]] = [[] for _ in range(windows)]
     for t_ms, wait_ms, _tenant in series:
@@ -164,37 +157,27 @@ def _wait_trend(observer, uptime_ms: float, windows: int) -> tuple:
     return tuple(trend)
 
 
-def analyze_pool_health(report, observer=None, *, trend_windows: int = 20):
+def analyze_pool_health(report, observer):
     """Analyze one replay into a :class:`PoolHealth`.
 
-    ``report`` is the replay's :class:`~repro.fleet.stats.FleetReport`.
-    With an ``observer`` (the :class:`~repro.fleet.observe.FleetObserver`
-    that rode the same replay) the summary gains per-device rows, wait
-    trends, and queue-depth peaks; without one those sections are empty
-    and pool totals fall back to the report's own work/timeline figures.
+    ``report`` is the replay's :class:`~repro.fleet.stats.FleetReport`
+    and ``observer`` the :class:`~repro.fleet.observe.FleetObserver` that
+    rode the same replay: it supplies the pool totals, per-device rows,
+    wait trends and queue-depth peak.
     """
     uptime = report.uptime_ms
-    if observer is not None:
-        busy = observer.busy_ms
-        capacity = observer.capacity_ms
-        per_device = tuple(
-            DeviceHealth(
-                slot=slot,
-                busy_ms=busy_ms,
-                bubble_ms=max(uptime - busy_ms, 0.0),
-                utilization=busy_ms / uptime if uptime else 0.0,
-                jobs=observer.slot_jobs[slot],
-            )
-            for slot, busy_ms in enumerate(observer.slot_busy_ms)
+    busy = observer.busy_ms
+    capacity = observer.capacity_ms
+    per_device = tuple(
+        DeviceHealth(
+            slot=slot,
+            busy_ms=busy_ms,
+            bubble_ms=max(uptime - busy_ms, 0.0),
+            utilization=busy_ms / uptime if uptime else 0.0,
+            jobs=observer.slot_jobs[slot],
         )
-        wait_trend = _wait_trend(observer, uptime, trend_windows)
-        peak_queue = observer.peak_queue_depth
-    else:
-        busy = sum(t.work_ms for t in report.tenants)
-        capacity = _capacity_from_timeline(report)
-        per_device = ()
-        wait_trend = ()
-        peak_queue = 0
+        for slot, busy_ms in enumerate(observer.slot_busy_ms)
+    )
 
     tenants = []
     evictions_by_tenant = []
@@ -238,7 +221,7 @@ def analyze_pool_health(report, observer=None, *, trend_windows: int = 20):
         bubble_ms=max(capacity - busy, 0.0),
         fairness=report.fairness,
         per_device=per_device,
-        wait_trend=wait_trend,
+        wait_trend=_wait_trend(observer, uptime),
         tenants=tuple(tenants),
         evicted=report.evicted,
         evictions_by_tenant=tuple(evictions_by_tenant),
@@ -246,6 +229,6 @@ def analyze_pool_health(report, observer=None, *, trend_windows: int = 20):
             report.evicted / (uptime / 1000.0) if uptime else 0.0
         ),
         preemptions=report.preemptions,
-        peak_queue_depth=peak_queue,
+        peak_queue_depth=observer.peak_queue_depth,
         notes=tuple(notes),
     )

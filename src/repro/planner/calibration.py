@@ -120,8 +120,8 @@ def calibrate_stream_engine(engine_name: str, request) -> CostCurve:
     GPU and mapping, probing the anchors on first use.
 
     ``request`` supplies the hardware context only; its payload is never
-    touched.  Probes dispatch through a fresh engine instance exactly as
-    real traffic would (so batch-style warm caches are *not* assumed).
+    touched.  Probes dispatch through the registry's engine exactly as
+    real traffic does.
     """
     from repro.engines.base import SortRequest
     from repro.engines.registry import get

@@ -9,10 +9,9 @@ executes through the existing plan -> execute path on a pool of modeled
 cluster :class:`~repro.cluster.device.Device`\\ s, each sorting one
 request at a time, LPT-placed like the ``sort_batch`` cluster fast path.
 
-Three entry points:
+Two Python entry points plus the socket:
 
-* ``async`` -- :func:`submit` (process-default service) or an explicit
-  :class:`SortService` used as an async context manager::
+* ``async`` -- a :class:`SortService` used as an async context manager::
 
       async with SortService(devices=4) as svc:
           result = await svc.submit(request)
@@ -30,13 +29,7 @@ queueing, batching, and placement around the same engine dispatch.  See
 """
 
 from repro.service.config import ServiceConfig
-from repro.service.service import (
-    ServiceStats,
-    SortService,
-    close_default,
-    default_service,
-    submit,
-)
+from repro.service.service import ServiceStats, SortService
 from repro.service.metrics import ServiceInstrumentation, instrument
 from repro.service.server import (
     request_op,
@@ -50,9 +43,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "SortService",
-    "submit",
-    "default_service",
-    "close_default",
     "start_server",
     "serve_forever",
     "request_sort",

@@ -7,7 +7,7 @@ honest:
 * every counter that mirrors a :class:`~repro.service.ServiceStats`
   field is **callback-backed** -- it reads the stats record at scrape
   time, so the pipeline pays nothing and an exposition is always
-  consistent with a simultaneously-taken ``stats_snapshot()`` (the
+  consistent with a simultaneously-taken ``stats.snapshot()`` (the
   acceptance check);
 * only the distribution metrics (queue-wait / coalesce / batch-size
   histograms, per-device busy counters, planner-error histogram) and the
@@ -48,10 +48,13 @@ class ServiceInstrumentation:
     ``service.observer`` here so the pipeline hooks fire.
     """
 
-    def __init__(self, service, *, trace_capacity: int = 4096):
+    #: Span ring size: the most recent spans a trace export can show.
+    TRACE_CAPACITY = 4096
+
+    def __init__(self, service):
         self.service = service
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(capacity=trace_capacity)
+        self.spans = SpanRecorder(capacity=self.TRACE_CAPACITY)
         self._t0 = time.perf_counter()
 
         reg = self.registry
@@ -214,7 +217,7 @@ class ServiceInstrumentation:
         )
 
 
-def instrument(service, *, store=None, trace_capacity: int = 4096):
+def instrument(service, *, store=None):
     """Attach metrics and span recording to ``service``.
 
     Returns the :class:`ServiceInstrumentation` (also reachable as
@@ -222,7 +225,7 @@ def instrument(service, *, store=None, trace_capacity: int = 4096):
     :class:`repro.store.SortedStore`'s callback metrics into the same
     registry, so one scrape covers the whole server.
     """
-    inst = ServiceInstrumentation(service, trace_capacity=trace_capacity)
+    inst = ServiceInstrumentation(service)
     if store is not None:
         store.bind_metrics(inst.registry)
     service.observer = inst

@@ -32,7 +32,6 @@ import numpy as np
 from repro.engines.base import SortRequest, SortResult
 from repro.errors import ReproError, ServiceOverloadError
 from repro.ops import OPS, Op, bind
-from repro.service.config import ServiceConfig
 from repro.service.service import SortService
 
 __all__ = [
@@ -288,13 +287,12 @@ async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
 
 
 async def serve_forever(
-    config: ServiceConfig | None = None,
+    service: SortService,
     host: str = "127.0.0.1",
     port: int = 7806,
     *,
     limit: int | None = None,
     on_ready=None,
-    service: SortService | None = None,
     store=None,
     metrics_out=None,
     trace_out=None,
@@ -302,12 +300,12 @@ async def serve_forever(
 ) -> "SortService":
     """Run a service-backed NDJSON server until cancelled (or ``limit``).
 
-    Starts a :class:`SortService` under ``config`` (or the caller's own
-    un-started ``service`` -- useful to keep a handle on its
-    :class:`ServiceStats` when cancellation unwinds through
-    ``asyncio.run``), binds it to ``host:port``, then serves until the
-    task is cancelled -- or, with ``limit``, until that many responses
-    have been written (the CLI's ``--limit`` smoke/testing hook).
+    Starts the caller's un-started ``service`` (the caller keeps the
+    handle, so its :class:`ServiceStats` survive cancellation unwinding
+    through ``asyncio.run``), binds it to ``host:port``, then serves
+    until the task is cancelled -- or, with ``limit``, until that many
+    responses have been written (the CLI's ``--limit`` smoke/testing
+    hook).
     ``on_ready(port)`` is called once the socket is bound (the CLI prints
     the listening line from it).  ``store`` attaches a
     :class:`repro.store.SortedStore` for ``{"op": "store"}`` lines.
@@ -319,8 +317,6 @@ async def serve_forever(
     trace JSON at shutdown.  Returns the (closed) service so callers can
     inspect its final stats.
     """
-    if service is None:
-        service = SortService(config)
     await service.start()
     stop = asyncio.Event()
     server = await start_server(

@@ -20,8 +20,8 @@ execute pipeline.  Callers :meth:`~SortService.submit` individual
    request at a time per modeled cluster
    :class:`~repro.cluster.device.Device` (a per-device lock keeps that
    order across batches), running each routed plan through
-   :func:`repro.engines.auto.execute` (one warm engine cache per device)
-   off the event loop via the default thread executor;
+   :func:`repro.engines.auto.execute` off the event loop via the default
+   thread executor;
 5. **accounts**: each result's telemetry gains ``queue_wait_ms`` /
    ``coalesce_ms`` (measured) and ``service_makespan_ms`` (the modeled
    critical path of the batch's overlapped upload/sort/download schedule,
@@ -32,11 +32,10 @@ Results are **bit-identical** to calling :func:`repro.sort` directly with
 the same request: every request runs through the very same engine path,
 and the service only adds scheduling around it.
 
-Three entry points: ``async`` :meth:`SortService.submit` inside a running
-service (``async with SortService(...) as svc``), the synchronous
-:meth:`SortService.map` for scripts, and the process-default
-:func:`repro.service.submit` coroutine.  ``python -m repro serve`` wraps
-the service in a newline-delimited-JSON socket server
+Two Python entry points: ``async`` :meth:`SortService.submit` inside a
+running service (``async with SortService(...) as svc``) and the
+synchronous :meth:`SortService.map` for scripts.  ``python -m repro
+serve`` wraps the service in a newline-delimited-JSON socket server
 (:mod:`repro.service.server`).
 """
 
@@ -56,13 +55,7 @@ from repro.errors import EngineError, ServiceError, ServiceOverloadError
 from repro.planner.planner import default_planner
 from repro.service.config import ServiceConfig
 
-__all__ = [
-    "ServiceStats",
-    "SortService",
-    "submit",
-    "default_service",
-    "close_default",
-]
+__all__ = ["ServiceStats", "SortService"]
 
 @dataclass
 class _Ticket:
@@ -218,7 +211,6 @@ class SortService:
         self._devices: list[Device] = []
         self._scheduler: Scheduler | None = None
         self._locks: list[asyncio.Lock] = []
-        self._engines: list[dict[str, object]] = []
         self._forming: list[_Ticket] = []
         self._timer: asyncio.TimerHandle | None = None
         self._batches: set[asyncio.Task] = set()
@@ -237,16 +229,6 @@ class SortService:
         level admission control compares against ``max_pending``)."""
         return self._pending
 
-    def stats_snapshot(self) -> ServiceStats:
-        """:meth:`ServiceStats.snapshot` of the live counters.
-
-        Safe to call while the service is running (including from inside
-        a submission's own task): the returned record is frozen in time,
-        so mid-run assertions -- is backpressure engaging, are rejects
-        being counted -- do not race the pipeline.
-        """
-        return self.stats.snapshot()
-
     async def start(self) -> "SortService":
         """Build the device pool and start accepting submissions."""
         if self._started:
@@ -256,7 +238,6 @@ class SortService:
         self._devices = make_devices(cfg.devices, gpu=cfg.gpu, host=cfg.host)
         self._scheduler = Scheduler(self._devices, overlap=True)
         self._locks = [asyncio.Lock() for _ in self._devices]
-        self._engines = [{} for _ in self._devices]
         self._started = True
         self._closing = False
         return self
@@ -500,7 +481,6 @@ class SortService:
         The device's lock is FIFO, so shares of successive batches run one
         after another and the device sorts one request at a time.
         """
-        engines = self._engines[index]
         async with self._locks[index]:
             for ticket in tickets:
                 started = time.perf_counter()
@@ -509,8 +489,8 @@ class SortService:
                     # simulation code, and the loop must stay responsive
                     # for admission control and the socket server.
                     result = await self._loop.run_in_executor(
-                        None, execute, engines, ticket.exec_engine,
-                        ticket.request, ticket.plan,
+                        None, execute, ticket.exec_engine, ticket.request,
+                        ticket.plan,
                     )
                     result.telemetry.queue_wait_ms = (
                         started - ticket.submitted
@@ -523,45 +503,3 @@ class SortService:
                         )
                 except Exception as err:  # delivered through the future
                     ticket.error = err
-
-
-#: The process-default service :func:`submit` lazily starts.
-_DEFAULT: SortService | None = None
-
-
-def default_service() -> SortService | None:
-    """The process-default service, if :func:`submit` has created one."""
-    return _DEFAULT
-
-
-async def submit(request, engine: str | None = None) -> SortResult:
-    """Submit through the process-default service (started on first use).
-
-    The zero-setup entry point::
-
-        result = await repro.service.submit(request)
-
-    The default service uses a default :class:`ServiceConfig` and is bound
-    to the running event loop; a submit from a different loop replaces it
-    (the old loop's tasks died with that loop).  For configured pools,
-    construct a :class:`SortService` explicitly.
-    """
-    global _DEFAULT
-    loop = asyncio.get_running_loop()
-    service = _DEFAULT
-    if service is None or not service.is_running or service._loop is not loop:
-        # None yet, closed, or bound to a dead loop (its tasks died with
-        # that loop): start a fresh default on the running loop.
-        service = SortService()
-        await service.start()
-        _DEFAULT = service
-    return await service.submit(request, engine=engine)
-
-
-async def close_default() -> None:
-    """Close the process-default service, if any (mainly for tests)."""
-    global _DEFAULT
-    if _DEFAULT is not None:
-        service, _DEFAULT = _DEFAULT, None
-        if service.is_running:
-            await service.close()

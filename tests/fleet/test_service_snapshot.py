@@ -53,7 +53,7 @@ class TestFloodBackpressure:
                 done, rejected = await _flood(
                     svc, [_keys(rng) for _ in range(32)]
                 )
-                mid = svc.stats_snapshot()
+                mid = svc.stats.snapshot()
             return done, rejected, mid, svc.stats
 
         done, rejected, mid, final = asyncio.run(
@@ -77,9 +77,9 @@ class TestFloodBackpressure:
                 devices=1, max_pending=64, coalesce_window_ms=1.0
             ) as svc:
                 first = await svc.submit(_keys(rng))
-                snap = svc.stats_snapshot()
+                snap = svc.stats.snapshot()
                 await _flood(svc, [_keys(rng) for _ in range(8)])
-                return first, snap, svc.stats_snapshot()
+                return first, snap, svc.stats.snapshot()
 
         first, snap, after = asyncio.run(asyncio.wait_for(run(), TIMEOUT_S))
         assert first.values is not None

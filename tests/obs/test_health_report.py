@@ -86,13 +86,6 @@ class TestHealthShape:
         observed, _ = _replay_with_observer()
         assert bare.to_json() == observed.to_json()
 
-    def test_analysis_without_observer_falls_back_to_report_totals(self):
-        report, _ = _replay_with_observer()
-        health = analyze_pool_health(report)
-        assert health.per_device == ()
-        assert health.wait_trend == ()
-        assert health.busy_ms > 0
-
     def test_spans_cover_completions_and_waits(self):
         report, observer = _replay_with_observer()
         cats = {}

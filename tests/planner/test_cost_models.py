@@ -87,7 +87,7 @@ class TestStreamCurves:
         for exponent in (7, 13, 15):
             n = 1 << exponent
             counted = repro.sort(
-                SortRequest(keys=rng.random(n, np.float32), model_time=False),
+                SortRequest(keys=rng.random(n, np.float32)),
                 engine="abisort",
             ).telemetry.stream_ops
             assert curve.predict_ops(n) == counted

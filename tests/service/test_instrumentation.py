@@ -144,12 +144,11 @@ def test_serve_forever_writes_metrics_ndjson_and_chrome_trace(
         ready: asyncio.Future = loop.create_future()
         serve_task = asyncio.create_task(
             serve_forever(
-                None,
+                service,
                 "127.0.0.1",
                 0,
                 limit=3,
                 on_ready=ready.set_result,
-                service=service,
                 metrics_out=metrics_out,
                 trace_out=trace_out,
                 sample_every_s=0.05,

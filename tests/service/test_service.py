@@ -250,25 +250,6 @@ def test_config_validation():
         SortService(ServiceConfig(), devices=2)
 
 
-def test_default_service_submit(rng):
-    req = _request(rng, 256)
-
-    async def run():
-        result = await repro.service.submit(req, engine="cpu-std")
-        assert repro.service.default_service() is not None
-        assert repro.service.default_service().is_running
-        again = await repro.service.submit(req, engine="cpu-std")
-        assert np.array_equal(result.values, again.values)
-        await repro.service.close_default()
-        assert repro.service.default_service() is None
-        return result
-
-    result = asyncio.run(run())
-    assert np.array_equal(
-        result.values, repro.sort(req, engine="cpu-std").values
-    )
-
-
 def test_cancelled_submit_does_not_strand_batch(rng):
     async def run():
         async with SortService(

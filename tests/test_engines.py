@@ -245,16 +245,6 @@ class TestTelemetry:
         assert t.disk_bytes > 0 and t.disk_seeks > 0
         assert t.modeled_io_ms > 0 and t.modeled_gpu_ms > 0
 
-    def test_model_time_opt_out(self, rng):
-        t = repro.sort(
-            SortRequest(
-                keys=rng.random(N_POW2, dtype=np.float32), model_time=False
-            ),
-            engine="abisort",
-        ).telemetry
-        assert t.modeled_total_ms == 0.0
-        assert t.stream_ops > 0  # counting stays on; only the cost model is off
-
     def test_require_flags_dispatch(self, rng):
         request = SortRequest(
             keys=rng.random(N_POW2, dtype=np.float32), require=("out_of_core",)
@@ -357,6 +347,78 @@ class TestRegistry:
             assert "decorated-dummy" in repro.engines.available()
         finally:
             repro.engines.unregister("decorated-dummy")
+
+
+class TestOneInstancePerName:
+    """The registry builds each engine once; every caller shares it."""
+
+    @pytest.mark.parametrize("name", ["auto", "abisort", "cpu-std"])
+    def test_get_returns_the_same_instance(self, name):
+        assert repro.engines.get(name) is repro.engines.get(name)
+
+    def test_replace_drops_the_instance_and_capabilities(self):
+        class Narrow(SortEngine):
+            name = "swap-dummy"
+            capabilities = EngineCapabilities(any_length=False)
+
+            def _run(self, values, request):
+                return reference_sort(values), SortTelemetry(), None
+
+        class Wide(Narrow):
+            capabilities = EngineCapabilities(any_length=True, out_of_core=True)
+
+        repro.engines.register("swap-dummy", Narrow)
+        try:
+            old = repro.engines.get("swap-dummy")
+            assert not repro.engines.capabilities("swap-dummy").any_length
+            assert repro.engines.get("swap-dummy") is old
+            repro.engines.register("swap-dummy", Wide, replace=True)
+            new = repro.engines.get("swap-dummy")
+            assert new is not old and isinstance(new, Wide)
+            assert repro.engines.get("swap-dummy") is new
+            caps = repro.engines.capabilities("swap-dummy")
+            assert caps.any_length and caps.out_of_core
+            assert "swap-dummy" in repro.engines.available(
+                require=("out_of_core",)
+            )
+        finally:
+            repro.engines.unregister("swap-dummy")
+        with pytest.raises(EngineError, match="unknown engine"):
+            repro.engines.get("swap-dummy")
+
+    def test_plugin_is_built_once_across_sorts_and_service(self, rng):
+        from repro.service import SortService
+
+        built = []
+
+        class Counted(SortEngine):
+            name = "counted-dummy"
+            capabilities = EngineCapabilities(any_length=True)
+
+            def __init__(self):
+                built.append(self)
+
+            def _run(self, values, request):
+                return reference_sort(values), SortTelemetry(), None
+
+        repro.engines.register("counted-dummy", Counted)
+        try:
+            requests = [
+                SortRequest(keys=rng.random(50 + i, dtype=np.float32))
+                for i in range(8)
+            ]
+            for request in requests[:3]:
+                repro.sort(request, engine="counted-dummy")
+            served = SortService(devices=4, max_batch=len(requests)).map(
+                requests, engine="counted-dummy"
+            )
+            for request, result in zip(requests, served):
+                assert np.array_equal(
+                    result.values, reference_sort(request.to_values())
+                )
+            assert len(built) == 1
+        finally:
+            repro.engines.unregister("counted-dummy")
 
 
 class TestRequestValidation:
