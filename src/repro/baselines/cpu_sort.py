@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import SortInputError
 from repro.core.values import total_order_argsort
+from repro.exec.vectorized import strict_order
 from repro.stream.stream import VALUE_DTYPE
 
 __all__ = ["CPUSortCounters", "quicksort", "std_sort", "INSERTION_CUTOFF"]
@@ -37,6 +38,12 @@ __all__ = ["CPUSortCounters", "quicksort", "std_sort", "INSERTION_CUTOFF"]
 #: Segment size below which the quicksort switches to insertion sort
 #: (glibc/libstdc++ use 16; we follow).
 INSERTION_CUTOFF = 16
+
+#: Pair count from which :func:`std_sort` argsorts the (key, id)
+#: composites instead of calling ``np.lexsort``: below it, building the
+#: composites costs more than the SIMD argsort saves (at 256 pairs
+#: lexsort is still ahead; from 512 pairs the composite argsort is).
+SIMD_SORT_MIN = 512
 
 
 @dataclass
@@ -55,7 +62,21 @@ class CPUSortCounters:
 
 
 def std_sort(values: np.ndarray) -> np.ndarray:
-    """The environment's library sort (NumPy lexsort) -- correctness oracle."""
+    """The environment's library sort, in the reference (key, id) order.
+
+    From :data:`SIMD_SORT_MIN` pairs up, one SIMD argsort of the
+    ``uint64`` (key, id) composites
+    (:func:`repro.exec.vectorized.strict_order`); with unique composites
+    the order is forced, so the output is byte-identical to
+    :func:`~repro.core.values.total_order_argsort` (``np.lexsort``),
+    which sorts smaller inputs and any input with a shared composite.
+    ``values`` meet the request contract (no NaN key), as every engine
+    input does (:meth:`repro.engines.base.SortRequest.to_values`).
+    """
+    if values.shape[0] >= SIMD_SORT_MIN:
+        order = strict_order(values)
+        if order is not None:
+            return values[order]
     return values[total_order_argsort(values)]
 
 

@@ -21,7 +21,8 @@ engine name                 wraps
 ``odd-even-transition``     O(n^2) transition sort (Section 7.1 block)
 ``cpu-quicksort``           instrumented median-of-3 quicksort (the
                             paper's "C++ STL sort" stand-in)
-``cpu-std``                 the host library sort (NumPy lexsort oracle)
+``cpu-std``                 the host library sort (NumPy lexsort below
+                            512 pairs, SIMD composite argsort from 512)
 ``external``                out-of-core run-formation + k-way merge
                             (the GPUTeraSort-style hybrid pipeline)
 ==========================  =============================================
@@ -233,16 +234,19 @@ class QuicksortEngine(SortEngine):
 
 
 class StdSortEngine(SortEngine):
-    """The host library sort (NumPy lexsort) -- the correctness oracle.
+    """The host library sort, in the reference (key, id) order.
 
-    Its modeled cost follows the ``n log2 n`` library-sort comparison
-    convention (:func:`repro.analysis.complexity.library_sort_comparisons`)
-    so the oracle competes fairly in planner scoring instead of reporting
-    an impossible zero-cost sort.
+    :func:`repro.baselines.cpu_sort.std_sort`: ``np.lexsort`` below 512
+    pairs, one SIMD argsort of the (key, id) composites from 512 pairs
+    up; the output is byte-identical either way.  Its modeled cost
+    follows the ``n log2 n`` library-sort comparison convention
+    (:func:`repro.analysis.complexity.library_sort_comparisons`) whichever
+    path sorts, so the engine competes fairly in planner scoring instead
+    of reporting an impossible zero-cost sort.
     """
 
     name = "cpu-std"
-    description = "host library sort (NumPy lexsort reference)"
+    description = "host library sort (NumPy lexsort; SIMD argsort >= 512 pairs)"
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
 
     def _run(self, values, request):

@@ -230,8 +230,12 @@ class _Metric:
         return child
 
     def _series(self):
-        """Yield ``(labels dict, child)`` pairs in insertion order."""
-        for key, child in self._children.items():
+        """Yield ``(labels dict, child)`` pairs in insertion order.
+
+        Iterates a snapshot: a service worker thread may add a device's
+        child (:meth:`labels`) while the event loop scrapes.
+        """
+        for key, child in list(self._children.items()):
             yield dict(zip(self.labelnames, key)), child
 
     def samples(self) -> list[Sample]:

@@ -12,8 +12,10 @@ honest:
 * only the distribution metrics (queue-wait / coalesce / batch-size
   histograms, per-device busy counters, planner-error histogram) and the
   span recorder touch the pipeline, through two hooks the service calls
-  per executed request (:meth:`ServiceInstrumentation.on_execute`) and
-  per finalized batch (:meth:`ServiceInstrumentation.on_batch`).
+  per executed request, on the worker thread between sorts
+  (:meth:`ServiceInstrumentation.on_execute`, per-device busy time only),
+  and per finalized batch, on the event loop
+  (:meth:`ServiceInstrumentation.on_batch`, everything else).
 
 Spans put each batch on a wall-clock timeline (milliseconds since the
 instrumentation was created): per request a ``coalesce`` span (submit to
@@ -161,25 +163,26 @@ class ServiceInstrumentation:
     # -- pipeline hooks ------------------------------------------------------
 
     def on_execute(self, device: int, busy_ms: float, ticket) -> None:
-        """One request finished executing on worker ``device``."""
+        """One request finished executing on worker ``device``.
+
+        Called on the executor thread that runs the device's share, so it
+        touches only that device's busy counter: the device lock keeps
+        one thread on a given child at a time.
+        """
         child = self._device_children.get(device)
         if child is None:
             child = self.device_busy.labels(device=str(device))
             self._device_children[device] = child
         child.inc(busy_ms)
-        plan = ticket.plan
-        if plan is not None:
-            executed = measured_cost_ms(ticket.result, ticket.request)
-            if executed:
-                self.plan_error.observe(abs(plan.cost_ms - executed) / executed)
 
     def on_batch(self, done, schedule) -> None:
         """One batch finalized: ``done`` is ``[(ticket, device), ...]``.
 
-        Histograms get every completed request's measured queue wait and
-        coalesce hold; the span recorder gets the batch laid out on the
-        wall timeline, with the modeled stage schedule anchored so the
-        batch ends at the finalize instant.
+        Runs on the event loop.  Histograms get every completed request's
+        measured queue wait and coalesce hold, and every planner-routed
+        request's plan error; the span recorder gets the batch laid out
+        on the wall timeline, with the modeled stage schedule anchored so
+        the batch ends at the finalize instant.
         """
         now = self.now_ms()
         batch_index = self.service.stats.batches
@@ -190,6 +193,12 @@ class ServiceInstrumentation:
             telemetry = ticket.result.telemetry
             self.queue_wait.observe(telemetry.queue_wait_ms)
             self.coalesce.observe(ticket.coalesce_ms)
+            if ticket.plan is not None:
+                executed = measured_cost_ms(ticket.result, ticket.request)
+                if executed:
+                    self.plan_error.observe(
+                        abs(ticket.plan.cost_ms - executed) / executed
+                    )
             submit = (ticket.submitted - self._t0) * 1e3
             earliest = min(earliest, submit)
             tid = f"req{i}"

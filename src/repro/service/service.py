@@ -20,8 +20,11 @@ execute pipeline.  Callers :meth:`~SortService.submit` individual
    request at a time per modeled cluster
    :class:`~repro.cluster.device.Device` (a per-device lock keeps that
    order across batches), running each routed plan through
-   :func:`repro.engines.auto.execute` off the event loop via the default
-   thread executor;
+   :func:`repro.engines.auto.execute` off the event loop: one call into
+   the default thread executor per device share, with the observer's
+   ``on_execute`` hook firing on the worker thread between sorts (the
+   instrumentation observes the planner relative error per batch, on the
+   loop, in ``on_batch``);
 5. **accounts**: each result's telemetry gains ``queue_wait_ms`` /
    ``coalesce_ms`` (measured) and ``service_makespan_ms`` (the modeled
    critical path of the batch's overlapped upload/sort/download schedule,
@@ -478,28 +481,39 @@ class SortService:
     async def _run_device(self, index: int, tickets: list[_Ticket]) -> None:
         """Execute one device's share of a batch, in placement order.
 
-        The device's lock is FIFO, so shares of successive batches run one
-        after another and the device sorts one request at a time.
+        The whole share is one executor call (:meth:`_run_share`): the
+        sorts are synchronous simulation code, so they run off the event
+        loop, which stays responsive for admission control and the socket
+        server, and the share pays one thread-pool handoff, not one per
+        request.  The device's lock is FIFO, so shares of successive
+        batches run one after another and the device sorts one request
+        at a time.
         """
         async with self._locks[index]:
-            for ticket in tickets:
-                started = time.perf_counter()
-                try:
-                    # Off the event loop: the sort itself is synchronous
-                    # simulation code, and the loop must stay responsive
-                    # for admission control and the socket server.
-                    result = await self._loop.run_in_executor(
-                        None, execute, ticket.exec_engine, ticket.request,
-                        ticket.plan,
+            await self._loop.run_in_executor(
+                None, self._run_share, index, tickets
+            )
+
+    def _run_share(self, index: int, tickets: list[_Ticket]) -> None:
+        """Sort one device's share on an executor thread, in order.
+
+        Each ticket gets its result or its own error; the observer's
+        ``on_execute`` fires on this thread right after each sort, before
+        the next one starts.  ``queue_wait_ms`` ends when the sort starts
+        here, so the executor handoff counts as queue wait.
+        """
+        for ticket in tickets:
+            started = time.perf_counter()
+            try:
+                result = execute(ticket.exec_engine, ticket.request, ticket.plan)
+                result.telemetry.queue_wait_ms = (
+                    started - ticket.submitted
+                ) * 1e3
+                result.telemetry.coalesce_ms = ticket.coalesce_ms
+                ticket.result = result
+                if self.observer is not None:
+                    self.observer.on_execute(
+                        index, (time.perf_counter() - started) * 1e3, ticket
                     )
-                    result.telemetry.queue_wait_ms = (
-                        started - ticket.submitted
-                    ) * 1e3
-                    result.telemetry.coalesce_ms = ticket.coalesce_ms
-                    ticket.result = result
-                    if self.observer is not None:
-                        self.observer.on_execute(
-                            index, (time.perf_counter() - started) * 1e3, ticket
-                        )
-                except Exception as err:  # delivered through the future
-                    ticket.error = err
+            except Exception as err:  # delivered through the future
+                ticket.error = err

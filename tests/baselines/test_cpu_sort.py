@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.cpu_sort import CPUSortCounters, quicksort, std_sort
-from repro.core.values import make_values, reference_sort
+import repro
+from repro.baselines.cpu_sort import (
+    SIMD_SORT_MIN,
+    CPUSortCounters,
+    quicksort,
+    std_sort,
+)
+from repro.core.values import make_values, reference_sort, total_order_argsort
 from repro.errors import SortInputError
 from repro.workloads.generators import DISTRIBUTIONS, generate_keys
 
@@ -49,6 +55,57 @@ class TestCorrectness:
     def test_property(self, keys):
         vals = make_values(np.array(keys, dtype=np.float32))
         assert np.array_equal(quicksort(vals), reference_sort(vals))
+
+
+#: Few distinct keys, so every key repeats many times; both zeros and
+#: both infinities are in, so the id tie-break decides among them.
+HARD_KEYS = np.array(
+    [-np.inf, -2.5, -1e-45, -0.0, 0.0, 1e-45, 2.5, np.inf], dtype=np.float32
+)
+
+
+def _hard_values(n: int, seed: int) -> np.ndarray:
+    """``n`` pairs of duplicated hard keys under shuffled unique ids."""
+    rng = np.random.default_rng(seed)
+    keys = HARD_KEYS[rng.integers(0, HARD_KEYS.size, n)]
+    ids = rng.permutation(np.arange(n, dtype=np.uint32) * 7 + 3)
+    return make_values(keys, ids)
+
+
+class TestStdSortIdentity:
+    """``cpu-std`` argsorts composites from 512 pairs; the bytes must not
+    change: they equal the lexsort reference on every side of the cutoff."""
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_byte_identical_to_lexsort(self, n, seed):
+        vals = _hard_values(n, seed)
+        expected = vals[total_order_argsort(vals)].tobytes()
+        assert std_sort(vals).tobytes() == expected
+        result = repro.sort(repro.SortRequest(values=vals), engine="cpu-std")
+        assert result.values.tobytes() == expected
+
+    @given(
+        n=st.sampled_from([511, 512, 513, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_property(self, n, seed):
+        vals = _hard_values(n, seed)
+        assert (
+            std_sort(vals).tobytes() == vals[total_order_argsort(vals)].tobytes()
+        )
+
+    def test_shared_composite_falls_back_to_lexsort(self):
+        # Out of the request contract (a repeated id), but std_sort itself
+        # must still match lexsort: (-0.0, 5) and (+0.0, 5) share a
+        # composite, so the SIMD order is not forced.
+        vals = _hard_values(SIMD_SORT_MIN, 4)
+        vals["key"][:2] = (-0.0, 0.0)
+        vals["id"][:2] = 5
+        assert (
+            std_sort(vals).tobytes() == vals[total_order_argsort(vals)].tobytes()
+        )
 
 
 class TestCounters:

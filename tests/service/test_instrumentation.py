@@ -252,3 +252,21 @@ def test_planner_relative_error_is_exact_for_a_cpu_std_plan(rng):
     count, total = _plan_error(inst)
     assert count == 1
     assert total < 1e-9
+
+
+def test_planner_relative_error_counts_every_request_across_devices(rng):
+    from repro.engines.base import SortRequest
+
+    # Four devices run their shares on four executor threads at once; the
+    # histogram is observed on the loop, so no observation is lost.
+    sizes = [256 << (i % 5) for i in range(96)]
+    svc = SortService(devices=4, coalesce_window_ms=5.0, max_batch=16)
+    inst = instrument(svc)
+    results = svc.map(
+        [SortRequest(keys=rng.random(n, dtype=np.float32)) for n in sizes]
+    )
+    assert all(r.plan is not None for r in results)
+    busy = inst.registry.get("repro_service_device_busy_ms_total").samples()
+    assert sum(s.value > 0 for s in busy) > 1  # shares ran on several devices
+    count, _total = _plan_error(inst)
+    assert count == len(sizes)

@@ -9,6 +9,7 @@ service-makespan telemetry that flows into the standard aggregation.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -318,3 +319,44 @@ def test_all_planned_batch_plans_each_request_once(rng):
     assert [placement.device[id(r)] for r in requests] == list(
         expected.assignment
     )
+
+
+def test_one_executor_submission_per_device_share(rng):
+    requests = [_request(rng, 256 << (i % 4)) for i in range(8)]
+
+    class CountingExecutor(ThreadPoolExecutor):
+        """The loop's default executor, counting thread-pool submissions."""
+
+        submits = 0
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            return super().submit(*args, **kwargs)
+
+    class Devices:
+        """Observer recording which device executed each request."""
+
+        def __init__(self):
+            self.device = {}
+
+        def on_execute(self, device, busy_ms, ticket):
+            self.device[id(ticket.request)] = device
+
+        def on_batch(self, done, schedule):
+            pass
+
+    async def run():
+        executor = CountingExecutor(max_workers=4)
+        asyncio.get_running_loop().set_default_executor(executor)
+        svc = SortService(devices=4, coalesce_window_ms=10_000, max_batch=8)
+        svc.observer = devices = Devices()
+        async with svc:
+            results = await asyncio.gather(*(svc.submit(r) for r in requests))
+        return svc, results, executor.submits, devices.device
+
+    svc, results, submits, device = asyncio.run(asyncio.wait_for(run(), 60.0))
+    assert svc.stats.batches == 1
+    assert len(device) == len(requests)
+    assert submits == len(set(device.values())) <= 4
+    for request, result in zip(requests, results):
+        assert result.values.tobytes() == repro.sort(request).values.tobytes()
