@@ -1,9 +1,9 @@
 """The trace-replay harness: one call from trace to fleet report.
 
 :func:`replay` runs one trace under one policy;
-:func:`compare_policies` runs the same trace under several.  Both are
-thin over :class:`~repro.fleet.scheduler.FleetScheduler`, whose service
-times come from the process-wide single-device planner
+:func:`compare_policies` runs the same trace under every built-in one.
+Both are thin over :class:`~repro.fleet.scheduler.FleetScheduler`, whose
+service times come from the process-wide single-device planner
 (:func:`repro.planner.default_planner`), so every replay in a process
 prices each request size once.  Everything is virtual time, so results
 depend only on (trace, policy, pool parameters) and replays are
@@ -28,7 +28,6 @@ def replay(
     devices: int = 4,
     autoscaler: Autoscaler | None = None,
     queue_bound: int = 64,
-    max_preemptions: int = 2,
     execute: bool = False,
     observer=None,
 ) -> FleetReport:
@@ -47,7 +46,6 @@ def replay(
         devices=devices,
         autoscaler=autoscaler,
         queue_bound=queue_bound,
-        max_preemptions=max_preemptions,
         execute=execute,
         observer=observer,
     ).run()
@@ -55,16 +53,14 @@ def replay(
 
 def compare_policies(
     trace: Trace,
-    policies: list[str] | None = None,
     *,
     devices: int = 4,
     autoscaler: Autoscaler | None = None,
     queue_bound: int = 64,
-    max_preemptions: int = 2,
 ) -> dict[str, FleetReport]:
-    """Replay ``trace`` under each policy (default: every built-in).
+    """Replay ``trace`` under every built-in policy.
 
-    Returns ``{policy name: report}`` in the order given.
+    Returns ``{policy name: report}`` in policy-name order.
     """
     return {
         name: replay(
@@ -73,8 +69,6 @@ def compare_policies(
             devices=devices,
             autoscaler=autoscaler,
             queue_bound=queue_bound,
-            max_preemptions=max_preemptions,
         )
-        for name in (policies if policies is not None else sorted(POLICIES))
+        for name in sorted(POLICIES)
     }
-

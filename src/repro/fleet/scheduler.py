@@ -119,9 +119,6 @@ class FleetScheduler:
         pool size follows its decisions at ``tick_ms`` cadence.
     queue_bound:
         Per-tenant queue depth that triggers the policy's eviction hook.
-    max_preemptions:
-        Displacement budget per job; at the cap a job can no longer be
-        chosen as a victim (the progress guarantee).
     execute:
         Run each completed request's plan on its seeded workload and keep
         the sorted arrays in :attr:`results`.
@@ -134,6 +131,10 @@ class FleetScheduler:
         samples are as reproducible as the replay itself.
     """
 
+    #: Displacement budget per job; at the cap a job can no longer be
+    #: chosen as a victim (the progress guarantee).
+    max_preemptions = 2
+
     def __init__(
         self,
         trace: Trace,
@@ -142,7 +143,6 @@ class FleetScheduler:
         devices: int = 4,
         autoscaler: Autoscaler | None = None,
         queue_bound: int = 64,
-        max_preemptions: int = 2,
         execute: bool = False,
         observer=None,
     ):
@@ -152,13 +152,10 @@ class FleetScheduler:
             raise SortInputError(
                 f"fleet needs queue_bound >= 1, got {queue_bound}"
             )
-        if max_preemptions < 0:
-            raise SortInputError("fleet needs max_preemptions >= 0")
         self.trace = trace
         self.policy = make_policy(policy)
         self.autoscaler = autoscaler
         self.queue_bound = queue_bound
-        self.max_preemptions = max_preemptions
         self.execute = execute
         self.observer = observer
         self.pool_size = (

@@ -7,9 +7,7 @@ assets -- so a fleet replay's health report can be opened straight from
 disk or attached to CI artifacts.  The page shows the headline tiles
 (utilization, fairness, makespan), a per-device utilization table with
 bubble-time bars, the wait-time trend sparkline, per-tenant rollups,
-the eviction/overload analysis, and the analyzer's notes.  An optional
-``service_rows`` section appends live-service metrics (as rendered by
-the ``metrics`` CLI) under the fleet sections.
+the eviction/overload analysis, and the analyzer's notes.
 
 Rendering is pure string formatting over the already-rounded
 :meth:`~repro.obs.health.PoolHealth.to_json` values: the same health
@@ -88,13 +86,8 @@ def _table(headers: list[str], rows: list[list[object]]) -> str:
     return f"<table><tr>{head}</tr>{body}</table>"
 
 
-def render_health_html(health, *, service_rows=None) -> str:
-    """Render one :class:`~repro.obs.health.PoolHealth` as a full page.
-
-    ``service_rows`` optionally appends a "Service metrics" table of
-    ``(name, labels, value)`` triples (e.g. the last sample of a live
-    service's metrics NDJSON).
-    """
+def render_health_html(health) -> str:
+    """Render one :class:`~repro.obs.health.PoolHealth` as a full page."""
     data = health.to_json()
     pool = data["pool"]
     over = data["overload"]
@@ -202,18 +195,6 @@ def render_health_html(health, *, service_rows=None) -> str:
         "<h2>Notes</h2>",
         notes_html,
     ]
-    if service_rows:
-        sections += [
-            "<h2>Service metrics</h2>",
-            _table(
-                ["metric", "labels", "value"],
-                [
-                    [_esc(name), _esc(labels), _esc(value)]
-                    for name, labels, value in service_rows
-                ],
-            ),
-        ]
-
     body = "\n".join(sections)
     return (
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
@@ -223,8 +204,8 @@ def render_health_html(health, *, service_rows=None) -> str:
     )
 
 
-def save_health_html(health, path, *, service_rows=None) -> Path:
+def save_health_html(health, path) -> Path:
     """Render and write the health page to ``path``; return the path."""
     path = Path(path)
-    path.write_text(render_health_html(health, service_rows=service_rows))
+    path.write_text(render_health_html(health))
     return path

@@ -16,12 +16,14 @@ one :class:`~repro.engines.base.SortRequest` into a :class:`SortPlan`:
    (the :mod:`repro.stream.cache` idiom), invalidated wholesale whenever
    the engine registry's population changes.
 
-:meth:`Planner.plan_batch` extends the pick to a whole batch: per-request
-plans supply the task weights, :meth:`Planner.place` LPT-places them
-(:func:`~repro.cluster.scheduler.lpt`) across device counts, and the
+:meth:`Planner.plan_batch` chooses a cluster size for a whole batch:
+per-request plans supply the task weights, each cluster size up to the
+cap is filled by LPT (:func:`~repro.cluster.scheduler.lpt`), and the
 smallest cluster within :data:`BATCH_TOLERANCE` of the best predicted
 makespan wins -- more devices are never free in a real deployment, so
-the planner does not burn them for thin gains.
+the planner does not burn them for thin gains.  A *fixed* pool (the
+service's, ``sort_batch(devices=N)``) is filled by LPT alone, with no
+planner choosing its size.
 """
 
 from __future__ import annotations
@@ -122,13 +124,11 @@ class SortPlan:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """The planner's decision for a batch: a cluster size, an LPT device
-    assignment (device index per request, in request order), and the
-    per-request plans whose estimates weighted the placement."""
+    """The planner's decision for a batch: a cluster size and an LPT
+    device assignment (device index per request, in request order)."""
 
     devices: int
     assignment: tuple[int, ...]
-    plans: tuple[SortPlan, ...]
     predicted_makespan_ms: float
 
 
@@ -273,30 +273,23 @@ class Planner:
     def plan_batch(
         self, requests: list[SortRequest], *, max_devices: int | None = None
     ) -> BatchPlan:
-        """Cluster size + LPT assignment for a batch of requests: each
-        request is planned individually, then the plans go to
-        :meth:`place`."""
-        return self.place(
-            [self.plan(r) for r in requests], max_devices=max_devices
-        )
+        """Choose a cluster size for a batch and LPT-place it there.
 
-    def place(
-        self, plans: list[SortPlan], *, max_devices: int | None = None
-    ) -> BatchPlan:
-        """Cluster size + LPT assignment for already-planned requests.
-
-        Each plan's predicted cost is its task weight; for every cluster
-        size up to ``max_devices``, the weights are LPT-placed and the
-        batch makespan approximated by the heaviest device load.  The
-        smallest cluster within :data:`BATCH_TOLERANCE` of the best
-        makespan wins.
+        Each request is planned, and its plan's predicted cost is its
+        task weight; for every cluster size up to ``max_devices``, the
+        weights are LPT-placed and the batch makespan approximated by the
+        heaviest device load.  The smallest cluster within
+        :data:`BATCH_TOLERANCE` of the best makespan wins.  This is the
+        question ``sort_batch(devices="auto")`` and ``plan --batch`` ask;
+        a fixed pool is filled by :func:`~repro.cluster.scheduler.lpt`
+        alone.
         """
         from repro.cluster.scheduler import lpt
 
-        if not plans:
+        if not requests:
             raise EngineError("cannot plan an empty batch")
-        limit = min(max_devices or self.max_devices, len(plans))
-        weights = [p.cost_ms for p in plans]
+        limit = min(max_devices or self.max_devices, len(requests))
+        weights = [self.plan(r).cost_ms for r in requests]
 
         candidates: list[tuple[int, list[int], float]] = []
         for devices in range(1, max(limit, 1) + 1):
@@ -313,13 +306,8 @@ class Planner:
         return BatchPlan(
             devices=chosen[0],
             assignment=tuple(chosen[1]),
-            plans=tuple(plans),
             predicted_makespan_ms=chosen[2],
         )
-
-    def explain(self, request: SortRequest) -> str:
-        """:meth:`SortPlan.explain` for ``request``'s plan."""
-        return self.plan(request).explain()
 
 
 #: The process-wide planners, one per device cap (created on first use).

@@ -35,7 +35,6 @@ from repro.service.server import (
     request_op,
     request_sort,
     serve_forever,
-    sort_over_socket,
     start_server,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "serve_forever",
     "request_sort",
     "request_op",
-    "sort_over_socket",
     "ServiceInstrumentation",
     "instrument",
 ]

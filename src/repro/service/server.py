@@ -17,9 +17,9 @@ is what lets the service coalesce them into one batch) and responses come
 back **in completion order**, so pipelining clients should tag requests
 with ``"id"``.
 
-:func:`request_sort` / :func:`sort_over_socket` are the matching client
-helpers used by the tests and the cookbook; :func:`request_op` sends one
-control line (``python -m repro metrics`` scrapes through it).
+:func:`request_sort` is the matching client helper used by the tests
+and the cookbook; :func:`request_op` sends one control line (``python
+-m repro metrics`` scrapes through it).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "serve_forever",
     "request_sort",
     "request_op",
-    "sort_over_socket",
     "MAX_LINE_BYTES",
 ]
 
@@ -388,11 +387,6 @@ async def request_sort(
     if tag is not None:
         message["id"] = tag
     return await _round_trip(host, port, message)
-
-
-def sort_over_socket(host: str, port: int, keys, *, engine: str | None = None) -> dict:
-    """Synchronous convenience wrapper over :func:`request_sort`."""
-    return asyncio.run(request_sort(host, port, keys, engine=engine))
 
 
 async def request_op(host: str, port: int, op: str, **fields) -> dict:

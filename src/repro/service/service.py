@@ -11,11 +11,11 @@ execute pipeline.  Callers :meth:`~SortService.submit` individual
 2. **coalesces** admitted requests into batches, holding each batch open
    for ``coalesce_window_ms`` (or until ``max_batch`` requests arrive);
 3. **plans** the batch: per-request engine choice through the cost-model
-   planner (:meth:`~repro.planner.Planner.plan`), and placement across
-   the device pool from those plans through
-   :meth:`~repro.planner.Planner.place` /
-   :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` -- the same LPT
-   policy the ``sort_batch`` cluster fast path uses;
+   planner (:meth:`~repro.planner.Planner.plan`), then placement of every
+   request across the whole fixed device pool by
+   :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` (one LPT rule,
+   :func:`~repro.cluster.scheduler.lpt`, weighted by each plan's
+   predicted cost or a pinned engine's estimate);
 4. **executes** each device's share of the batch in placement order, one
    request at a time per modeled cluster
    :class:`~repro.cluster.device.Device` (a per-device lock keeps that
@@ -389,7 +389,7 @@ class SortService:
             except Exception as err:
                 ticket.error = err
                 weights.append(0.0)
-        assignment = self._place(tickets, weights)
+        assignment = self._scheduler.assign_lpt(weights)
         self.stats.largest_batch = max(self.stats.largest_batch, len(tickets))
         shares: dict[int, list[_Ticket]] = {}
         for ticket, device in zip(tickets, assignment):
@@ -458,25 +458,6 @@ class SortService:
                 pass  # infeasible shapes surface at execution, as in sort()
         values = request.values if request.values is not None else request.keys
         return float(0 if values is None else len(values))
-
-    def _place(self, tickets: list[_Ticket], weights: list[float]) -> list[int]:
-        """LPT placement of one batch across the device pool.
-
-        When every ticket went through the planner,
-        :meth:`~repro.planner.Planner.place` is the brain: on the routed
-        plans, it both sizes the cluster (the smallest device count within
-        tolerance of the best predicted makespan -- idle devices stay idle
-        for thin gains) and LPT-places the requests on it.  Batches with
-        pinned engines fall back to plain
-        :meth:`~repro.cluster.scheduler.Scheduler.assign_lpt` over the
-        whole pool, since pinned requests may have no plan to weigh.
-        """
-        if all(t.plan is not None for t in tickets):
-            batch_plan = default_planner(1).place(
-                [t.plan for t in tickets], max_devices=len(self._devices)
-            )
-            return list(batch_plan.assignment)
-        return self._scheduler.assign_lpt(weights)
 
     async def _run_device(self, index: int, tickets: list[_Ticket]) -> None:
         """Execute one device's share of a batch, in placement order.

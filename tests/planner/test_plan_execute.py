@@ -239,19 +239,6 @@ class TestBatchPlanning:
     def test_empty_batch_rejected(self):
         with pytest.raises(EngineError):
             default_planner().plan_batch([])
-        with pytest.raises(EngineError):
-            default_planner().place([])
-
-    def test_plan_batch_is_plan_then_place(self, rng):
-        requests = [
-            SortRequest(keys=rng.random(128 << (i % 5), np.float32))
-            for i in range(7)
-        ]
-        planner = default_planner()
-        plans = [planner.plan(r) for r in requests]
-        assert planner.place(plans, max_devices=3) == planner.plan_batch(
-            requests, max_devices=3
-        )
 
     def test_sort_batch_auto_devices(self, rng):
         requests = [

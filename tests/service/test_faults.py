@@ -24,17 +24,23 @@ TIMEOUT_S = 60.0
 
 
 class _Recorder:
-    """Stub observer: keeps every ``on_execute`` call and batch count."""
+    """Stub observer: keeps every ``on_execute`` call and batch count.
+
+    Build it inside the test's coroutine: ``on_execute`` runs on an
+    executor thread, so it sets the loop-bound event through the loop
+    captured here.
+    """
 
     def __init__(self):
         self.executions: list[tuple[float, float, object]] = []
         self.batches = 0
         self.first_execution = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
 
     def on_execute(self, device, busy_ms, ticket):
         started = ticket.submitted + ticket.result.telemetry.queue_wait_ms / 1e3
         self.executions.append((started, time.perf_counter(), ticket.request))
-        self.first_execution.set()
+        self._loop.call_soon_threadsafe(self.first_execution.set)
 
     def on_batch(self, done, schedule):
         self.batches += 1

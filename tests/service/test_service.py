@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cluster.scheduler import lpt
 from repro.engines.base import SortTelemetry
 from repro.errors import (
     CapabilityError,
@@ -315,10 +316,36 @@ def test_all_planned_batch_plans_each_request_once(rng):
     assert cache.hits + cache.misses - lookups == len(requests)
     assert svc.stats.batches == 1
     assert all(r.plan is not None for r in results)
-    expected = default_planner(1).plan_batch(requests, max_devices=4)
-    assert [placement.device[id(r)] for r in requests] == list(
-        expected.assignment
-    )
+    expected, _loads = lpt([r.plan.cost_ms for r in results], range(4))
+    assert [placement.device[id(r)] for r in requests] == expected
+
+
+def test_all_planned_batch_fills_the_whole_pool(rng):
+    """One heavy and three light planned requests, sealed as one batch,
+    run on four distinct devices: the service fills its fixed pool by
+    LPT and never shrinks it to a planner-chosen cluster size."""
+
+    class Placement:
+        """Observer recording which device executed each request."""
+
+        def __init__(self):
+            self.device = {}
+
+        def on_execute(self, device, busy_ms, ticket):
+            self.device[id(ticket.request)] = device
+
+        def on_batch(self, done, schedule):
+            pass
+
+    requests = [_request(rng, n) for n in (65536, 256, 256, 256)]
+    svc = SortService(devices=4, coalesce_window_ms=10_000, max_batch=4)
+    svc.observer = placement = Placement()
+    results = svc.map(requests)
+    assert svc.stats.batches == 1
+    assert all(r.plan is not None for r in results)
+    assert sorted(placement.device[id(r)] for r in requests) == [0, 1, 2, 3]
+    for req, served in zip(requests, results):
+        assert np.array_equal(served.values, repro.sort(req).values)
 
 
 def test_one_executor_submission_per_device_share(rng):
