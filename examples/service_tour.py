@@ -89,7 +89,6 @@ def backpressure_demo() -> None:
             max_pending=2,
             coalesce_window_ms=5_000.0,
             max_batch=64,
-            retry_after_ms=25.0,
         )
         async with SortService(config) as svc:
             admitted = [

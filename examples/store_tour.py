@@ -55,13 +55,11 @@ def query_demo(store: SortedStore, all_keys: np.ndarray) -> None:
 
 
 def compaction_demo(store: SortedStore) -> None:
-    """Planner-scored candidates, then a background compaction."""
+    """Planner-scored candidates, then the compaction they pick."""
     print("\nthe compaction planner's scored candidates:")
     print(store.compaction_plan().explain())
-    store.compact_in_background()
-    store.wait_for_compaction()
-    report_runs = store.run_count
-    print(f"background compaction done: store now {report_runs} run(s)")
+    store.compact()
+    print(f"compaction done: store now {store.run_count} run(s)")
 
 
 def reopen_demo(path: str, all_keys: np.ndarray) -> None:

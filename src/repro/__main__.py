@@ -64,7 +64,7 @@ from repro.analysis.timing import (
     table2_rows,
     table3_rows,
 )
-from repro.fleet import FleetObserver, replay
+from repro.fleet import FleetObserver, FleetScheduler
 from repro.obs import analyze_pool_health, save_health_html
 from repro import ops
 from repro.ops import OPS, Op, Param, bind
@@ -544,13 +544,13 @@ def _generate(args):
 
 def _health(args):
     observer = FleetObserver(metrics_path=args["metrics_out"])
-    report = replay(
+    report = FleetScheduler(
         ops.load_trace(args),
         args["policy"],
         devices=args["devices"],
         queue_bound=args["queue_bound"],
         observer=observer,
-    )
+    ).run()
     return analyze_pool_health(report, observer)
 
 

@@ -140,11 +140,6 @@ class ClusterSchedule:
         return sum(t.bubble_ms for t in self.timelines.values())
 
     @property
-    def per_device_ms(self) -> dict[int, float]:
-        """Device index -> active span, for reports."""
-        return {d: t.span_ms for d, t in sorted(self.timelines.items())}
-
-    @property
     def transfer_ms(self) -> float:
         """Total modeled time spent on the links (uploads + downloads)."""
         return sum(

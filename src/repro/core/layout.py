@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import LayoutError
 from repro.core.bitonic_tree import is_power_of_two, levels_of_inorder_positions
 
@@ -284,13 +282,6 @@ class LayoutTracker:
                     written.add(loc)
             self.rows.append((list(active), list(self.labels), written))
         return self
-
-    def occupied_locations(self) -> np.ndarray:
-        """Memory locations currently holding a label."""
-        return np.array(
-            [i for i, lab in enumerate(self.labels) if lab is not None],
-            dtype=np.int64,
-        )
 
 
 def validate_no_overlap_within_step(

@@ -12,11 +12,14 @@ competing for devices.  This package schedules that competition:
 * :mod:`repro.fleet.scheduler` -- the virtual-time event-driven
   :class:`~repro.fleet.scheduler.FleetScheduler` that owns the mechanism
   invariants (conservation, quotas, preemption budgets) whatever the
-  policy decides;
+  policy decides, and places each execution on a pool slot
+  (``Job.slot``): ``FleetScheduler(trace, policy, ...).run()`` replays
+  one trace, :func:`~repro.fleet.scheduler.compare_policies` replays it
+  under every built-in policy;
 * :mod:`repro.fleet.autoscaler` -- reactive pool sizing from queue depth
   and utilization;
-* :mod:`repro.fleet.harness` -- :func:`~repro.fleet.harness.replay` /
-  :func:`~repro.fleet.harness.compare_policies`, the one-call drivers;
+* :mod:`repro.fleet.observe` -- :class:`~repro.fleet.observe.FleetObserver`,
+  the metrics, job spans and per-slot busy time of one replay;
 * :mod:`repro.fleet.stats` -- :class:`~repro.fleet.stats.FleetReport`
   with per-tenant makespan, p99 wait, Jain fairness, and
   preemption/eviction counters.
@@ -30,7 +33,6 @@ socket.  See ``docs/fleet.md``.
 """
 
 from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.harness import compare_policies, replay
 from repro.fleet.observe import FleetObserver
 from repro.fleet.policy import (
     POLICIES,
@@ -40,13 +42,12 @@ from repro.fleet.policy import (
     WeightedFairSharePolicy,
     make_policy,
 )
-from repro.fleet.scheduler import FleetScheduler, Job
+from repro.fleet.scheduler import FleetScheduler, Job, compare_policies
 from repro.fleet.stats import FleetReport, TenantStats, jain_index
 from repro.workloads.traces import Tenant, Trace, TraceRequest
 
 __all__ = [
     "Autoscaler",
-    "replay",
     "compare_policies",
     "SchedulingPolicy",
     "FifoPriorityPolicy",

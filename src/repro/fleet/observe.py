@@ -10,11 +10,12 @@ event stream into the three observability artifacts:
 * a :class:`~repro.obs.trace.SpanRecorder` of job spans -- one ``wait``
   span per completed request (arrival to the start that completed, on
   the tenant's track) and one ``run``/``preempted`` span per execution
-  (on the pool-slot track it actually occupied);
-* a virtual-time sample series: pool occupancy at every event, plus
-  per-slot busy integrals -- the inputs
-  :func:`repro.obs.health.analyze_pool_health` needs for utilization,
-  bubble time, and wait-time trends.
+  (on the track of the pool slot the scheduler placed it on,
+  ``Job.slot``);
+* virtual-time series: per-slot busy time and executions, the pool
+  capacity integral, and the completion and eviction series -- the
+  inputs :func:`repro.obs.health.analyze_pool_health` needs for
+  utilization, bubble time, and wait-time trends.
 
 Everything is driven by the scheduler's *virtual* clock, so two replays
 of the same trace produce byte-identical metrics files, traces, and
@@ -25,8 +26,6 @@ health reports -- the property the golden tests pin down.  With
 """
 
 from __future__ import annotations
-
-import heapq
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import MetricsSampler
@@ -102,54 +101,30 @@ class FleetObserver:
             "repro_fleet_running", "Jobs running across all devices"
         )
 
-        #: Virtual-time occupancy series: (t_ms, queued, running, pool).
-        self.occupancy: list[tuple[float, int, int, int]] = []
         #: Completion series for wait trends: (t_ms, wait_ms, tenant).
         self.completions_series: list[tuple[float, float, str]] = []
         #: Eviction series: (t_ms, tenant).
         self.evictions_series: list[tuple[float, str]] = []
-        #: Per-slot busy integrals, ms (index = device slot).
+        #: Per-slot busy time, ms (index = ``Job.slot``), summed per
+        #: finished execution.
         self.slot_busy_ms: list[float] = []
         #: Per-slot executions begun (runs + restarts).
         self.slot_jobs: list[int] = []
         #: Pool capacity integral: sum over time of pool_size * dt, ms.
         self.capacity_ms = 0.0
         self.peak_queue_depth = 0
-        self.end_ms = 0.0
 
         self._now = 0.0
         self._pool = 0
-        self._slots_of: dict[int, int] = {}  # job index -> slot
-        self._free_slots: list[int] = []
-        self._allocated = 0
 
     # -- time base -----------------------------------------------------------
 
     def _advance(self, now: float) -> None:
-        """Integrate busy/capacity time up to ``now``."""
+        """Integrate capacity time up to ``now``."""
         dt = now - self._now
         if dt > 0:
             self.capacity_ms += dt * self._pool
-            for slot in self._slots_of.values():
-                self.slot_busy_ms[slot] += dt
             self._now = now
-
-    def _take_slot(self, index: int) -> int:
-        if self._free_slots:
-            slot = heapq.heappop(self._free_slots)
-        else:
-            slot = self._allocated
-            self._allocated += 1
-            self.slot_busy_ms.append(0.0)
-            self.slot_jobs.append(0)
-        self._slots_of[index] = slot
-        self.slot_jobs[slot] += 1
-        return slot
-
-    def _release_slot(self, index: int) -> int:
-        slot = self._slots_of.pop(index)
-        heapq.heappush(self._free_slots, slot)
-        return slot
 
     # -- scheduler hooks -----------------------------------------------------
 
@@ -177,24 +152,27 @@ class FleetObserver:
     def on_start(self, job, now: float) -> None:
         """One job began (or restarted) executing."""
         self._advance(now)
-        self._take_slot(job.index)
+        if job.slot == len(self.slot_jobs):  # the scheduler opened a slot
+            self.slot_jobs.append(0)
+            self.slot_busy_ms.append(0.0)
+        self.slot_jobs[job.slot] += 1
 
     def on_preempt(self, job, now: float, started_ms: float) -> None:
         """One running job was displaced."""
         self._advance(now)
-        slot = self._release_slot(job.index)
+        self.slot_busy_ms[job.slot] += now - started_ms
         self.preemptions.labels(tenant=job.tenant.name).inc()
         self.spans.record(
             f"{job.tenant.name}/{job.index}", "preempted",
             started_ms, now - started_ms,
-            pid="pool", tid=f"slot{slot}",
+            pid="pool", tid=f"slot{job.slot}",
             tenant=job.tenant.name, n=job.request.n,
         )
 
     def on_complete(self, job, now: float) -> None:
         """One job ran to completion."""
         self._advance(now)
-        slot = self._release_slot(job.index)
+        self.slot_busy_ms[job.slot] += now - job.started_ms
         tenant = job.tenant.name
         wait = job.wait_ms
         sojourn = now - job.request.arrival_ms
@@ -206,7 +184,7 @@ class FleetObserver:
         self.spans.record(
             f"{tenant}/{job.index}", "run",
             job.started_ms, now - job.started_ms,
-            pid="pool", tid=f"slot{slot}",
+            pid="pool", tid=f"slot{job.slot}",
             tenant=tenant, n=job.request.n, wait_ms=round(wait, 6),
         )
         if wait > 0:
@@ -222,13 +200,12 @@ class FleetObserver:
         self._pool = size
         self.pool_devices.set(size)
 
-    def on_event(self, now: float, queued: int, running: int, pool: int) -> None:
-        """Called after every processed event with the pool occupancy."""
+    def on_event(self, now: float, queued: int, running: int) -> None:
+        """Called after every processed event with the queue and run counts."""
         self._advance(now)
         self.queue_depth.set(queued)
         self.running.set(running)
         self.peak_queue_depth = max(self.peak_queue_depth, queued)
-        self.occupancy.append((now, queued, running, pool))
         if self._sampler is not None and now >= self._next_sample_ms:
             self._sampler.sample(now)
             self._next_sample_ms = now + self.SAMPLE_EVERY_MS
@@ -236,7 +213,6 @@ class FleetObserver:
     def on_finish(self, now: float) -> None:
         """The replay drained; take the final sample."""
         self._advance(now)
-        self.end_ms = now
         if self._sampler is not None:
             self._sampler.sample(now)
 
@@ -246,8 +222,3 @@ class FleetObserver:
     def busy_ms(self) -> float:
         """Total device-busy time across all slots (virtual ms)."""
         return sum(self.slot_busy_ms)
-
-    @property
-    def utilization(self) -> float:
-        """Busy time over capacity (0.0 when the pool never opened)."""
-        return self.busy_ms / self.capacity_ms if self.capacity_ms else 0.0

@@ -24,6 +24,10 @@ answers:
 * **work safety** -- shrinking the pool (autoscaler) never cancels a
   running job; the pool drains to the target instead.
 
+The scheduler also places: each execution runs on a pool slot, the
+lowest slot id no running job holds, recorded as ``Job.slot`` -- the
+device an observer's span and per-slot busy time are charged to.
+
 ``execute=True`` additionally sorts every completed request's seeded
 workload: the job runs the plan it was priced with
 (:func:`repro.engines.auto.execute`), and the sorted arrays are kept so
@@ -42,13 +46,13 @@ from repro.engines.auto import execute
 from repro.engines.base import SortRequest, SortTelemetry
 from repro.errors import SortInputError
 from repro.fleet.autoscaler import Autoscaler
-from repro.fleet.policy import SchedulingPolicy, make_policy
+from repro.fleet.policy import POLICIES, SchedulingPolicy, make_policy
 from repro.fleet.stats import FleetReport, TenantStats, jain_index
 from repro.planner import SortPlan, default_planner
 from repro.workloads.generators import generate_keys
 from repro.workloads.traces import Tenant, Trace, TraceRequest
 
-__all__ = ["Job", "FleetScheduler"]
+__all__ = ["Job", "FleetScheduler", "compare_policies"]
 
 #: Service time charged for zero-cost (n <= 1) requests, so completions
 #: still strictly follow their starts in the event order.
@@ -68,6 +72,8 @@ class Job:
     state: str = "queued"
     #: Virtual time the current/last execution began (None before any).
     started_ms: float | None = None
+    #: Pool slot of the current or most recent execution (None before any).
+    slot: int | None = None
     #: Virtual time the job completed (None until it does).
     completed_ms: float | None = None
     #: Executions begun (restarts after preemption count again).
@@ -126,8 +132,8 @@ class FleetScheduler:
         Optional :class:`~repro.fleet.observe.FleetObserver` (or any
         object with its hook methods).  The scheduler calls it on every
         arrival / start / preemption / completion / eviction / pool
-        resize and once per processed event with the pool occupancy,
-        all in virtual time, so the observer's metrics, spans, and
+        resize and once per processed event with the queued and running
+        counts, all in virtual time, so the observer's metrics, spans, and
         samples are as reproducible as the replay itself.
     """
 
@@ -235,8 +241,7 @@ class FleetScheduler:
             self._dispatch()
             if self.observer is not None:
                 self.observer.on_event(
-                    self._now, len(self._queue), len(self._running),
-                    self.pool_size,
+                    self._now, len(self._queue), len(self._running)
                 )
         if self.observer is not None:
             self.observer.on_finish(self._now)
@@ -269,6 +274,8 @@ class FleetScheduler:
         job.started_ms = self._now
         job.executions += 1
         job.epoch += 1
+        held = {j.slot for j in self._running.values()}
+        job.slot = next(s for s in range(len(held) + 1) if s not in held)
         self._running[job.index] = job
         self.policy.on_start(job, self._now)
         if self.observer is not None:
@@ -405,3 +412,26 @@ class FleetScheduler:
             pool_timeline=tuple(self._pool_timeline),
             telemetry=self._telemetry,
         )
+
+
+def compare_policies(
+    trace: Trace,
+    *,
+    devices: int = 4,
+    autoscaler: Autoscaler | None = None,
+    queue_bound: int = 64,
+) -> dict[str, FleetReport]:
+    """Replay ``trace`` under every built-in policy.
+
+    Returns ``{policy name: report}`` in policy-name order.
+    """
+    return {
+        name: FleetScheduler(
+            trace,
+            name,
+            devices=devices,
+            autoscaler=autoscaler,
+            queue_bound=queue_bound,
+        ).run()
+        for name in sorted(POLICIES)
+    }

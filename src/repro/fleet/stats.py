@@ -3,7 +3,7 @@
 The numbers every scheduling-policy claim is judged on: per-tenant
 makespan, mean/p99 wait, preemption/eviction/deadline counters, and the
 cross-tenant fairness score (Jain's index).  A
-:class:`FleetReport` is what :func:`repro.fleet.replay` returns and what
+:class:`FleetReport` is what :meth:`repro.fleet.FleetScheduler.run` returns and what
 :func:`repro.analysis.cluster_report.format_fleet_report` renders; its
 :meth:`FleetReport.to_json` form is the socket/CLI/golden-file payload,
 built only from deterministic virtual-time quantities so the same trace

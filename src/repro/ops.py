@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.analysis.cluster_report import format_fleet_report, format_store_stats
 from repro.errors import ReproError
-from repro.fleet import Autoscaler, compare_policies, replay
+from repro.fleet import Autoscaler, FleetScheduler, compare_policies
 from repro.fleet.policy import POLICIES
 from repro.workloads.traces import Trace, scenario_trace
 
@@ -255,8 +255,9 @@ OPS: dict[str, Op] = {op.name: op for op in (
        lambda stats, args: format_store_stats(stats, f"store {args['path']}"),
        help="lifetime telemetry of the store", inputs=("store",)),
     Op("fleet.replay", (*TRACE_SOURCE, POLICY, *POOL),
-       lambda args: replay(load_trace(args), args["policy"],
-                           observer=args.get("observer"), **_pool(args)),
+       lambda args: FleetScheduler(
+           load_trace(args), args["policy"],
+           observer=args.get("observer"), **_pool(args)).run(),
        lambda report: report.to_json(),
        lambda report, args: format_fleet_report(report),
        help="replay one trace under one policy"),

@@ -20,7 +20,12 @@ from repro.stream.gpu_model import (
     HostSystem,
 )
 
-__all__ = ["ServiceConfig"]
+__all__ = ["RETRY_AFTER_MS", "ServiceConfig"]
+
+#: Back-off hint carried by overload rejections, in ms
+#: (:attr:`~repro.errors.ServiceOverloadError.retry_after_ms` and the
+#: NDJSON server's ``retry_after_ms`` error field).
+RETRY_AFTER_MS = 10.0
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,6 @@ class ServiceConfig:
     max_batch:
         Batch-size cap: a batch dispatches as soon as it holds this many
         requests, window notwithstanding.
-    retry_after_ms:
-        Back-off hint carried by overload rejections
-        (:attr:`~repro.errors.ServiceOverloadError.retry_after_ms` and the
-        NDJSON server's ``retry_after_ms`` error field).
     """
 
     devices: int = 4
@@ -69,7 +70,6 @@ class ServiceConfig:
     max_pending: int = 256
     coalesce_window_ms: float = 2.0
     max_batch: int = 32
-    retry_after_ms: float = 10.0
 
     def __post_init__(self) -> None:
         """Reject configurations that cannot queue or place anything."""
@@ -86,8 +86,4 @@ class ServiceConfig:
         if self.coalesce_window_ms < 0:
             raise ServiceError(
                 f"coalesce_window_ms must be >= 0, got {self.coalesce_window_ms}"
-            )
-        if self.retry_after_ms < 0:
-            raise ServiceError(
-                f"retry_after_ms must be >= 0, got {self.retry_after_ms}"
             )

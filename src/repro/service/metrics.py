@@ -34,6 +34,7 @@ from repro.engines.cost import measured_cost_ms
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, MetricsRegistry
 from repro.obs.trace import SpanRecorder
 from repro.planner.planner import default_planner
+from repro.service.config import RETRY_AFTER_MS
 
 __all__ = ["ServiceInstrumentation", "instrument"]
 
@@ -111,7 +112,7 @@ class ServiceInstrumentation:
         reg.gauge(
             "repro_service_retry_after_ms",
             "Back-off hint rejected clients receive",
-            fn=lambda: service.config.retry_after_ms,
+            fn=lambda: RETRY_AFTER_MS,
         )
         # The service plans with the process-wide single-device planner,
         # so these count every caller of default_planner(1) in the process.

@@ -56,7 +56,7 @@ from repro.engines.base import SortRequest, SortResult, SortTelemetry
 from repro.engines.telemetry import pipeline_tasks_for_results
 from repro.errors import EngineError, ServiceError, ServiceOverloadError
 from repro.planner.planner import default_planner
-from repro.service.config import ServiceConfig
+from repro.service.config import RETRY_AFTER_MS, ServiceConfig
 
 __all__ = ["ServiceStats", "SortService"]
 
@@ -301,8 +301,8 @@ class SortService:
             raise ServiceOverloadError(
                 f"service saturated: {self._pending} requests pending "
                 f"(max_pending={self.config.max_pending}); retry in "
-                f"{self.config.retry_after_ms:.0f} ms",
-                retry_after_ms=self.config.retry_after_ms,
+                f"{RETRY_AFTER_MS:.0f} ms",
+                retry_after_ms=RETRY_AFTER_MS,
             )
         self._pending += 1
         self.stats.submitted += 1

@@ -6,9 +6,9 @@ by default) and persisted as an immutable run in the hybrid layer's
 record format; queries answer by k-way loser-tree merge over the live
 runs; a planner-driven compactor (:class:`CompactionCostModel` scoring
 fan-in x devices candidates, the cluster scheduler balancing merge
-groups) folds runs together in the background; and a crash-safe JSON
-manifest makes reopening a directory recover exactly the last committed
-state.
+groups) folds runs together when :meth:`SortedStore.compact` is called;
+and a crash-safe JSON manifest makes reopening a directory recover
+exactly the last committed state.
 
 Typical use::
 

@@ -74,9 +74,7 @@ class StoreConfig:
     models every modeled cost is priced on.  ``max_fan_in`` /
     ``max_devices`` bound the compaction planner's candidate grid, and
     ``memory_pairs`` is the merge memory budget its I/O model splits
-    over the cursors.  With ``auto_compact`` on, an insert that leaves
-    ``compact_trigger`` or more live runs starts a background
-    compaction.  ``cache_pairs`` bounds the in-memory run cache (0
+    over the cursors.  ``cache_pairs`` bounds the in-memory run cache (0
     disables caching entirely; every query then pays disk charges).
     """
 
@@ -86,8 +84,6 @@ class StoreConfig:
     max_fan_in: int = 8
     max_devices: int = 4
     memory_pairs: int = COMPACTION_MEMORY_PAIRS
-    auto_compact: bool = False
-    compact_trigger: int = 8
     cache_pairs: int = 1 << 22
 
 
@@ -173,8 +169,9 @@ class SortedStore:
     loading the manifest if one exists, sweeping crash leftovers
     (``*.tmp`` files and run files the manifest does not reference), and
     answering queries from exactly the last committed state.  All public
-    methods are thread-safe under one internal lock, which is what lets
-    :meth:`compact_in_background` run while inserts and queries proceed.
+    methods are thread-safe under one internal lock, so the service
+    socket can run store ops on executor threads.  Runs merge only when
+    :meth:`compact` is called.
     """
 
     def __init__(self, path, config: StoreConfig | None = None, **overrides):
@@ -189,8 +186,6 @@ class SortedStore:
         self._stats = StoreStats()
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._cache_pairs = 0
-        self._compactor: threading.Thread | None = None
-        self._compaction_error: BaseException | None = None
         if (self.path / MANIFEST_NAME).exists():
             self.manifest = StoreManifest.load(self.path)
         else:
@@ -294,12 +289,6 @@ class SortedStore:
             self._stats.ingested_pairs += n
             self._stats.ingested_runs += 1
             self._stats.ingest_modeled_ms += result.telemetry.modeled_total_ms
-            trigger = (
-                self.config.auto_compact
-                and len(self.manifest.runs) >= self.config.compact_trigger
-            )
-        if trigger:
-            self.compact_in_background()
         return meta
 
     # ------------------------------------------------------------------
@@ -458,39 +447,6 @@ class SortedStore:
             self._cache_drop(meta.name)
         for meta, values in produced:
             self._cache_put(meta.name, values)
-
-    def compact_in_background(self, **policy) -> threading.Thread:
-        """Start (or join onto) a background compaction thread.
-
-        At most one compaction runs at a time; a second call while one
-        is alive returns the running thread.  Failures are captured and
-        re-raised by :meth:`wait_for_compaction`.
-        """
-        with self._lock:
-            if self._compactor is not None and self._compactor.is_alive():
-                return self._compactor
-
-            def worker() -> None:
-                try:
-                    self.compact(**policy)
-                except BaseException as err:  # noqa: BLE001 -- surfaced on join
-                    self._compaction_error = err
-
-            self._compaction_error = None
-            self._compactor = threading.Thread(
-                target=worker, name=f"compact-{self.path.name}", daemon=True
-            )
-            self._compactor.start()
-            return self._compactor
-
-    def wait_for_compaction(self) -> None:
-        """Join the background compaction, re-raising its failure if any."""
-        compactor = self._compactor
-        if compactor is not None:
-            compactor.join()
-        if self._compaction_error is not None:
-            error, self._compaction_error = self._compaction_error, None
-            raise error
 
     # ------------------------------------------------------------------
     # introspection

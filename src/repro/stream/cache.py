@@ -246,11 +246,6 @@ class TextureCacheSim:
         return self.hits + self.misses
 
     @property
-    def hit_rate(self) -> float:
-        """Fraction of accesses served from the cache."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
     def fetched_elems(self) -> int:
         """Elements transferred from memory (whole blocks per miss)."""
         return self.misses * self.config.block_elems

@@ -14,7 +14,6 @@ from repro.fleet import (
     Trace,
     TraceRequest,
     make_policy,
-    replay,
 )
 from repro.fleet.policy import WeightedFairSharePolicy
 
@@ -280,9 +279,9 @@ class TestAutoscaler:
             TraceRequest(float(i), "t", N, i) for i in range(40)
         ]
         scaler = Autoscaler(min_devices=1, max_devices=3, tick_ms=1.0)
-        report = replay(
+        report = FleetScheduler(
             _trace([t], requests), "fifo-priority", devices=2,
             autoscaler=scaler,
-        )
+        ).run()
         assert 1 <= report.pool_min <= report.pool_max <= 3
         assert report.completed == 40

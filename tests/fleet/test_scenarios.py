@@ -4,7 +4,9 @@ The NDJSON traces under ``tests/fleet/traces/`` and the golden reports
 under ``tests/fleet/goldens/`` are committed artifacts: the traces must
 be bit-identical to what ``scenario_trace`` regenerates (record/replay
 round trip), and replaying them must reproduce the golden per-tenant
-stats exactly (virtual time: no tolerance needed).
+stats exactly (virtual time: no tolerance needed).  ``goldens/spans.json``
+pins each replay's Chrome trace (job spans on their pool-slot tracks) by
+sha256, per scenario and policy.
 
 Regenerate after an intentional scheduler/trace change with::
 
@@ -13,18 +15,27 @@ Regenerate after an intentional scheduler/trace change with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.fleet import Autoscaler, Trace, compare_policies, replay
+from repro.fleet import (
+    POLICIES,
+    Autoscaler,
+    FleetObserver,
+    FleetScheduler,
+    Trace,
+    compare_policies,
+)
 from repro.workloads.traces import SCENARIOS, scenario_trace
 
 HERE = Path(__file__).parent
 TRACE_DIR = HERE / "traces"
 GOLDEN_DIR = HERE / "goldens"
+SPANS_GOLDEN = GOLDEN_DIR / "spans.json"
 
 #: The committed artifacts' generation seed.
 SEED = 0
@@ -45,6 +56,20 @@ def _golden_reports(name: str) -> dict:
     trace = Trace.load(TRACE_DIR / f"{name}.ndjson")
     reports = compare_policies(trace, **REPLAY_PARAMS[name])
     return {policy: report.to_json() for policy, report in reports.items()}
+
+
+def _span_digests(name: str) -> dict:
+    """sha256 of each policy's observed Chrome trace for scenario ``name``."""
+    trace = Trace.load(TRACE_DIR / f"{name}.ndjson")
+    digests = {}
+    for policy in sorted(POLICIES):
+        observer = FleetObserver()
+        FleetScheduler(
+            trace, policy, observer=observer, **REPLAY_PARAMS[name]
+        ).run()
+        chrome = json.dumps(observer.spans.to_chrome(), sort_keys=True)
+        digests[policy] = hashlib.sha256(chrome.encode()).hexdigest()
+    return digests
 
 
 class TestCommittedTraces:
@@ -69,10 +94,16 @@ class TestGoldenStats:
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         assert _golden_reports(name) == golden
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_span_tracks_match_digests(self, name):
+        golden = json.loads(SPANS_GOLDEN.read_text())
+        assert _span_digests(name) == golden[name]
+
     def test_replay_is_deterministic_across_runs(self):
         trace = Trace.load(TRACE_DIR / "burst.ndjson")
-        one = replay(trace, "weighted-fair", **REPLAY_PARAMS["burst"])
-        two = replay(trace, "weighted-fair", **REPLAY_PARAMS["burst"])
+        params = REPLAY_PARAMS["burst"]
+        one = FleetScheduler(trace, "weighted-fair", **params).run()
+        two = FleetScheduler(trace, "weighted-fair", **params).run()
         assert one.to_json() == two.to_json()
 
 
@@ -119,6 +150,9 @@ def _regen() -> None:
         payload = json.dumps(_golden_reports(name), indent=2, sort_keys=True)
         (GOLDEN_DIR / f"{name}.json").write_text(payload + "\n")
         print(f"regenerated {name}")
+    spans = {name: _span_digests(name) for name in sorted(SCENARIOS)}
+    SPANS_GOLDEN.write_text(json.dumps(spans, indent=2, sort_keys=True) + "\n")
+    print("regenerated span digests")
 
 
 if __name__ == "__main__":

@@ -129,6 +129,19 @@ class TestQuota:
                 assert peak <= quota, (seed, policy, tenant.name)
 
 
+class TestPlacement:
+    def test_completed_jobs_hold_distinct_slots_of_the_pool(self, runs):
+        for (seed, policy), sched in runs.items():
+            done = [j for j in sched.jobs if j.state == "completed"]
+            assert {j.slot for j in done} <= {0, 1}, (seed, policy)
+            for slot in (0, 1):
+                finals = sorted(
+                    j.spans[-1][:2] for j in done if j.slot == slot
+                )
+                for (_s, end), (start, _e) in zip(finals, finals[1:]):
+                    assert end <= start, (seed, policy, slot)
+
+
 class TestProgress:
     def test_preempted_requests_eventually_complete(self, runs):
         preempted_seen = 0

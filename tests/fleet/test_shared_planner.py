@@ -17,7 +17,7 @@ from repro.core.values import reference_sort
 from repro.engines import SortRequest, SortTelemetry
 from repro.engines.base import EngineCapabilities, SortEngine
 from repro.engines.cost import CostEstimate, CostModel
-from repro.fleet import FleetScheduler, Tenant, Trace, TraceRequest, replay
+from repro.fleet import FleetScheduler, Tenant, Trace, TraceRequest
 from repro.planner import default_planner
 from repro.service import SortService
 from repro.workloads.traces import scenario_trace
@@ -72,9 +72,9 @@ class TestOnePlanCache:
         # diurnal holds 382 distinct sizes: more than a 256-plan LRU keeps.
         trace = _trace() if scenario is None else scenario_trace(scenario)
         cache = default_planner(1).cache
-        replay(trace)
+        FleetScheduler(trace).run()
         misses, hits = cache.misses, cache.hits
-        replay(trace)
+        FleetScheduler(trace).run()
         assert cache.misses == misses
         assert cache.hits == hits + sum(r.n > 1 for r in trace.requests)
 

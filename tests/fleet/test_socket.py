@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.fleet import Autoscaler, compare_policies, replay
+from repro.fleet import Autoscaler, FleetScheduler, compare_policies
 from repro.fleet.policy import POLICIES
 from repro.service import SortService, start_server
 from repro.workloads.traces import scenario_trace
@@ -47,14 +47,16 @@ def test_replay_by_scenario_matches_the_library():
     (resp,) = _ask({"action": "replay", "scenario": "burst", "seed": 2,
                     "policy": "deadline-edf", "devices": 3})
     trace = scenario_trace("burst", seed=2)
-    assert resp == replay(trace, "deadline-edf", devices=3).to_json()
+    expect = FleetScheduler(trace, "deadline-edf", devices=3).run()
+    assert resp == expect.to_json()
 
 
 def test_replay_of_an_inline_trace():
     trace = scenario_trace("diurnal", seed=3, duration_ms=400.0)
     (resp,) = _ask({"action": "replay", "trace": trace.to_json(),
                     "policy": "fifo-priority", "queue_bound": 8})
-    assert resp == replay(trace, "fifo-priority", queue_bound=8).to_json()
+    expect = FleetScheduler(trace, "fifo-priority", queue_bound=8).run()
+    assert resp == expect.to_json()
     assert resp["trace"] == trace.name and resp["policy"] == "fifo-priority"
 
 
@@ -77,11 +79,11 @@ def test_autoscale_fields_reach_the_replay():
         {"action": "replay", "scenario": "burst", "autoscale": True,
          "min_devices": 1, "max_devices": 8},
     )
-    expect = replay(
+    expect = FleetScheduler(
         scenario_trace("burst"),
         devices=4,
         autoscaler=Autoscaler(min_devices=1, max_devices=8),
-    ).to_json()
+    ).run().to_json()
     assert scaled == expect
     assert (fixed["pool_min"], fixed["pool_max"]) == (4, 4)
     assert (scaled["pool_min"], scaled["pool_max"]) != (4, 4)

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.fleet import FleetObserver, Trace, replay
+from repro.fleet import FleetObserver, FleetScheduler, Trace
 from repro.obs import analyze_pool_health, render_health_html
 
 HERE = Path(__file__).parent
@@ -29,12 +29,12 @@ REPLAY_PARAMS = {"devices": 4, "queue_bound": 64}
 
 def _replay_with_observer(metrics_path=None):
     observer = FleetObserver(metrics_path=metrics_path)
-    report = replay(
+    report = FleetScheduler(
         Trace.load(BURST_TRACE),
         "weighted-fair",
         observer=observer,
         **REPLAY_PARAMS,
-    )
+    ).run()
     return report, observer
 
 
@@ -80,9 +80,9 @@ class TestHealthShape:
         )
 
     def test_observer_does_not_change_the_replay(self):
-        bare = replay(
+        bare = FleetScheduler(
             Trace.load(BURST_TRACE), "weighted-fair", **REPLAY_PARAMS
-        )
+        ).run()
         observed, _ = _replay_with_observer()
         assert bare.to_json() == observed.to_json()
 

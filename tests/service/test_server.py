@@ -22,6 +22,7 @@ from repro.service import (
     start_server,
 )
 from repro.service import server as server_module
+from repro.service.config import RETRY_AFTER_MS
 from repro.service.server import MAX_LINE_BYTES
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -144,7 +145,6 @@ def test_overload_response_carries_retry_after(rng):
             max_pending=1,
             coalesce_window_ms=10_000.0,
             max_batch=10,
-            retry_after_ms=12.5,
             engine="cpu-std",
         )
         async with SortService(config) as svc:
@@ -161,7 +161,7 @@ def test_overload_response_carries_retry_after(rng):
                 rejected = json.loads(await reader.readline())
                 assert rejected["id"] == "second"
                 assert rejected["error"] == "overloaded"
-                assert rejected["retry_after_ms"] == 12.5
+                assert rejected["retry_after_ms"] == RETRY_AFTER_MS
                 await svc.flush()
                 served = json.loads(await reader.readline())
                 assert served["id"] == "first"

@@ -24,6 +24,7 @@ from repro.errors import (
     SortInputError,
 )
 from repro.service import ServiceConfig, SortService
+from repro.service.config import RETRY_AFTER_MS
 
 # Power-of-two length so the sorting-network engines are feasible too.
 N = 1 << 10
@@ -117,7 +118,6 @@ def test_admission_control_rejects_with_retry_after(rng):
             max_pending=3,
             coalesce_window_ms=10_000.0,
             max_batch=100,
-            retry_after_ms=7.0,
         )
         async with SortService(config) as svc:
             tasks = [
@@ -128,7 +128,7 @@ def test_admission_control_rejects_with_retry_after(rng):
                 await asyncio.sleep(0)
             with pytest.raises(ServiceOverloadError) as excinfo:
                 await svc.submit(req, engine="cpu-std")
-            assert excinfo.value.retry_after_ms == 7.0
+            assert excinfo.value.retry_after_ms == RETRY_AFTER_MS
             assert svc.stats.rejected == 1
             await svc.flush()  # seal the held-open batch; work drains
             results = await asyncio.gather(*tasks)

@@ -158,18 +158,3 @@ class TestCrashSafety:
         # ...and the recovered store compacts cleanly afterwards.
         assert reopened.compact() is not None
         assert np.array_equal(reopened.range(-1.0, 2.0), full_before)
-
-    def test_background_compaction_failure_surfaces_on_wait(
-        self, tmp_path, rng, monkeypatch
-    ):
-        store = SortedStore(tmp_path, engine="cpu-std")
-        _fill(store, rng, batches=3, size=64)
-
-        def crash(self, produced, consumed):
-            raise OSError("simulated power loss")
-
-        monkeypatch.setattr(SortedStore, "_commit_compaction", crash)
-        store.compact_in_background()
-        with pytest.raises(OSError, match="power loss"):
-            store.wait_for_compaction()
-        store.wait_for_compaction()  # error is consumed, not re-raised

@@ -245,15 +245,6 @@ class TestLifecycle:
         assert not any(name.endswith(".tmp") for name in on_disk)
         assert reopened.run_count == 1
 
-    def test_auto_compact_runs_in_background(self, tmp_path, rng):
-        store = SortedStore(
-            tmp_path, engine="cpu-std", auto_compact=True, compact_trigger=4
-        )
-        batches = _fill(store, rng, batches=4, size=64)
-        store.wait_for_compaction()
-        assert store.run_count < 4
-        assert np.array_equal(store.range(-1.0, 2.0), _reference(batches))
-
     def test_config_and_overrides_are_exclusive(self, tmp_path):
         from repro.store import StoreConfig
 
