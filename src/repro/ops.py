@@ -7,8 +7,12 @@ CLI's output).  Both faces check parameters with :func:`bind`, so a bad
 one reads the same on either.  Inputs only one face has are built by
 that face before the call (:attr:`Op.inputs`): ``store`` is the socket's
 attached store or the CLI's ``--path``; ``keys`` are inline on the
-socket, generated from ``--n/--dist/--seed`` on the CLI.
-``docs/service.md`` tabulates the wire form of every op.
+socket, generated from ``--n/--dist/--seed`` on the CLI; ``observer`` is
+the fleet observer the CLI builds from ``--metrics-out``/``--trace-out``
+(the socket attaches none); ``service`` is the socket's live service,
+so an op that needs it (``ping``, ``stats``, ``metrics``, ``trace``) is
+served by the socket alone.  ``docs/service.md`` tabulates the wire form
+of every op.
 """
 
 from __future__ import annotations
@@ -159,6 +163,34 @@ def _insert_text(result, args) -> str:
     )
 
 
+def _replay(args):
+    """Replay one trace; a CLI ``--trace-out`` saves the observer's spans."""
+    report = FleetScheduler(
+        load_trace(args), args["policy"], observer=args.get("observer"),
+        **_pool(args)).run()
+    if args.get("trace_out") is not None:
+        args["observer"].spans.save(args["trace_out"])
+    return report
+
+
+def _replay_text(report, args) -> str:
+    text = format_fleet_report(report)
+    if args.get("trace_out") is not None:
+        from pathlib import Path
+
+        text += (f"\nwrote {len(args['observer'].spans)} spans to "
+                 f"{Path(args['trace_out'])}")
+    return text
+
+
+def _observer(args):
+    """The socket service's instrumentation, or a :class:`ReproError`."""
+    if args["service"].observer is None:
+        raise ReproError("no metrics attached (instrument the service with "
+                         "repro.service.instrument)")
+    return args["service"].observer
+
+
 def _hits_json(hits) -> dict:
     return {
         "n": int(hits.shape[0]),
@@ -215,7 +247,8 @@ def _compact_text(result, args) -> str:
     return text if plan is None else f"{plan.explain()}\n{text}"
 
 
-#: Every op both faces serve, by ``"<op>.<action>"``.
+#: Every shared op: ``"<op>.<action>"`` for the store and fleet actions
+#: both faces serve, a bare name for the socket's ``service`` ops.
 OPS: dict[str, Op] = {op.name: op for op in (
     Op("store.insert",
        (Param("engine", help="backend for the ingest sort (default: the "
@@ -255,12 +288,8 @@ OPS: dict[str, Op] = {op.name: op for op in (
        lambda stats, args: format_store_stats(stats, f"store {args['path']}"),
        help="lifetime telemetry of the store", inputs=("store",)),
     Op("fleet.replay", (*TRACE_SOURCE, POLICY, *POOL),
-       lambda args: FleetScheduler(
-           load_trace(args), args["policy"],
-           observer=args.get("observer"), **_pool(args)).run(),
-       lambda report: report.to_json(),
-       lambda report, args: format_fleet_report(report),
-       help="replay one trace under one policy"),
+       _replay, lambda report: report.to_json(), _replay_text,
+       help="replay one trace under one policy", inputs=("observer",)),
     Op("fleet.compare", (*TRACE_SOURCE, *POOL),
        lambda args: compare_policies(load_trace(args), **_pool(args)),
        lambda reports: {"reports": {
@@ -275,4 +304,16 @@ OPS: dict[str, Op] = {op.name: op for op in (
            f"{name:<16} {policies[name].__doc__.splitlines()[0]}"
            for name in sorted(policies)),
        help="list the built-in policies"),
+    Op("ping", (), lambda args: None, lambda _none: {"ok": True},
+       help="liveness probe", inputs=("service",)),
+    Op("stats", (), lambda args: args["service"].stats.snapshot(),
+       lambda snapshot: snapshot.to_json(),
+       help="the service's stats snapshot", inputs=("service",)),
+    Op("metrics", (), lambda args: _observer(args).registry.expose(),
+       lambda text: {"metrics": text},
+       help="the service's metrics exposition", inputs=("service",)),
+    Op("trace", (), lambda args: _observer(args).spans.to_chrome(),
+       lambda trace: {"trace": trace},
+       help="the service's request spans as Chrome trace JSON",
+       inputs=("service",)),
 )}

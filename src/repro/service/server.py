@@ -2,11 +2,13 @@
 
 ``python -m repro serve`` binds a :class:`repro.service.SortService` to a
 TCP socket.  The wire protocol is one JSON object per line, in both
-directions: a line with ``"keys"`` sorts, ``{"op": ...}`` lines are
-control ops (``ping``, ``stats``, ``metrics``, ``trace``), and
-``{"op": X, "action": Y}`` lines run the operation
-``repro.ops.OPS["X.Y"]`` -- the store and fleet actions the CLI serves
-too.  Every line gets exactly one response line; a failure answers
+directions: a line with ``"keys"`` sorts, and every ``{"op": ...}`` line
+runs an entry of the one op table :data:`repro.ops.OPS` --
+``{"op": X}`` the op ``X`` (``ping``, ``stats``, ``metrics``,
+``trace``: the ops with a ``service`` input, answered on the event
+loop), ``{"op": X, "action": Y}`` the op ``"X.Y"`` (the store and fleet
+actions the CLI serves too, run in the executor).  Every line gets
+exactly one response line; a failure answers
 ``{"id": ..., "error": "..."}``.  A line longer than
 :data:`MAX_LINE_BYTES` is skipped through its newline and answered
 ``{"id": null, "error": "line too long", "limit": MAX_LINE_BYTES}``.
@@ -18,8 +20,8 @@ back **in completion order**, so pipelining clients should tag requests
 with ``"id"``.
 
 :func:`request_sort` is the matching client helper used by the tests
-and the cookbook; :func:`request_op` sends one control line (``python
--m repro metrics`` scrapes through it).
+and the cookbook; :func:`request_op` sends one op line (``python -m
+repro metrics`` scrapes through it).
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ __all__ = [
 #: Longest request or response line either side reads (asyncio's default
 #: of 64 KiB would reset the connection on a sort of ~3k keys).
 MAX_LINE_BYTES = 1 << 24
+
+#: Seconds between the metrics-NDJSON samples :func:`serve_forever`
+#: appends to ``metrics_out`` (a final one is written at shutdown).
+SAMPLE_EVERY_S = 1.0
 
 
 def _telemetry_payload(result: SortResult) -> dict:
@@ -80,39 +86,25 @@ def _parse_request(message: dict, config) -> tuple[SortRequest, str | None]:
     return request, message.get("engine")
 
 
-def _observer(service: SortService):
-    if service.observer is None:
-        raise ReproError(
-            "no metrics attached (instrument the service with "
-            "repro.service.instrument)"
-        )
-    return service.observer
+def _line_op(message: dict, service: SortService, store) -> tuple[Op, dict]:
+    """The op an ``{"op"[, "action"]}`` line names, with its arguments.
 
-
-#: Control lines, answered from the service itself on the event loop.
-_CONTROL = {
-    "ping": lambda service: {"ok": True},
-    "stats": lambda service: service.stats.snapshot().to_json(),
-    "metrics": lambda service: {
-        "metrics": _observer(service).registry.expose()
-    },
-    "trace": lambda service: {"trace": _observer(service).spans.to_chrome()},
-}
-
-
-def _table_op(message: dict, store) -> tuple[Op, dict]:
-    """The shared op an ``{"op", "action"}`` line names, with its arguments.
-
-    The socket's face inputs join the bound parameters: the attached
-    ``store`` and the inline ``keys``.
+    A bare op name (``ping``) is the whole key and ``"action"`` is
+    ignored; a group (``store``) takes its action: ``"store.query"``.
+    The socket's face inputs join the bound parameters: the live
+    ``service``, the attached ``store`` and the inline ``keys``.
     """
     name, action = message["op"], message.get("action")
-    op = OPS.get(f"{name}.{action}")
+    if not isinstance(name, str):
+        raise ReproError(f"unknown op {name!r}")
+    op = ("." not in name and OPS.get(name)) or OPS.get(f"{name}.{action}")
     if op is None:
         if any(key.startswith(f"{name}.") for key in OPS):
             raise ReproError(f"unknown {name} action {action!r}")
         raise ReproError(f"unknown op {name!r}")
     args = bind(op, message)
+    if "service" in op.inputs:
+        args["service"] = service
     if "store" in op.inputs:
         if store is None:
             raise ReproError("no store attached (start the server with --store)")
@@ -127,9 +119,10 @@ def _table_op(message: dict, store) -> tuple[Op, dict]:
 async def _serve_line(service: SortService, line: bytes, store=None) -> dict:
     """Serve one request line, returning its one response object.
 
-    Table ops run in the default executor (store calls are blocking file
-    work, fleet replays pure CPU), so the event loop keeps serving sort
-    lines meanwhile.
+    An op with a ``service`` input reads loop-owned state, so it runs on
+    the event loop; every other op runs in the default executor (store
+    calls are blocking file work, fleet replays pure CPU), so the event
+    loop keeps serving sort lines meanwhile.
     """
     tag = None
     try:
@@ -140,14 +133,14 @@ async def _serve_line(service: SortService, line: bytes, store=None) -> dict:
         if not isinstance(message, dict):
             raise ReproError("request lines must be JSON objects")
         tag = message.get("id")
-        name = message.get("op")
-        if name in _CONTROL:
-            return {"id": tag, **_CONTROL[name](service)}
-        if name is not None:
-            op, args = _table_op(message, store)
-            result = await asyncio.get_running_loop().run_in_executor(
-                None, op.handler, args
-            )
+        if message.get("op") is not None:
+            op, args = _line_op(message, service, store)
+            if "service" in op.inputs:
+                result = op.handler(args)
+            else:
+                result = await asyncio.get_running_loop().run_in_executor(
+                    None, op.handler, args
+                )
             return {"id": tag, **op.to_json(result)}
         request, engine = _parse_request(message, service.config)
         result = await service.submit(request, engine=engine)
@@ -295,7 +288,6 @@ async def serve_forever(
     store=None,
     metrics_out=None,
     trace_out=None,
-    sample_every_s: float = 1.0,
 ) -> "SortService":
     """Run a service-backed NDJSON server until cancelled (or ``limit``).
 
@@ -311,7 +303,7 @@ async def serve_forever(
 
     When the service carries instrumentation (``service.observer``, see
     :func:`repro.service.metrics.instrument`), ``metrics_out`` appends a
-    metrics-NDJSON sample every ``sample_every_s`` seconds (plus a final
+    metrics-NDJSON sample every :data:`SAMPLE_EVERY_S` seconds (plus a final
     one at shutdown) and ``trace_out`` saves the span ring as Chrome
     trace JSON at shutdown.  Returns the (closed) service so callers can
     inspect its final stats.
@@ -330,7 +322,7 @@ async def serve_forever(
 
         async def sample_loop() -> None:
             while True:
-                await asyncio.sleep(sample_every_s)
+                await asyncio.sleep(SAMPLE_EVERY_S)
                 sampler.sample(service.observer.now_ms())
 
         sampler_task = asyncio.create_task(sample_loop())
@@ -390,7 +382,7 @@ async def request_sort(
 
 
 async def request_op(host: str, port: int, op: str, **fields) -> dict:
-    """One control-line round trip: send ``{"op": op, **fields}``.
+    """One op-line round trip: send ``{"op": op, **fields}``.
 
     The client side of ``{"op": "stats"/"metrics"/"trace"/...}`` lines;
     ``python -m repro metrics`` scrapes a live server through it.

@@ -151,7 +151,6 @@ def test_serve_forever_writes_metrics_ndjson_and_chrome_trace(
                 on_ready=ready.set_result,
                 metrics_out=metrics_out,
                 trace_out=trace_out,
-                sample_every_s=0.05,
             )
         )
         port = await ready

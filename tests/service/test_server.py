@@ -337,6 +337,21 @@ def test_unknown_ops_and_actions_are_named():
     assert by_id == {1: "unknown op 'nonsense'", 2: "unknown fleet action 'x'"}
 
 
+def test_an_op_value_that_names_no_op_is_named_unknown():
+    responses = _serve_raw(
+        b'{"op": ["a"], "id": 1}\n{"op": {"x": 1}, "id": 2}\n'
+        b'{"op": 5, "id": 3}\n{"op": "fleet.policies", "id": 4}\n',
+        4,
+    )
+    by_id = {r["id"]: r["error"] for r in responses}
+    assert by_id == {
+        1: "unknown op ['a']",
+        2: "unknown op {'x': 1}",
+        3: "unknown op 5",
+        4: "unknown op 'fleet.policies'",  # a dotted name needs "action"
+    }
+
+
 def test_malformed_keys_still_get_a_response():
     async def run():
         async with SortService(devices=1, coalesce_window_ms=1.0) as svc:

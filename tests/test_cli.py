@@ -72,6 +72,15 @@ class TestCLI:
         assert "FAIL" not in out
         assert "12/12 checks passed" in out
 
+    def test_a_failed_check_exits_1(self, capsys, monkeypatch):
+        import repro.__main__ as cli
+
+        monkeypatch.setattr(cli, "transfer_round_trip_ms", lambda n, host: 0.0)
+        assert main(["report"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] AGP round trip" in out
+        assert "10/12 checks passed" in out
+
     def test_report_health_command(self, capsys, tmp_path):
         out_html = tmp_path / "health.html"
         assert main(["report", "health", "--scenario", "burst",
@@ -193,7 +202,7 @@ class TestCLI:
 
     def test_profile_rejects_machineless_engine(self, capsys):
         assert main(["profile", "--n", "64", "--engine", "cpu-std"]) == 2
-        assert "does not run on the stream machine" in capsys.readouterr().out
+        assert "does not run on the stream machine" in capsys.readouterr().err
 
     def test_user_errors_print_cleanly(self, capsys):
         # Unknown engine and capability mismatches are one-line errors

@@ -1,9 +1,10 @@
 """Byte-level goldens for the CLI's modeled output.
 
-``plan`` and ``cluster`` print only modeled (counted-cost) figures, so
-their output is deterministic to the byte.  The files under
-``tests/goldens/`` pin it: a refactor of the planner, the batch placement
-or the sharded path must leave them unchanged.
+The commands below print only modeled (counted-cost) figures and seeded
+data, so their output is deterministic to the byte.  The files under
+``tests/goldens/`` pin it: a refactor of the planner, the batch
+placement, the sharded path or the CLI's own rendering must leave them
+unchanged.
 
 Regenerate after an intentional modeled-cost change with::
 
@@ -29,6 +30,20 @@ GOLDENS = {
         "plan", "--n", "65536", "--batch", "6", "--max-devices", "8",
     ],
     "cluster_n65536_devices4.txt": ["cluster", "--n", "65536", "--devices", "4"],
+    "sort_n4096.txt": ["sort", "--n", "4096"],
+    "sort_n4096_auto.txt": ["sort", "--n", "4096", "--engine", "auto"],
+    "backends.txt": ["backends"],
+    "ops_n4096.txt": ["ops", "--n", "4096"],
+    "profile_n4096.txt": ["profile", "--n", "4096"],
+    "figures.txt": ["figures"],
+    "table2_sizes4096_16384.txt": ["table2", "--sizes", "4096", "16384"],
+    "report.txt": ["report"],
+    "fleet_policies.txt": ["fleet", "policies"],
+    "fleet_replay_burst.txt": ["fleet", "replay", "--scenario", "burst"],
+    "fleet_compare_burst_300ms.txt": [
+        "fleet", "compare", "--scenario", "burst", "--duration-ms", "300",
+    ],
+    "report_health_burst.txt": ["report", "health", "--scenario", "burst"],
 }
 
 

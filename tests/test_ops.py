@@ -1,22 +1,27 @@
 """One op table, two faces: the CLI and the socket agree on every op.
 
-Each op in :data:`repro.ops.OPS` runs through the CLI's parse -> bind ->
-handler path (:func:`repro.__main__.prepare`, the one ``main`` uses) and
-through one NDJSON socket line; both must give the same ``to_json``
-dict, and the same error text for a bad parameter.
+Each op in :data:`repro.ops.OPS` that needs no live service runs
+through the CLI's parse -> bind -> handler path
+(:func:`repro.__main__.prepare`, the one ``main`` uses) and through one
+NDJSON socket line; both must give the same ``to_json`` dict, and the
+same error text for a bad parameter.  The ops with a ``service`` input
+are the socket's alone, answered on its event loop.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
+import threading
 
 import pytest
 
 import repro
+from repro import ops as ops_module
 from repro.__main__ import build_parser, main, prepare
 from repro.ops import OPS, Op, Param, bind
-from repro.service import SortService, start_server
+from repro.service import SortService, instrument, start_server
 from repro.store import SortedStore
 from repro.workloads.generators import generate_keys
 
@@ -61,8 +66,14 @@ CASES = {
 }
 
 
+#: The shared ops the CLI serves: those that need no live service.
+CLI_OPS = sorted(name for name, op in OPS.items() if "service" not in op.inputs)
+#: The socket-only ops, answered from the live service.
+SERVICE_OPS = sorted(set(OPS) - set(CLI_OPS))
+
+
 def test_every_op_has_a_parity_case():
-    assert set(CASES) == set(OPS)
+    assert set(CASES) == set(CLI_OPS)
 
 
 def _populated(path) -> str:
@@ -81,17 +92,21 @@ def _cli(name: str, argv: list[str], path: str):
     return op.to_json(op.handler(args))
 
 
-def _socket(name: str, fields: dict, path: str) -> dict:
+def _socket(name: str, fields: dict, path: str | None,
+            instrumented: bool = False) -> dict:
     """The socket face: one line against a server with a fresh store."""
-    group, action = name.split(".")
+    group, _, action = name.partition(".")
+    line = {"op": group, **({"action": action} if action else {}), **fields}
 
     async def run():
         async with SortService(devices=1) as svc:
-            server = await start_server(svc, store=SortedStore(path))
+            if instrumented:
+                instrument(svc)
+            store = None if path is None else SortedStore(path)
+            server = await start_server(svc, store=store)
             port = server.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
-                line = {"op": group, "action": action, **fields}
                 writer.write((json.dumps(line) + "\n").encode())
                 await writer.drain()
                 return json.loads(await reader.readline())
@@ -106,7 +121,7 @@ def _socket(name: str, fields: dict, path: str) -> dict:
     return response
 
 
-@pytest.mark.parametrize("name", sorted(OPS))
+@pytest.mark.parametrize("name", CLI_OPS)
 def test_cli_and_socket_reply_alike(name, tmp_path):
     argv, fields, _bad_argv, _bad_fields = CASES[name]
     cli = _cli(name, argv, _populated(tmp_path / "cli"))
@@ -132,6 +147,60 @@ def test_missing_required_parameter_reads_the_same(tmp_path, capsys):
     cli = capsys.readouterr().err.strip()
     wire = _socket("store.query", {"lo": 0.1}, _populated(tmp_path / "wire"))
     assert cli == f"error: {wire['error']}" == 'error: store.query needs "hi"'
+
+
+def _cli_ops(parser: argparse.ArgumentParser):
+    """Every op the parser tree dispatches to, by its subcommand path."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                op = child.get_default("op")
+                if op is not None:
+                    found[op.name] = op
+                found.update(_cli_ops(child))
+    return found
+
+
+def test_no_service_op_is_a_cli_subcommand():
+    cli = _cli_ops(build_parser())
+    assert not [name for name, op in cli.items() if "service" in op.inputs]
+    shared = {name for name, op in cli.items()
+              if name in OPS and op.handler is OPS[name].handler}
+    # `metrics` is a CLI command of its own, which scrapes OPS["metrics"]
+    # over the socket; the other service ops have no CLI name at all.
+    assert shared == set(CLI_OPS)
+
+
+def test_service_ops_answer_on_the_socket_as_before():
+    assert SERVICE_OPS == ["metrics", "ping", "stats", "trace"]
+    assert _socket("ping", {"action": "ignored"}, None) == {"ok": True}
+    stats = _socket("stats", {}, None)
+    assert stats["completed"] == 0 and stats["rejected"] == 0
+    bare = (
+        "no metrics attached (instrument the service with "
+        "repro.service.instrument)"
+    )
+    assert _socket("metrics", {}, None) == {"error": bare}
+    assert _socket("trace", {}, None) == {"error": bare}
+    metrics = _socket("metrics", {}, None, instrumented=True)["metrics"]
+    assert "# TYPE" in metrics and metrics.endswith("\n")
+    trace = _socket("trace", {}, None, instrumented=True)["trace"]
+    assert trace["displayTimeUnit"] == "ms"
+
+
+def test_service_op_handlers_run_on_the_event_loop_thread(monkeypatch):
+    threads = []
+
+    def handler(args):
+        threads.append(threading.get_ident())
+        return args["service"].stats.snapshot()
+
+    monkeypatch.setitem(ops_module.OPS, "stats",
+                        OPS["stats"]._replace(handler=handler))
+    # `_socket` runs its event loop on this thread; the executor does not.
+    assert "completed" in _socket("stats", {}, None)
+    assert threads == [threading.get_ident()]
 
 
 class TestBind:
