@@ -5,7 +5,7 @@ merge and the out-of-core pipeline).  This benchmark gates the layer
 below: whole GPU-ABiSort passes batched through :mod:`repro.exec` --
 the ``vectorized`` tier runs the unchanged drivers against a
 :class:`~repro.exec.stream_tier.CountingStreamMachine` and produces the
-forced output with one composite argsort, instead of interpreting every
+forced output with one composite sort, instead of interpreting every
 kernel pass (see ``docs/execution.md``).
 
 The tier contract is *bit-identity including modeled telemetry*, so

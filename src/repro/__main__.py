@@ -690,12 +690,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     User-facing errors (unknown engines, capability mismatches, bad
-    parameters) print one line instead of a traceback.
+    parameters) and OS errors (a missing input file, a refused
+    connection) print one line instead of a traceback.
     """
     ns = build_parser().parse_args(argv)
     try:
         return run(ns)
-    except repro.ReproError as err:
+    except (repro.ReproError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import SortInputError
 from repro.core.values import total_order_argsort
-from repro.exec.vectorized import strict_order
+from repro.exec.vectorized import strict_sort
 from repro.stream.stream import VALUE_DTYPE
 
 __all__ = ["CPUSortCounters", "quicksort", "std_sort", "INSERTION_CUTOFF"]
@@ -39,10 +39,28 @@ __all__ = ["CPUSortCounters", "quicksort", "std_sort", "INSERTION_CUTOFF"]
 #: (glibc/libstdc++ use 16; we follow).
 INSERTION_CUTOFF = 16
 
-#: Pair count from which :func:`std_sort` argsorts the (key, id)
-#: composites instead of calling ``np.lexsort``: below it, building the
-#: composites costs more than the SIMD argsort saves (at 256 pairs
-#: lexsort is still ahead; from 512 pairs the composite argsort is).
+#: Pair count from which :func:`std_sort` sorts the (key, id) composites
+#: (:func:`~repro.exec.vectorized.strict_sort`) instead of calling
+#: ``np.lexsort``.  Median microseconds per call on a 2-vCPU AVX-512 host
+#: (numpy 2.4.6), over 32 distinct random-key inputs in turn -- one input
+#: repeated lets the branch predictor learn lexsort's merges and reads
+#: ~3x faster at 256 pairs:
+#:
+#: =====  =======  ================  ===========
+#: pairs  lexsort  argsort + gather  strict_sort
+#: =====  =======  ================  ===========
+#:   256       32                26           26
+#:   512       66                36           31
+#:   640       82                33           27
+#:  1024      145                47           36
+#:  2048      302                73           47
+#: =====  =======  ================  ===========
+#:
+#: Below 256 lexsort is ahead (the composites' fixed cost, ~20 us, is
+#: most of a small sort).  At 256 ``strict_sort`` reads faster per call,
+#: but a cutoff of 256 showed no end-to-end gain on 256-pair service
+#: requests (6 alternating stackbench pairs, median ops/s -4 %, inside
+#: the runs' spread), so it stays at 512.
 SIMD_SORT_MIN = 512
 
 
@@ -64,19 +82,19 @@ class CPUSortCounters:
 def std_sort(values: np.ndarray) -> np.ndarray:
     """The environment's library sort, in the reference (key, id) order.
 
-    From :data:`SIMD_SORT_MIN` pairs up, one SIMD argsort of the
-    ``uint64`` (key, id) composites
-    (:func:`repro.exec.vectorized.strict_order`); with unique composites
-    the order is forced, so the output is byte-identical to
+    From :data:`SIMD_SORT_MIN` pairs up, one SIMD sort of the ``uint64``
+    (key, id) composites (:func:`repro.exec.vectorized.strict_sort`);
+    with unique composites the order is forced, so the output is
+    byte-identical to
     :func:`~repro.core.values.total_order_argsort` (``np.lexsort``),
     which sorts smaller inputs and any input with a shared composite.
     ``values`` meet the request contract (no NaN key), as every engine
     input does (:meth:`repro.engines.base.SortRequest.to_values`).
     """
     if values.shape[0] >= SIMD_SORT_MIN:
-        order = strict_order(values)
-        if order is not None:
-            return values[order]
+        ranked = strict_sort(values)
+        if ranked is not None:
+            return ranked
     return values[total_order_argsort(values)]
 
 

@@ -17,8 +17,9 @@ The scale-out sort the cluster subsystem exists for:
 4. the shard runs are recombined by :func:`merge_sorted_runs` under the
    same (key, id) total order the devices sort by: a
    :class:`repro.hybrid.external.LoserTree` merge of the sorted runs
-   with ``trace=True``, else one SIMD argsort of the union of the raw
-   shards, which plays the same comparison count in closed form.
+   with ``trace=True``, else one SIMD sort of the union of the raw
+   shards' composite keys, which plays the same comparison count in
+   closed form.
 
 Because the total order is identical at every step, the output is
 **bit-identical** to a single-device GPU-ABiSort of the whole input, for
@@ -60,7 +61,7 @@ def merge_sorted_runs(
     zero comparisons.  ``trace=True`` plays every match on the reference
     backend, the default merges with numpy (see :mod:`repro.exec`) -- the
     merged bytes and the comparison count are identical either way.  The
-    numpy merge is one argsort of the union, so under the (key, id)
+    numpy merge is one composite sort of the union, so under the (key, id)
     contract it also sorts two or more *unsorted* runs (see
     :meth:`~repro.exec.vectorized.VectorizedBackend.merge_runs`).
     """
@@ -159,7 +160,7 @@ class ShardedSorter:
                 shard_sort_ms=[0.0] * len(plan.shards),
             )
 
-        # The vectorized merge is one argsort of the union, so with two or
+        # The vectorized merge is one sort of the union, so with two or
         # more shards (the planner makes none empty) it is the only sort a
         # shard needs: each shard's machine comes from the memo, unsorted.
         unsorted = not self.trace and len(plan.shards) > 1

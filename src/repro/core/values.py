@@ -12,8 +12,9 @@ This module provides helpers around the ``VALUE_DTYPE`` structured arrays
 defined in :mod:`repro.stream.stream` plus a NumPy-native reference ordering
 (:func:`total_order_argsort`) used to verify every sorter in the test suite.
 
-It is also the canonical re-export point for :func:`make_values` and the
-input-contract check :func:`check_values` (both defined next to
+It is also the canonical re-export point for :func:`make_values`, the
+input-contract check :func:`check_values` and the word-view pair movers
+:func:`copy_pairs` / :func:`concat_pairs` (all defined next to
 ``VALUE_DTYPE`` in :mod:`repro.stream.stream`): ``repro.make_values`` and
 every user-facing module import them from here.
 """
@@ -26,6 +27,8 @@ from repro.errors import SortInputError
 from repro.stream.stream import (
     VALUE_DTYPE,
     check_values,
+    concat_pairs,
+    copy_pairs,
     make_values,
     values_greater,
 )
@@ -40,6 +43,8 @@ __all__ = [
     "total_order_argsort",
     "reference_sort",
     "check_values",
+    "copy_pairs",
+    "concat_pairs",
 ]
 
 

@@ -22,7 +22,7 @@ engine name                 wraps
 ``cpu-quicksort``           instrumented median-of-3 quicksort (the
                             paper's "C++ STL sort" stand-in)
 ``cpu-std``                 the host library sort (NumPy lexsort below
-                            512 pairs, SIMD composite argsort from 512)
+                            512 pairs, SIMD composite sort from 512)
 ``external``                out-of-core run-formation + k-way merge
                             (the GPUTeraSort-style hybrid pipeline)
 ==========================  =============================================
@@ -237,7 +237,7 @@ class StdSortEngine(SortEngine):
     """The host library sort, in the reference (key, id) order.
 
     :func:`repro.baselines.cpu_sort.std_sort`: ``np.lexsort`` below 512
-    pairs, one SIMD argsort of the (key, id) composites from 512 pairs
+    pairs, one SIMD sort of the (key, id) composites from 512 pairs
     up; the output is byte-identical either way.  Its modeled cost
     follows the ``n log2 n`` library-sort comparison convention
     (:func:`repro.analysis.complexity.library_sort_comparisons`) whichever
@@ -246,7 +246,7 @@ class StdSortEngine(SortEngine):
     """
 
     name = "cpu-std"
-    description = "host library sort (NumPy lexsort; SIMD argsort >= 512 pairs)"
+    description = "host library sort (NumPy lexsort; SIMD sort >= 512 pairs)"
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
 
     def _run(self, values, request):

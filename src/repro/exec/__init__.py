@@ -18,13 +18,13 @@ fast-analytical / cycle-accurate split:
 
 ``vectorized``
     Whole-array numpy execution of the same algorithms: k runs merge as
-    one argsort (numpy's default kind, x86-simd-sort on AVX-512 CPUs) of
+    one sort (numpy's default kind, x86-simd-sort on AVX-512 CPUs) of
     their concatenated composite keys, which need not be sorted runs at
     all (the sharded sorter passes its raw shards), and whole
     stream-kernel passes -- the ABiSort bitonic-tree levels, network
     columns, and layout remaps -- execute as batched array ops through
     the *stream tier* (:mod:`repro.exec.stream_tier`): one composite
-    argsort forces the output, and the op log, counters and modeled
+    sort forces the output, and the op log, counters and modeled
     GPU time come from a process-wide memo filled by running the
     unchanged drivers once per program and padded length on a counting
     machine that reproduces the op log closed-form.  The tier for

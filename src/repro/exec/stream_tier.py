@@ -18,8 +18,8 @@ test suite pins down:
 
 2.  **The output is forced.**  With unique (key, id) pairs the total order
     is strict, so the sorted permutation is unique: one
-    :func:`~repro.exec.vectorized.strict_order` argsort of the composite
-    keys -- one batched array pass over the whole input instead of
+    :func:`~repro.exec.vectorized.strict_sort` of the composite keys --
+    one batched array pass over the whole input instead of
     O(log^2 n) interpreted stream operations -- must produce the
     byte-identical reference output.  Unique ids and orderable keys are
     the input contract, checked once at the request
@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.core.api import ABiSortConfig, make_sorter
 from repro.errors import SortInputError
-from repro.exec.vectorized import strict_order
+from repro.exec.vectorized import strict_sort
 from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import CostBreakdown, GPUModel, estimate_gpu_time_ms
 from repro.stream.kernel import (
@@ -221,16 +221,16 @@ class CountingStreamMachine(StreamMachine):
 def sorted_output(values: np.ndarray) -> np.ndarray:
     """The forced sorted result of ``values`` under the strict total order.
 
-    One :func:`~repro.exec.vectorized.strict_order` argsort.  Raises
+    One :func:`~repro.exec.vectorized.strict_sort`.  Raises
     :class:`~repro.errors.SortInputError` for a wrong dtype or when two
     records share a composite -- the reference sorter rejects both.
     """
     if values.dtype != VALUE_DTYPE:
         raise SortInputError(f"expected VALUE_DTYPE input, got {values.dtype}")
-    order = strict_order(values)
-    if order is None:
+    ranked = strict_sort(values)
+    if ranked is None:
         raise SortInputError("value ids must be unique")
-    return values[order]
+    return ranked
 
 
 @dataclass

@@ -5,12 +5,16 @@ own distinctness device: with unique (key, id) pairs the total order is
 *strict*, so the sorted union of any runs is unique -- any correct sort
 or merge must produce the byte-for-byte reference output.  The
 implementation therefore reduces the (key, id) order to one ``uint64``
-composite per record and sorts the concatenated composites with one
-argsort of numpy's default kind (:func:`strict_order`; x86-simd-sort
-where the CPU supports it, e.g. AVX-512), with no per-element Python.  The
-composites are unique, so stability would change nothing; and since the
-argsort never looks for runs, the runs it merges need not be sorted --
-the sharded sorter hands it raw shards.
+composite per record, sorts the concatenated composites themselves with
+one ``np.sort`` of numpy's default kind (:func:`strict_sort`;
+x86-simd-sort where the CPU supports it, e.g. AVX-512), and decodes the
+sorted words straight back into records, with no per-element Python and
+no permutation.  The composites are unique, so stability would change
+nothing; and since the sort never looks for runs, the runs it merges
+need not be sorted -- the sharded sorter hands it raw shards.  The one
+caller that needs the permutation itself (the external sorter's merge,
+for each output's provenance) argsorts the composites instead
+(:func:`strict_order`).
 
 Composite construction (:func:`composite_keys`) uses the classic
 order-preserving float trick: reinterpret the float32 key as its IEEE
@@ -20,7 +24,9 @@ including denormals and the infinities.  ``-0.0`` and ``+0.0`` compare
 *equal* under Python/NumPy float comparison (the reference tree then
 tie-breaks by id), but their bit patterns differ; adding ``+0.0`` to
 every key maps ``-0.0`` to ``+0.0`` before the bit transform, so the
-composite agrees with the reference tie-break.
+composite agrees with the reference tie-break.  Decoding inverts the bit
+transform and gives the ``-0.0`` keys their sign back by id, which is
+exact because a strict order has one record per composite.
 
 Inputs meet the (key, id) contract -- no NaN key, unique ids -- because
 :meth:`~repro.engines.base.SortRequest.to_values` checks it once per
@@ -34,14 +40,36 @@ reference merge for them.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.exec.backend import ExecutionBackend, ReferenceBackend
-from repro.stream.stream import VALUE_DTYPE
+from repro.stream.stream import VALUE_DTYPE, concat_pairs, copy_pairs
 
-__all__ = ["composite_keys", "strict_order", "VectorizedBackend"]
+__all__ = ["composite_keys", "strict_order", "strict_sort", "VectorizedBackend"]
 
 _SIGN = np.uint32(0x80000000)
+
+
+def _word_shift(field: str) -> np.uint64:
+    """Bit position of a 4-byte ``VALUE_DTYPE`` field in the pair's
+    native-endian ``uint64`` word."""
+    offset = VALUE_DTYPE.fields[field][1]
+    if sys.byteorder == "big":
+        offset = VALUE_DTYPE.itemsize - 4 - offset
+    return np.uint64(8 * offset)
+
+
+_KEY_SHIFT = _word_shift("key")
+_ID_SHIFT = _word_shift("id")
+_ID_ROTATE = np.uint64(64) - _ID_SHIFT
+#: XOR masks that undo the composite's bit transform on a pair word's
+#: key bits: every bit of a negative key, the sign bit of the others.
+_UNFLIP_NEGATIVE = np.uint64(0xFFFFFFFF) << _KEY_SHIFT
+_UNFLIP_SIGN = np.uint64(_SIGN) << _KEY_SHIFT
+#: The composite band of the (folded) zero keys: ``[+0.0, next float)``.
+_ZERO_BAND = np.array([0x80000000 << 32, 0x80000001 << 32], dtype=np.uint64)
 
 #: The merge of runs that share a composite (see the module docstring).
 _REFERENCE = ReferenceBackend()
@@ -83,6 +111,39 @@ def strict_order(values: np.ndarray) -> np.ndarray | None:
     return order
 
 
+def strict_sort(values: np.ndarray) -> np.ndarray | None:
+    """``values`` sorted by (key, id), or ``None`` (see :func:`strict_order`).
+
+    Sorts the composites themselves -- no permutation, no gather -- and
+    decodes each sorted word back into a pair: the id from the low half,
+    the key bits by inverting the bit transform of :func:`composite_keys`.
+    Negative keys are the composites below the zero band and the rest
+    start at it, so one ``searchsorted`` splits the two inversions.  The
+    composite folds ``-0.0`` into ``+0.0``; when the zero band is not
+    empty, the input's ``-0.0`` ids are looked up in it (sorted by id)
+    and get their sign back.  Byte-identical to
+    ``values[strict_order(values)]``.
+    """
+    composite = composite_keys(values)
+    composite.sort()
+    if np.count_nonzero(composite[1:] == composite[:-1]):
+        return None
+    zero_start, zero_stop = composite.searchsorted(_ZERO_BAND).tolist()
+    # Rotate the id half into the id's place: ``>>`` by 64 yields 0 in
+    # numpy, so an id already in place rotates by 0.
+    words = composite << _ID_SHIFT
+    words |= composite >> _ID_ROTATE
+    words[:zero_start] ^= _UNFLIP_NEGATIVE
+    words[zero_start:] ^= _UNFLIP_SIGN
+    out = words.view(VALUE_DTYPE)
+    if zero_stop > zero_start:
+        negative_zero_ids = values["id"][values["key"].view(np.uint32) == _SIGN]
+        if negative_zero_ids.shape[0]:
+            zeros = out[zero_start:zero_stop]
+            zeros["key"][zeros["id"].searchsorted(negative_zero_ids)] = -0.0
+    return out
+
+
 class VectorizedBackend(ExecutionBackend):
     """The serving tier: numpy merges with reference-identical accounting.
 
@@ -100,10 +161,11 @@ class VectorizedBackend(ExecutionBackend):
     def merge_runs(self, runs: list[np.ndarray]) -> tuple[np.ndarray, int]:
         """Vectorized k-way merge (see :class:`ExecutionBackend`).
 
-        One argsort of the union, so with unique composites the runs need
-        not be sorted: two or more live runs come back as their sorted
-        union, while a single live run comes back as a copy, as given.
-        Only the shared-composite fallback relies on sorted runs.
+        One :func:`strict_sort` of the union, so with unique composites
+        the runs need not be sorted: two or more live runs come back as
+        their sorted union, while a single live run comes back as a copy,
+        as given.  Only the shared-composite fallback relies on sorted
+        runs.
         """
         # Late import: repro.analysis pulls in cluster reporting, which
         # imports the cluster layer, which imports this package.
@@ -112,12 +174,11 @@ class VectorizedBackend(ExecutionBackend):
         live_runs = [r for r in runs if r.shape[0]]
         if not live_runs:
             return np.empty(0, dtype=VALUE_DTYPE), 0
-        merged = np.concatenate(live_runs)
         if len(live_runs) == 1:
-            return merged, 0
-        order = strict_order(merged)
-        if order is None:
+            return copy_pairs(live_runs[0]), 0
+        merged = strict_sort(concat_pairs(live_runs))
+        if merged is None:
             return _REFERENCE.merge_runs(live_runs)
-        return merged[order], loser_tree_merge_comparisons(
+        return merged, loser_tree_merge_comparisons(
             merged.shape[0], len(live_runs)
         )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SortInputError
+from repro.stream.stream import concat_pairs, copy_pairs
 
 __all__ = ["DiskStats", "SimulatedDisk"]
 
@@ -37,7 +38,10 @@ class DiskStats:
 
 
 class SimulatedDisk:
-    """An append-or-overwrite block store over a single element dtype.
+    """An append-or-overwrite block store over a single 8-byte element dtype.
+
+    The element is ``VALUE_DTYPE`` in practice; records move in and out as
+    ``uint64`` words (:func:`~repro.stream.stream.copy_pairs`).
 
     Access is sequential-friendly: a read or write that does not start where
     the previous access ended counts as a seek.  Files are named regions so
@@ -56,7 +60,7 @@ class SimulatedDisk:
             raise SortInputError(
                 f"disk stores {self.dtype}, got {data.dtype}"
             )
-        self._files[name] = data.copy()
+        self._files[name] = copy_pairs(data)
         self._account_write(name, 0, data.shape[0])
 
     def append(self, name: str, data: np.ndarray) -> None:
@@ -65,11 +69,11 @@ class SimulatedDisk:
             raise SortInputError(f"disk stores {self.dtype}, got {data.dtype}")
         old = self._files.get(name)
         if old is None:
-            self._files[name] = data.copy()
+            self._files[name] = copy_pairs(data)
             self._account_write(name, 0, data.shape[0])
         else:
             offset = old.shape[0]
-            self._files[name] = np.concatenate([old, data])
+            self._files[name] = concat_pairs([old, data])
             self._account_write(name, offset, data.shape[0])
 
     def read(self, name: str, offset: int, count: int) -> np.ndarray:
@@ -81,7 +85,7 @@ class SimulatedDisk:
                 f"of {data.shape[0]} elements"
             )
         count = min(count, data.shape[0] - offset)
-        out = data[offset : offset + count].copy()
+        out = copy_pairs(data[offset : offset + count])
         self.stats.reads += 1
         self.stats.bytes_read += out.nbytes
         if self._head != (name, offset):

@@ -29,7 +29,7 @@ from repro.core.bitonic_tree import is_power_of_two
 from repro.hybrid.disk import SimulatedDisk
 from repro.stream.gpu_model import GEFORCE_7800_GTX, GPUModel
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
-from repro.stream.stream import VALUE_DTYPE
+from repro.stream.stream import VALUE_DTYPE, concat_pairs
 
 __all__ = ["ExternalSorter", "ExternalSortReport", "LoserTree"]
 
@@ -291,10 +291,10 @@ class ExternalSorter:
             out_pos += 1
             if out_pos == out_buf.shape[0]:
                 if first_out:
-                    disk.write_file(output_name, out_buf.copy())
+                    disk.write_file(output_name, out_buf)
                     first_out = False
                 else:
-                    disk.append(output_name, out_buf.copy())
+                    disk.append(output_name, out_buf)
                 out_pos = 0
 
             # Advance the winning run: refill its buffer when drained.
@@ -315,9 +315,9 @@ class ExternalSorter:
 
         if out_pos:
             if first_out:
-                disk.write_file(output_name, out_buf[:out_pos].copy())
+                disk.write_file(output_name, out_buf[:out_pos])
             else:
-                disk.append(output_name, out_buf[:out_pos].copy())
+                disk.append(output_name, out_buf[:out_pos])
         report.merge_comparisons = tree.comparisons
         for run in run_names:
             disk.delete(run)
@@ -349,7 +349,7 @@ class ExternalSorter:
         from repro.exec.vectorized import strict_order
 
         runs = [disk.peek(name) for name in run_names]
-        merged = np.concatenate(runs)
+        merged = concat_pairs(runs)
         gather = strict_order(merged)
         if gather is None:
             return False

@@ -108,6 +108,25 @@ def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     return check_values(out)
 
 
+def copy_pairs(values: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``values``, moved as one 8-byte word per pair.
+
+    Byte-identical to ``values.copy()``; viewing each pair as a
+    ``uint64`` skips numpy's structured-dtype copy loop, which is over an
+    order of magnitude slower for the same bytes.
+    """
+    return values.view(np.uint64).copy().view(values.dtype)
+
+
+def concat_pairs(runs: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(runs)`` of pair arrays, moved as 8-byte words.
+
+    Every run shares the first run's dtype (``VALUE_DTYPE`` in practice);
+    the result is byte-identical to ``np.concatenate``.
+    """
+    return np.concatenate([run.view(np.uint64) for run in runs]).view(runs[0].dtype)
+
+
 def make_nodes(n: int) -> np.ndarray:
     """Allocate an uninitialised ``NODE_DTYPE`` array of ``n`` nodes.
 

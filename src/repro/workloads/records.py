@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import SortInputError
 from repro.core.values import make_values, values_greater
-from repro.stream.stream import VALUE_DTYPE
+from repro.stream.stream import VALUE_DTYPE, concat_pairs, copy_pairs
 
 __all__ = [
     "pad_to_power_of_two",
@@ -48,7 +48,7 @@ def pad_to_power_of_two(values: np.ndarray) -> tuple[np.ndarray, int]:
         raise SortInputError("cannot pad an empty sequence")
     target = 1 << max(1, (n - 1).bit_length())
     if target == n:
-        return values.copy(), n
+        return copy_pairs(values), n
     pad = np.empty(target - n, dtype=VALUE_DTYPE)
     pad["key"] = np.inf
     base = int(values["id"].max()) + 1
@@ -57,7 +57,7 @@ def pad_to_power_of_two(values: np.ndarray) -> tuple[np.ndarray, int]:
     else:
         free = np.setdiff1d(np.arange(2 * target, dtype=np.uint32), values["id"])
         pad["id"] = free[: target - n]
-    return np.concatenate([values, pad]), n
+    return concat_pairs([values, pad]), n
 
 
 def is_sorted_values(values: np.ndarray, descending: bool = False) -> bool:

@@ -213,6 +213,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "power-of-two" in err and "abisort" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "replay", "--trace", "missing.ndjson"],
+            ["metrics", "--samples", "missing.ndjson"],
+            ["metrics", "--port", "1"],
+        ],
+    )
+    def test_os_errors_print_cleanly(self, argv, capsys, tmp_path, monkeypatch):
+        # A missing input file or a refused connection is one line on
+        # stderr (exit 2), not a traceback.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
