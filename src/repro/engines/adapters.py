@@ -41,6 +41,7 @@ seek + bandwidth model.
 from __future__ import annotations
 
 
+from repro.analysis.complexity import library_sort_comparisons
 from repro.engines.base import (
     EngineCapabilities,
     SortEngine,
@@ -250,8 +251,6 @@ class StdSortEngine(SortEngine):
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
 
     def _run(self, values, request):
-        from repro.analysis.complexity import library_sort_comparisons
-
         ops = library_sort_comparisons(values.shape[0])
         telemetry = SortTelemetry(
             cpu_ops=ops, modeled_cpu_ms=cpu_sort_time_ms(ops, request.host)

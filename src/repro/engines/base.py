@@ -221,10 +221,9 @@ class SortTelemetry:
         batch on a 4-device cluster used 4 devices, not 4 per request
         summed.
         """
+        mine, theirs = self.__dict__, other.__dict__
         for name in _SUMMED_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.n += other.n
-        self.requests += other.requests
+            mine[name] += theirs[name]
         self.devices = max(self.devices, other.devices)
 
     def summary(self) -> str:
@@ -260,11 +259,9 @@ class SortTelemetry:
 
 
 #: The :class:`SortTelemetry` fields :meth:`SortTelemetry.add` sums: all
-#: but ``n``/``requests`` (added separately) and ``devices`` (maximum).
+#: but ``devices`` (maximum).
 _SUMMED_FIELDS = tuple(
-    f.name
-    for f in fields(SortTelemetry)
-    if f.name not in ("n", "requests", "devices")
+    f.name for f in fields(SortTelemetry) if f.name != "devices"
 )
 
 
@@ -397,7 +394,7 @@ class SortEngine(ABC):
 
     def _check(self, request: SortRequest, n: int) -> None:
         caps = self.capabilities
-        missing = caps.missing(tuple(request.require))
+        missing = request.require and caps.missing(tuple(request.require))
         if missing:
             raise CapabilityError(
                 f"engine {self.name!r} lacks required "

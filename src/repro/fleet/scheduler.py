@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,13 @@ __all__ = ["Job", "FleetScheduler", "compare_policies"]
 _EPS_MS = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
-    """One trace request's lifecycle inside the scheduler."""
+    """One trace request's lifecycle inside the scheduler.
+
+    Jobs compare by identity: each one is a distinct lifecycle, whatever
+    its fields say.
+    """
 
     index: int
     request: TraceRequest
@@ -90,7 +95,7 @@ class Job:
     #: tests sweep to check quotas and single-completion.
     spans: list[tuple[float, float, str]] = field(default_factory=list)
 
-    @property
+    @cached_property
     def duration_ms(self) -> float:
         """Modeled service time: the plan's cost, at least :data:`_EPS_MS`."""
         return max(self.plan.cost_ms, _EPS_MS)
@@ -106,8 +111,9 @@ class Job:
 class FleetScheduler:
     """Replay one trace under one policy on a modeled device pool.
 
-    Each job is planned once, at construction, by the process-wide
-    ``default_planner(1)``: that plan is both its service time and, with
+    Each distinct request size is planned once per replay, at
+    construction, by the process-wide ``default_planner(1)``; jobs of that
+    size share the plan, which is both their service time and, with
     ``execute=True``, what runs.  Replays share the planner's plan cache,
     and a scheduler built after a registry change sees the new engines.
 
@@ -168,22 +174,25 @@ class FleetScheduler:
             autoscaler.clamp(devices) if autoscaler else devices
         )
         planner = default_planner(1)
-        self.jobs: list[Job] = [
-            Job(
-                index=index,
-                request=request,
-                tenant=trace.tenant(request.tenant),
+        tenants = {tenant.name: tenant for tenant in trace.tenants}
+        plans: dict[int, SortPlan] = {}
+        self.jobs: list[Job] = []
+        for index, request in enumerate(trace.requests):
+            plan = plans.get(request.n)
+            if plan is None:
                 # Plans depend only on the shape: no workload keys needed.
-                plan=planner.plan(
+                plan = plans[request.n] = planner.plan(
                     SortRequest(keys=np.zeros(request.n, dtype=np.float32))
-                ),
-            )
-            for index, request in enumerate(trace.requests)
-        ]
+                )
+            self.jobs.append(Job(index, request, tenants[request.tenant], plan))
         #: Sorted output per completed job index (``execute=True`` only).
         self.results: dict[int, np.ndarray] = {}
         self._queue: list[Job] = []
         self._running: dict[int, Job] = {}
+        #: Per-tenant counts of ``_queue`` and ``_running``, kept in step
+        #: by ``_admit``/``_start``/``_preempt``/``_maybe_complete``.
+        self._queued_by = dict.fromkeys(tenants, 0)
+        self._running_by = dict.fromkeys(tenants, 0)
         self._events: list[tuple[float, int, str, Job | None, int]] = []
         self._seq = 0
         self._now = 0.0
@@ -200,12 +209,9 @@ class FleetScheduler:
         self._seq += 1
         heapq.heappush(self._events, (time_ms, self._seq, kind, job, epoch))
 
-    def _running_for(self, tenant: str) -> int:
-        return sum(1 for j in self._running.values() if j.tenant.name == tenant)
-
     def _under_quota(self, job: Job) -> bool:
         quota = job.tenant.max_concurrency
-        return quota is None or self._running_for(job.tenant.name) < quota
+        return quota is None or self._running_by[job.tenant.name] < quota
 
     # -- the run -------------------------------------------------------------
 
@@ -248,14 +254,15 @@ class FleetScheduler:
         return self._report()
 
     def _admit(self, job: Job) -> None:
-        tenant_queue = [
-            j for j in self._queue if j.tenant.name == job.tenant.name
-        ]
-        if len(tenant_queue) >= self.queue_bound:
+        name = job.tenant.name
+        if self._queued_by[name] >= self.queue_bound:
             # Preempted jobs are off the table: they already lost device
             # time once, and evicting them would break the progress
             # guarantee that preempted requests eventually complete.
-            candidates = [j for j in tenant_queue if j.preemptions == 0]
+            candidates = [
+                j for j in self._queue
+                if j.tenant.name == name and j.preemptions == 0
+            ]
             victim = self.policy.evict(job, candidates, self._now)
             if victim is not job and victim not in candidates:
                 victim = job  # a policy may only evict from this tenant
@@ -267,15 +274,21 @@ class FleetScheduler:
                 self._queue.append(job)
             return
         self._queue.append(job)
+        self._queued_by[name] += 1
 
     def _start(self, job: Job) -> None:
         self._queue.remove(job)
+        self._queued_by[job.tenant.name] -= 1
+        self._running_by[job.tenant.name] += 1
         job.state = "running"
         job.started_ms = self._now
         job.executions += 1
         job.epoch += 1
         held = {j.slot for j in self._running.values()}
-        job.slot = next(s for s in range(len(held) + 1) if s not in held)
+        slot = 0
+        while slot in held:
+            slot += 1
+        job.slot = slot
         self._running[job.index] = job
         self.policy.on_start(job, self._now)
         if self.observer is not None:
@@ -284,6 +297,8 @@ class FleetScheduler:
 
     def _preempt(self, victim: Job) -> None:
         del self._running[victim.index]
+        self._running_by[victim.tenant.name] -= 1
+        self._queued_by[victim.tenant.name] += 1
         victim.state = "queued"
         victim.epoch += 1  # invalidates the in-flight completion event
         victim.preemptions += 1
@@ -298,6 +313,7 @@ class FleetScheduler:
         if job.state != "running" or job.epoch != epoch:
             return  # stale completion: the job was preempted meanwhile
         del self._running[job.index]
+        self._running_by[job.tenant.name] -= 1
         job.state = "completed"
         job.completed_ms = self._now
         job.completions += 1

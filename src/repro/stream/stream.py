@@ -67,12 +67,7 @@ def check_values(values: np.ndarray) -> np.ndarray:
             f"expected VALUE_DTYPE input, got {values.dtype}; "
             f"use repro.make_values"
         )
-    if np.isnan(values["key"]).any():
-        raise SortInputError(
-            "NaN sort keys are not orderable; the (key, id) total order "
-            "the algorithm relies on (paper Section 4) breaks down. "
-            "Filter or map NaNs before sorting."
-        )
+    _reject_nan(values["key"])
     ids = values["id"]
     if not (ids[1:] > ids[:-1]).all():  # increasing ids (positions) are unique
         ids = np.sort(ids)
@@ -84,26 +79,48 @@ def check_values(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _reject_nan(keys: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.SortInputError` if any key is NaN."""
+    if np.isnan(keys).any():
+        raise SortInputError(
+            "NaN sort keys are not orderable; the (key, id) total order "
+            "the algorithm relies on (paper Section 4) breaks down. "
+            "Filter or map NaNs before sorting."
+        )
+
+
+#: Number of distinct ``uint32`` ids: ``arange`` positions past it wrap.
+MAX_GENERATED_IDS = 1 << 32
+
+
 def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     """Pack ``keys`` (and optional ``ids``) into a ``VALUE_DTYPE`` array.
 
     When ``ids`` is omitted, the original positions ``0..n-1`` are used,
     which is exactly the paper's distinctness trick (Section 4: "Distinctness
     can be enforced by using the original position of the elements in the
-    input sequence as secondary sort key").  The result is checked with
-    :func:`check_values`.
+    input sequence as secondary sort key").  Those ids are unique by
+    construction up to :data:`MAX_GENERATED_IDS` pairs (longer inputs are
+    rejected), so only the keys are checked for NaN; supplied ``ids`` get
+    the full :func:`check_values`.
     """
     keys = np.asarray(keys, dtype=np.float32)
     if keys.ndim != 1:
         raise ValueError(f"keys must be 1D, got shape {keys.shape}")
-    if ids is None:
-        ids = np.arange(keys.shape[0], dtype=np.uint32)
-    else:
-        ids = np.asarray(ids, dtype=np.uint32)
-        if ids.shape != keys.shape:
-            raise ValueError(f"ids shape {ids.shape} != keys shape {keys.shape}")
+    if ids is None and keys.shape[0] > MAX_GENERATED_IDS:
+        raise SortInputError(
+            f"{keys.shape[0]} keys exceed the {MAX_GENERATED_IDS} distinct "
+            f"uint32 positions; generated ids would repeat"
+        )
     out = np.empty(keys.shape[0], dtype=VALUE_DTYPE)
     out["key"] = keys
+    if ids is None:
+        _reject_nan(keys)
+        out["id"] = np.arange(keys.shape[0], dtype=np.uint32)
+        return out
+    ids = np.asarray(ids, dtype=np.uint32)
+    if ids.shape != keys.shape:
+        raise ValueError(f"ids shape {ids.shape} != keys shape {keys.shape}")
     out["id"] = ids
     return check_values(out)
 

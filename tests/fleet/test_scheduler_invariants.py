@@ -17,6 +17,7 @@ from repro.engines.base import SortRequest
 from repro.fleet import (
     POLICIES,
     Autoscaler,
+    FleetObserver,
     FleetScheduler,
     Tenant,
     Trace,
@@ -156,6 +157,62 @@ class TestProgress:
         for (seed, policy), sched in runs.items():
             for job in sched.jobs:
                 assert job.preemptions <= sched.max_preemptions
+
+
+class _CounterAudit(FleetObserver):
+    """After every event, recount the scheduler's queue and running set
+    per tenant and compare them with its per-tenant counters."""
+
+    def __init__(self):
+        super().__init__()
+        self.sched: FleetScheduler | None = None
+        self.audits = 0
+
+    def on_event(self, now, queued, running):
+        super().on_event(now, queued, running)
+        sched = self.sched
+        for tenant in sched.trace.tenants:
+            name = tenant.name
+            assert sched._queued_by[name] == sum(
+                j.tenant.name == name for j in sched._queue
+            ), (now, name)
+            assert sched._running_by[name] == sum(
+                j.tenant.name == name for j in sched._running.values()
+            ), (now, name)
+        self.audits += 1
+
+
+def _audited(trace: Trace, policy: str, **kwargs) -> FleetScheduler:
+    audit = _CounterAudit()
+    sched = FleetScheduler(trace, policy, observer=audit, **kwargs)
+    audit.sched = sched
+    sched.run()
+    assert audit.audits > len(trace.requests)  # every arrival was audited
+    return sched
+
+
+class TestTenantCounters:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_counters_match_a_recount_after_every_event(self, policy):
+        scheds = [
+            _audited(_stress_trace(seed), policy, devices=2, queue_bound=4)
+            for seed in (0, 1, 2, 3, 4)
+        ]
+        # The stress traces evict and hit the quota under every policy.
+        jobs = [j for sched in scheds for j in sched.jobs]
+        assert any(j.state == "evicted" for j in jobs)
+        if POLICIES[policy].preemptive:
+            assert any(j.preemptions > 0 for j in jobs)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_counters_hold_on_the_autoscaled_replay(self, policy):
+        _audited(
+            _stress_trace(9),
+            policy,
+            devices=1,
+            autoscaler=Autoscaler(min_devices=1, max_devices=3, tick_ms=10.0),
+            queue_bound=4,
+        )
 
 
 class TestPoolBounds:

@@ -1,7 +1,7 @@
 """Fleet service times come from the one shared single-device planner.
 
-``FleetScheduler`` prices every job through ``default_planner(1)``, the
-planner the service also routes with.  Its plan cache is invalidated by
+``FleetScheduler`` prices every distinct job size once per replay through
+``default_planner(1)``, the planner the service also routes with.  Its plan cache is invalidated by
 the registry generation, so a newly registered engine re-prices new
 schedulers at once, and a size planned anywhere in the process is a
 cache hit everywhere else.
@@ -76,7 +76,17 @@ class TestOnePlanCache:
         misses, hits = cache.misses, cache.hits
         FleetScheduler(trace).run()
         assert cache.misses == misses
-        assert cache.hits == hits + sum(r.n > 1 for r in trace.requests)
+        assert cache.hits == hits + len({r.n for r in trace.requests if r.n > 1})
+
+    @pytest.mark.parametrize("scenario", ["burst", "diurnal"])
+    def test_replay_makes_one_lookup_per_distinct_size(self, scenario):
+        trace = scenario_trace(scenario)
+        sizes = {r.n for r in trace.requests}
+        assert len(sizes) < len(trace.requests)  # sizes do repeat
+        cache = default_planner(1).cache
+        before = cache.hits + cache.misses
+        FleetScheduler(trace).run()
+        assert cache.hits + cache.misses == before + len(sizes)
 
     def test_service_plans_are_default_planner_hits(self, rng):
         n = 2112
