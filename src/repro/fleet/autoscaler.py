@@ -36,20 +36,19 @@ class Autoscaler:
     ----------
     min_devices, max_devices:
         Inclusive pool-size bounds; the pool never leaves them.
-    high_queue_per_device:
-        Scale up when ``queued / devices`` exceeds this.
-    low_utilization:
-        Scale down when ``running / devices`` falls below this while the
-        queue is empty.
     tick_ms:
         Virtual-time interval between decisions.
     """
 
     min_devices: int = 1
     max_devices: int = 8
-    high_queue_per_device: float = 4.0
-    low_utilization: float = 0.5
     tick_ms: float = 50.0
+
+    #: Scale up when ``queued / devices`` exceeds this.
+    high_queue_per_device = 4.0
+    #: Scale down when ``running / devices`` falls below this while the
+    #: queue is empty.
+    low_utilization = 0.5
 
     def __post_init__(self) -> None:
         """Reject bounds no pool could satisfy."""
@@ -65,13 +64,6 @@ class Autoscaler:
         if self.tick_ms <= 0:
             raise SortInputError(
                 f"autoscaler needs tick_ms > 0, got {self.tick_ms}"
-            )
-        if self.high_queue_per_device <= 0:
-            raise SortInputError("autoscaler needs high_queue_per_device > 0")
-        if not 0.0 <= self.low_utilization <= 1.0:
-            raise SortInputError(
-                f"autoscaler low_utilization must be in [0, 1], got "
-                f"{self.low_utilization}"
             )
 
     def clamp(self, devices: int) -> int:

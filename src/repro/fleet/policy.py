@@ -13,7 +13,10 @@ ROADMAP points at, adapted to a virtual-time scheduler):
 The scheduler (:mod:`repro.fleet.scheduler`) enforces the *mechanism*
 invariants itself -- device-quota caps, the preemption budget, terminal
 states -- so every policy, however adversarial, keeps them; policies only
-express *preference*.  Three built-ins ship in :data:`POLICIES`:
+express *preference*.  Each hook must answer with a job it was offered
+(or ``None`` from ``victim``); the scheduler raises
+:class:`~repro.errors.SortInputError` on any other answer.  Three
+built-ins ship in :data:`POLICIES`:
 
 ``fifo-priority``
     Strict priority, FIFO within a priority class.  Simple and starvation
@@ -83,8 +86,8 @@ class SchedulingPolicy(ABC):
         queued: Sequence["Job"],
         running: Sequence["Job"],
         now_ms: float,
-    ) -> "Job | None":
-        """The queued job to start next, or ``None`` to leave devices idle.
+    ) -> "Job":
+        """The queued job to start next: one of ``queued``.
 
         ``queued`` is never empty and contains only quota-eligible jobs.
         """
@@ -99,7 +102,8 @@ class SchedulingPolicy(ABC):
 
         Only consulted when :attr:`preemptive` is true and no device is
         free; ``running`` contains only jobs still inside their preemption
-        budget.  ``None`` declines to preempt.
+        budget.  The answer is ``None`` (decline to preempt) or one of
+        ``running``.
         """
         return None
 

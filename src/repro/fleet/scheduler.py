@@ -24,6 +24,10 @@ answers:
 * **work safety** -- shrinking the pool (autoscaler) never cancels a
   running job; the pool drains to the target instead.
 
+They hold because every policy answer must be a job the hook was
+offered (or ``None`` from ``victim``); any other answer raises
+:class:`SortInputError`.
+
 The scheduler also places: each execution runs on a pool slot, the
 lowest slot id no running job holds, recorded as ``Job.slot`` -- the
 device an observer's span and per-slot busy time are charged to.
@@ -81,8 +85,6 @@ class Job:
     slot: int | None = None
     #: Virtual time the job completed (None until it does).
     completed_ms: float | None = None
-    #: Executions begun (restarts after preemption count again).
-    executions: int = 0
     #: Executions that ran to completion (the invariant caps this at 1).
     completions: int = 0
     #: Times this job was displaced by a preemption.
@@ -187,11 +189,11 @@ class FleetScheduler:
             self.jobs.append(Job(index, request, tenants[request.tenant], plan))
         #: Sorted output per completed job index (``execute=True`` only).
         self.results: dict[int, np.ndarray] = {}
-        self._queue: list[Job] = []
-        self._running: dict[int, Job] = {}
-        #: Per-tenant counts of ``_queue`` and ``_running``, kept in step
-        #: by ``_admit``/``_start``/``_preempt``/``_maybe_complete``.
-        self._queued_by = dict.fromkeys(tenants, 0)
+        #: Queued jobs per tenant, in queue order (dicts as ordered sets).
+        self._queues: dict[str, dict[Job, None]] = {name: {} for name in tenants}
+        self._queued = 0
+        #: Running jobs by pool slot; ``None`` marks a free slot.
+        self._slots: list[Job | None] = []
         self._running_by = dict.fromkeys(tenants, 0)
         self._events: list[tuple[float, int, str, Job | None, int]] = []
         self._seq = 0
@@ -209,9 +211,22 @@ class FleetScheduler:
         self._seq += 1
         heapq.heappush(self._events, (time_ms, self._seq, kind, job, epoch))
 
-    def _under_quota(self, job: Job) -> bool:
-        quota = job.tenant.max_concurrency
-        return quota is None or self._running_by[job.tenant.name] < quota
+    def _under_quota(self, tenant: Tenant) -> bool:
+        quota = tenant.max_concurrency
+        return quota is None or self._running_by[tenant.name] < quota
+
+    def _running(self) -> list[Job]:
+        return [job for job in self._slots if job is not None]
+
+    def _offered(self, hook: str, answer, offered: list[Job]) -> Job:
+        """``answer``, if it is one of the jobs a policy hook was offered."""
+        if answer not in offered:
+            what = f"job {answer.index}" if isinstance(answer, Job) else repr(answer)
+            raise SortInputError(
+                f"policy {self.policy.name!r}: {hook} answered {what}, "
+                f"which is not one of the {len(offered)} jobs it was offered"
+            )
+        return answer
 
     # -- the run -------------------------------------------------------------
 
@@ -247,58 +262,52 @@ class FleetScheduler:
             self._dispatch()
             if self.observer is not None:
                 self.observer.on_event(
-                    self._now, len(self._queue), len(self._running)
+                    self._now, self._queued, len(self._running())
                 )
         if self.observer is not None:
             self.observer.on_finish(self._now)
         return self._report()
 
     def _admit(self, job: Job) -> None:
-        name = job.tenant.name
-        if self._queued_by[name] >= self.queue_bound:
+        queue = self._queues[job.tenant.name]
+        if len(queue) >= self.queue_bound:
             # Preempted jobs are off the table: they already lost device
             # time once, and evicting them would break the progress
             # guarantee that preempted requests eventually complete.
-            candidates = [
-                j for j in self._queue
-                if j.tenant.name == name and j.preemptions == 0
-            ]
-            victim = self.policy.evict(job, candidates, self._now)
-            if victim is not job and victim not in candidates:
-                victim = job  # a policy may only evict from this tenant
+            candidates = [j for j in queue if j.preemptions == 0]
+            answer = self.policy.evict(job, candidates, self._now)
+            victim = self._offered("evict", answer, [job, *candidates])
             victim.state = "evicted"
             if self.observer is not None:
                 self.observer.on_evict(victim, self._now)
             if victim is not job:
-                self._queue.remove(victim)
-                self._queue.append(job)
+                del queue[victim]
+                queue[job] = None
             return
-        self._queue.append(job)
-        self._queued_by[name] += 1
+        queue[job] = None
+        self._queued += 1
 
     def _start(self, job: Job) -> None:
-        self._queue.remove(job)
-        self._queued_by[job.tenant.name] -= 1
+        del self._queues[job.tenant.name][job]
+        self._queued -= 1
         self._running_by[job.tenant.name] += 1
         job.state = "running"
         job.started_ms = self._now
-        job.executions += 1
         job.epoch += 1
-        held = {j.slot for j in self._running.values()}
-        slot = 0
-        while slot in held:
-            slot += 1
-        job.slot = slot
-        self._running[job.index] = job
+        if None not in self._slots:
+            self._slots.append(None)
+        job.slot = self._slots.index(None)
+        self._slots[job.slot] = job
         self.policy.on_start(job, self._now)
         if self.observer is not None:
             self.observer.on_start(job, self._now)
         self._push(self._now + job.duration_ms, "done", job, job.epoch)
 
     def _preempt(self, victim: Job) -> None:
-        del self._running[victim.index]
+        self._slots[victim.slot] = None
         self._running_by[victim.tenant.name] -= 1
-        self._queued_by[victim.tenant.name] += 1
+        self._queues[victim.tenant.name][victim] = None
+        self._queued += 1
         victim.state = "queued"
         victim.epoch += 1  # invalidates the in-flight completion event
         victim.preemptions += 1
@@ -306,13 +315,12 @@ class FleetScheduler:
         if self.observer is not None:
             self.observer.on_preempt(victim, self._now, victim.started_ms)
         victim.started_ms = None
-        self._queue.append(victim)
         self.policy.on_preempt(victim, self._now)
 
     def _maybe_complete(self, job: Job, epoch: int) -> None:
         if job.state != "running" or job.epoch != epoch:
             return  # stale completion: the job was preempted meanwhile
-        del self._running[job.index]
+        self._slots[job.slot] = None
         self._running_by[job.tenant.name] -= 1
         job.state = "completed"
         job.completed_ms = self._now
@@ -334,47 +342,43 @@ class FleetScheduler:
             self._telemetry.add(result.telemetry)
 
     def _dispatch(self) -> None:
-        while self._queue:
-            eligible = [j for j in self._queue if self._under_quota(j)]
+        while self._queued:
+            eligible = [
+                j for tenant in self.trace.tenants if self._under_quota(tenant)
+                for j in self._queues[tenant.name]
+            ]
             if not eligible:
                 return
-            running = list(self._running.values())
-            free = self.pool_size - len(running)
-            if free > 0:
-                job = self.policy.select(eligible, running, self._now)
-                if job is None or job not in eligible:
+            running = self._running()
+            full = len(running) >= self.pool_size
+            if full and not self.policy.preemptive:
+                return
+            answer = self.policy.select(eligible, running, self._now)
+            job = self._offered("select", answer, eligible)
+            if full:
+                preemptible = [
+                    j for j in running if j.preemptions < self.max_preemptions
+                ]
+                if not preemptible:
                     return
-                self._start(job)
-                continue
-            if not self.policy.preemptive:
-                return
-            candidate = self.policy.select(eligible, running, self._now)
-            if candidate is None or candidate not in eligible:
-                return
-            preemptible = [
-                j for j in running if j.preemptions < self.max_preemptions
-            ]
-            if not preemptible:
-                return
-            victim = self.policy.victim(candidate, preemptible, self._now)
-            if victim is None or victim.index not in self._running:
-                return
-            self._preempt(victim)
-            self._start(candidate)
+                victim = self.policy.victim(job, preemptible, self._now)
+                if victim is None:
+                    return
+                self._preempt(self._offered("victim", victim, preemptible))
+            self._start(job)
 
     def _autoscale(self) -> None:
         assert self.autoscaler is not None
+        running = len(self._running())
         target = self.autoscaler.decide(
-            queued=len(self._queue),
-            running=len(self._running),
-            devices=self.pool_size,
+            queued=self._queued, running=running, devices=self.pool_size
         )
         if target != self.pool_size:
             self.pool_size = target
             self._pool_timeline.append((self._now, target))
             if self.observer is not None:
                 self.observer.on_pool(self._now, target)
-        if self._queue or self._running or self._arrivals_pending:
+        if self._queued or running or self._arrivals_pending:
             self._push(self._now + self.autoscaler.tick_ms, "tick", None)
 
     # -- reporting -----------------------------------------------------------

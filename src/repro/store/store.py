@@ -152,13 +152,13 @@ def _float32_window(lo: float, hi: float) -> tuple[np.float32, np.float32]:
     :func:`numpy.searchsorted` from promoting the whole column to float64
     on every query.
     """
-    with np.errstate(over="ignore"):  # beyond float32 range rounds to inf
+    with np.errstate(over="ignore"):  # beyond float32 range: inf
         lo32, hi32 = np.float32(lo), np.float32(hi)
-    # Compare as Python floats: numpy would cast ``lo`` down to float32.
-    if float(lo32) < lo:
-        lo32 = np.nextafter(lo32, np.float32(np.inf))
-    if float(hi32) > hi:
-        hi32 = np.nextafter(hi32, np.float32(-np.inf))
+        # Compare as Python floats: numpy would cast ``lo`` down to float32.
+        if float(lo32) < lo:
+            lo32 = np.nextafter(lo32, np.float32(np.inf))
+        if float(hi32) > hi:
+            hi32 = np.nextafter(hi32, np.float32(-np.inf))
     return lo32, hi32
 
 

@@ -17,6 +17,7 @@ from repro.engines.base import SortRequest
 from repro.fleet import (
     POLICIES,
     Autoscaler,
+    FifoPriorityPolicy,
     FleetObserver,
     FleetScheduler,
     Tenant,
@@ -159,47 +160,82 @@ class TestProgress:
                 assert job.preemptions <= sched.max_preemptions
 
 
-class _CounterAudit(FleetObserver):
-    """After every event, recount the scheduler's queue and running set
-    per tenant and compare them with its per-tenant counters."""
+class _StateAudit(FleetObserver):
+    """After every event, check the scheduler's queue and slot state
+    against the jobs' own states: every arrived queued job sits in
+    exactly its tenant's queue, the queued total and per-tenant running
+    counts match a recount, and every running job's slot indexes
+    itself."""
 
     def __init__(self):
         super().__init__()
         self.sched: FleetScheduler | None = None
+        self.arrived: set[int] = set()
+        self.arriving = None
+        #: Evictions of an already-queued job rather than the arrival.
+        self.queued_evictions = 0
         self.audits = 0
+
+    def on_arrival(self, job, now):
+        super().on_arrival(job, now)
+        self.arrived.add(job.index)
+        self.arriving = job
+
+    def on_evict(self, job, now):
+        super().on_evict(job, now)
+        self.queued_evictions += job is not self.arriving
 
     def on_event(self, now, queued, running):
         super().on_event(now, queued, running)
         sched = self.sched
+        queues = sched._queues
+        held = [j for j in sched._slots if j is not None]
+        for job in sched.jobs:
+            homes = [name for name, q in queues.items() if job in q]
+            waiting = job.state == "queued" and job.index in self.arrived
+            assert homes == ([job.tenant.name] if waiting else []), (
+                now, job.index, job.state,
+            )
+            if job.state == "running":
+                assert sched._slots[job.slot] is job, (now, job.index)
+        assert sched._queued == sum(len(q) for q in queues.values()) == queued
+        assert all(j.state == "running" for j in held), now
+        assert len(held) == running
         for tenant in sched.trace.tenants:
             name = tenant.name
-            assert sched._queued_by[name] == sum(
-                j.tenant.name == name for j in sched._queue
-            ), (now, name)
             assert sched._running_by[name] == sum(
-                j.tenant.name == name for j in sched._running.values()
+                j.tenant.name == name for j in held
             ), (now, name)
         self.audits += 1
 
 
-def _audited(trace: Trace, policy: str, **kwargs) -> FleetScheduler:
-    audit = _CounterAudit()
+def _audited(trace: Trace, policy, **kwargs) -> _StateAudit:
+    audit = _StateAudit()
     sched = FleetScheduler(trace, policy, observer=audit, **kwargs)
     audit.sched = sched
     sched.run()
     assert audit.audits > len(trace.requests)  # every arrival was audited
-    return sched
+    return audit
+
+
+class _EvictOldest(FifoPriorityPolicy):
+    """Head drop: evict the tenant's oldest evictable job, not the arrival."""
+
+    name = "evict-oldest"
+
+    def evict(self, arriving, queued, now_ms):
+        return queued[0] if queued else arriving
 
 
 class TestTenantCounters:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_counters_match_a_recount_after_every_event(self, policy):
-        scheds = [
+        audits = [
             _audited(_stress_trace(seed), policy, devices=2, queue_bound=4)
             for seed in (0, 1, 2, 3, 4)
         ]
         # The stress traces evict and hit the quota under every policy.
-        jobs = [j for sched in scheds for j in sched.jobs]
+        jobs = [j for audit in audits for j in audit.sched.jobs]
         assert any(j.state == "evicted" for j in jobs)
         if POLICIES[policy].preemptive:
             assert any(j.preemptions > 0 for j in jobs)
@@ -213,6 +249,12 @@ class TestTenantCounters:
             autoscaler=Autoscaler(min_devices=1, max_devices=3, tick_ms=10.0),
             queue_bound=4,
         )
+
+    def test_counters_hold_when_queued_jobs_are_evicted(self):
+        audit = _audited(
+            _stress_trace(0), _EvictOldest(), devices=2, queue_bound=4
+        )
+        assert audit.queued_evictions > 0
 
 
 class TestPoolBounds:

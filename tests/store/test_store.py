@@ -9,6 +9,8 @@ directory.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,21 @@ class TestQueryEdges:
             want = ref[(wide >= lo) & (wide <= hi)]
             assert np.array_equal(cached.range(lo, hi), want)
             assert np.array_equal(disk.range(lo, hi), want)
+
+    def test_bounds_just_past_float32_range_warn_nothing(self, tmp_path):
+        # Each bound rounds to float32's extreme and then steps past it to
+        # inf, which numpy reports as an overflow unless told not to.
+        top = np.finfo(np.float32).max
+        keys = np.asarray([-np.inf, -top, 0.0, top, np.inf], dtype=np.float32)
+        cached = SortedStore(tmp_path / "cached", engine="cpu-std")
+        disk = SortedStore(tmp_path / "disk", engine="cpu-std", cache_pairs=0)
+        lo = float(top) * (1 + 1e-9)
+        for store in (cached, disk):
+            store.insert(keys)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert store.range(lo, 2 * lo).shape[0] == 0
+                assert store.range(-2 * lo, -lo).shape[0] == 0
 
     def test_insert_validation(self, tmp_path):
         store = SortedStore(tmp_path)
