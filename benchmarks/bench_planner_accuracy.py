@@ -26,7 +26,7 @@ import os
 
 import repro
 from repro.engines import measured_cost_ms
-from repro.engines.registry import available, capabilities, cost_model
+from repro.engines.registry import available, get
 from repro.stream.gpu_model import (
     AGP_SYSTEM,
     GEFORCE_6800_ULTRA,
@@ -66,17 +66,11 @@ def _brute_force(request) -> tuple[dict, list]:
     n = len(request.keys)
     candidates: list[tuple[str, int | None, float]] = []
     for name in available():
-        if name == "auto":
+        engine = get(name)
+        model = engine.cost_model
+        if model is None or not engine.capabilities.accepts(n):
             continue
-        caps = capabilities(name)
-        if not caps.any_length and n & (n - 1):
-            continue
-        model = cost_model(name)
-        if model is None:
-            continue
-        for devices in model.device_counts(request):
-            if devices is not None and devices > MAX_DEVICES:
-                continue
+        for devices in model.device_counts(request, max_devices=MAX_DEVICES):
             predicted = model.estimate(request, devices=devices).cost_ms
             candidates.append((name, devices, predicted))
 

@@ -9,8 +9,7 @@ benchmarks, examples) goes through:
 * :mod:`repro.engines.cost` -- the :class:`CostModel` protocol engines
   expose so the planner can price a request without serving it;
 * :mod:`repro.engines.registry` -- the pluggable backend registry
-  (:func:`register` / :func:`get` / :func:`available` /
-  :func:`cost_model`);
+  (:func:`register` / :func:`get` / :func:`available`);
 * :mod:`repro.engines.adapters` -- the thirteen concrete built-in
   backends (GPU-ABiSort variants, the multi-device sharded engine, the
   Section-2.2 baselines, the CPU sorts, and the out-of-core pipeline),
@@ -61,7 +60,6 @@ from repro.engines.registry import (
     DEFAULT_ENGINE,
     available,
     capabilities,
-    cost_model,
     get,
     register,
     unregister,
@@ -95,7 +93,6 @@ __all__ = [
     "RequestShape",
     "request_shape",
     "measured_cost_ms",
-    "cost_model",
     "register",
     "unregister",
     "get",

@@ -64,7 +64,7 @@ from repro.exec.stream_tier import modeled_cost, sort_on_stream
 from repro.exec.stream_tier import counting_network_run, counting_sort_run  # noqa: F401
 from repro.hybrid.disk import SimulatedDisk
 from repro.hybrid.external import ExternalSorter
-from repro.planner.models import next_pow2
+from repro.planner import models
 from repro.stream.context import StreamMachine
 from repro.stream.gpu_model import cpu_sort_time_ms
 from repro.stream.mapping2d import ZOrderMapping
@@ -112,6 +112,7 @@ class ABiSortEngine(SortEngine):
         self.name = name
         self.description = description
         self.config = config
+        self.cost_model = models.StreamCostModel(name)
 
     def _run(self, values, request):
         out, machine = sort_on_stream(self.config, values, trace=request.trace)
@@ -138,10 +139,9 @@ class ShardedABiSortEngine(SortEngine):
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
     #: Device count when the request names none.
     default_devices = 2
-    #: Shards per device (read by the engine's cost model too).
+    #: Shards per device (its cost model composes the same count).
     slices_per_device = 2
-    overlap = True
-    config = ABiSortConfig()
+    cost_model = models.ShardedCostModel(slices_per_device)
 
     def _run(self, values, request):
         from repro.cluster.device import make_devices
@@ -151,9 +151,7 @@ class ShardedABiSortEngine(SortEngine):
         devices = make_devices(count, gpu=request.gpu, host=request.host)
         sorter = ShardedSorter(
             devices,
-            config=self.config,
             slices_per_device=self.slices_per_device,
-            overlap=self.overlap,
             mapping=request.mapping or ZOrderMapping(),
             host=request.host,
             trace=request.trace,
@@ -188,6 +186,7 @@ class NetworkEngine(SortEngine):
         self.name = name
         self.description = description
         self._stream_sorter = stream_sorter
+        self.cost_model = models.StreamCostModel(name)
 
     def _run(self, values, request):
         out, machine = sort_on_stream(
@@ -207,6 +206,7 @@ class TransitionSortEngine(SortEngine):
     name = "odd-even-transition"
     description = "O(n^2) odd-even transition sort (Section 7.1 building block)"
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
+    cost_model = models.TransitionCostModel()
 
     def _run(self, values, request):
         out = odd_even_transition_sort(values)
@@ -223,6 +223,7 @@ class QuicksortEngine(SortEngine):
     name = "cpu-quicksort"
     description = "instrumented median-of-3 quicksort (the paper's CPU baseline)"
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
+    cost_model = models.QuicksortCostModel()
 
     def _run(self, values, request):
         counters = CPUSortCounters()
@@ -249,6 +250,7 @@ class StdSortEngine(SortEngine):
     name = "cpu-std"
     description = "host library sort (NumPy lexsort; SIMD sort >= 512 pairs)"
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
+    cost_model = models.StdSortCostModel()
 
     def _run(self, values, request):
         ops = library_sort_comparisons(values.shape[0])
@@ -278,10 +280,11 @@ class ExternalSortEngine(SortEngine):
     #: the engine's cost model too).
     chunk_size = 1 << 12
     merge_buffer = 1 << 8
+    cost_model = models.ExternalCostModel(chunk_size, merge_buffer)
 
     def _run(self, values, request):
         sorter = ExternalSorter(
-            min(self.chunk_size, next_pow2(values.shape[0])),
+            min(self.chunk_size, models.next_pow2(values.shape[0])),
             gpu=request.gpu,
             mapping=request.mapping or ZOrderMapping(),
             merge_buffer=self.merge_buffer,

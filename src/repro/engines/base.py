@@ -83,6 +83,12 @@ class EngineCapabilities:
         """The capability flags as an ordered name -> bool mapping."""
         return {name: getattr(self, name) for name in CAPABILITY_FLAGS}
 
+    def accepts(self, n: int) -> bool:
+        """Whether an engine with these flags serves ``n`` pairs: any
+        length under ``any_length``, otherwise powers of two (0 and 1
+        included: trivial inputs never reach an algorithm)."""
+        return self.any_length or n & (n - 1) == 0
+
     def missing(self, required: tuple[str, ...]) -> list[str]:
         """The subset of ``required`` flag names this engine lacks."""
         out = []
@@ -345,19 +351,20 @@ class SortEngine(ABC):
     :func:`repro.sort_batch`, the service, the fleet) shares it, from any
     thread.
 
-    Engines may additionally expose a :class:`repro.engines.cost.CostModel`
-    via :attr:`cost_model` -- a predictor of the modeled cost the engine's
+    An engine may also carry a :class:`repro.engines.cost.CostModel` as
+    :attr:`cost_model` -- a predictor of the modeled cost the engine's
     telemetry would report for a request shape.  The planner
-    (:mod:`repro.planner`) only considers engines with one; the built-in
-    backends get theirs from :mod:`repro.planner.models` (see
-    :func:`repro.engines.registry.cost_model` for the resolution order).
+    (:mod:`repro.planner`) only considers engines with one.  Every
+    built-in backend sets its own (from :mod:`repro.planner.models`), so
+    whatever a model caches, such as calibrated curves, lives and dies
+    with the engine instance the registry holds.
     """
 
     name: str = ""
     description: str = ""
     capabilities: EngineCapabilities = EngineCapabilities()
-    #: Optional cost-model hook (see class docstring); ``None`` defers to
-    #: the built-in table, engines known to neither are unplannable.
+    #: The engine's cost model (see class docstring); ``None`` leaves the
+    #: engine unplannable, dispatchable by name only.
     cost_model: "object | None" = None
 
     def sort(self, request: SortRequest) -> SortResult:
@@ -402,7 +409,7 @@ class SortEngine(ABC):
                 f"{', '.join(missing)}; "
                 + _suggest(tuple(request.require))
             )
-        if n > 1 and not caps.any_length and (n & (n - 1)) != 0:
+        if not caps.accepts(n):
             raise CapabilityError(
                 f"engine {self.name!r} requires a power-of-two input length, "
                 f"got {n} (the paper's GPU sorting networks are 'restricted "

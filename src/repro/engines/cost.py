@@ -148,8 +148,8 @@ class CostEstimate:
 class CostModel(ABC):
     """Predicts a :class:`CostEstimate` for requests an engine can serve.
 
-    One cost model per registered engine, resolved through
-    :func:`repro.engines.registry.cost_model`; engines without one are
+    An engine carries its model as :attr:`SortEngine.cost_model
+    <repro.engines.base.SortEngine.cost_model>`; engines without one are
     invisible to the planner (explicit dispatch still works).  Models must
     be cheap relative to sorting -- they may calibrate themselves against
     probe runs at small n (see :mod:`repro.planner.calibration`), but a
@@ -167,7 +167,7 @@ class CostModel(ABC):
         """
 
     def device_counts(
-        self, request: "SortRequest", max_devices: int | None = None
+        self, request: "SortRequest", max_devices: int
     ) -> tuple[int | None, ...]:
         """The device counts worth scoring for this engine: ``(None,)``
         for single-device engines; cluster-aware engines enumerate

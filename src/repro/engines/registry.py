@@ -7,7 +7,8 @@ on first use and then returns that same instance.  Engines hold no state
 between requests (the stream tier memoizes by program and length, not by
 engine object), so one instance per name serves every caller.
 
-Extending the registry is one decorator::
+Extending the registry is one decorator; setting ``cost_model`` is what
+makes the engine plannable (without one it is served by name only)::
 
     from repro.engines import SortEngine, EngineCapabilities, register
 
@@ -15,11 +16,12 @@ Extending the registry is one decorator::
     class MySort(SortEngine):
         name = "my-sort"
         capabilities = EngineCapabilities(any_length=True)
+        cost_model = MyCostModel()  # a repro.engines.CostModel
         def _run(self, values, request):
             ...
 
 The built-in backends (see :mod:`repro.engines.adapters`) are registered
-when :mod:`repro.engines` is imported.
+when :mod:`repro.engines` is imported, each carrying its own cost model.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Callable, Iterable
 
 from repro.errors import EngineError
 from repro.engines.base import EngineCapabilities, SortEngine
-from repro.engines.cost import CostModel
 
 __all__ = [
     "register",
@@ -36,7 +37,6 @@ __all__ = [
     "get",
     "available",
     "capabilities",
-    "cost_model",
     "generation",
 ]
 
@@ -44,10 +44,6 @@ _REGISTRY: dict[str, Callable[[], SortEngine]] = {}
 
 #: The engine instance per name, built by :func:`get` on first use.
 _INSTANCES: dict[str, SortEngine] = {}
-
-#: Cost models by engine name, filled lazily (building one may trigger
-#: calibration probes; see :func:`cost_model`).
-_COST_MODELS: dict[str, CostModel | None] = {}
 
 #: Bumped on every register/unregister; plan caches compare it to detect a
 #: changed engine population (see :class:`repro.planner.planner.PlanCache`).
@@ -92,21 +88,10 @@ def register(
 
 
 def _forget(name: str) -> None:
-    """Drop everything derived from ``name``'s old factory.
-
-    That is its instance, its cost model and any probe-calibrated cost
-    curves.  Calibration is reached through ``sys.modules`` so the
-    registry never imports the planner package eagerly: if it was never
-    loaded, there is nothing to evict.
-    """
-    import sys
-
+    """Drop ``name``'s instance, and with it everything derived from the
+    old factory (its cost model and any curves that model calibrated)."""
     global _GENERATION
     _INSTANCES.pop(name, None)
-    _COST_MODELS.pop(name, None)
-    calibration = sys.modules.get("repro.planner.calibration")
-    if calibration is not None:
-        calibration.evict_engine(name)
     _GENERATION += 1
 
 
@@ -158,29 +143,6 @@ def available(*, require: Iterable[str] = ()) -> tuple[str, ...]:
 def capabilities(name: str) -> EngineCapabilities:
     """The capability record of the engine registered under ``name``."""
     return get(name).capabilities
-
-
-def cost_model(name: str) -> CostModel | None:
-    """The cost model of the engine registered under ``name``, or ``None``.
-
-    Resolution order: an engine instance's own :attr:`SortEngine.cost_model`
-    hook (the plugin path: a registered engine class simply sets the
-    attribute), then the built-in model table of
-    :mod:`repro.planner.models`.  Engines with neither are invisible to
-    the planner but remain dispatchable by explicit name.  The result is
-    cached per name; building a model is cheap (calibration probes run
-    lazily at first estimate, not here).
-    """
-    if name not in _COST_MODELS:
-        engine = get(name)
-        model = engine.cost_model
-        if model is None:
-            # Late import: repro.planner imports this module.
-            from repro.planner.models import builtin_cost_model
-
-            model = builtin_cost_model(name, engine)
-        _COST_MODELS[name] = model
-    return _COST_MODELS[name]
 
 
 def generation() -> int:

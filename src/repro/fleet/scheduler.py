@@ -247,6 +247,10 @@ class FleetScheduler:
             self._push(self.autoscaler.tick_ms, "tick", None)
         while self._events:
             time_ms, _seq, kind, job, epoch = heapq.heappop(self._events)
+            if kind == "tick" and not (
+                self._queued or self._arrivals_pending or self._running()
+            ):
+                continue  # the trailing tick: the replay ended before it
             self._now = max(self._now, time_ms)
             if kind == "arrival":
                 assert job is not None

@@ -21,8 +21,8 @@ the registered backends, ``engine="auto"`` (the default) builds a
 Cost of the first plan: scoring a non-trivial shape calibrates every
 feasible stream engine's cost curve (a dozen probe sorts each, largest
 2^12), roughly a second or two per (GPU, mapping) pair per process.
-That is a deliberate trade: calibrations and plans are both cached, so a
-long-lived service pays it once and every later request plans from the
+That is a deliberate trade: each stream engine's cost model keeps its
+curves and the planner caches plans, so a long-lived service pays it once and every later request plans from the
 caches in microseconds; one-shot scripts that cannot afford it can name
 an engine explicitly and skip planning entirely.
 
@@ -38,11 +38,7 @@ Quick use::
     res.engine, res.plan.cost_ms       # who ran, at what predicted cost
 """
 
-from repro.planner.calibration import (
-    CostCurve,
-    calibrate_stream_engine,
-    clear_calibrations,
-)
+from repro.planner.calibration import CostCurve, calibrate_stream_engine
 from repro.planner.models import (
     CompactionCandidate,
     CompactionCostModel,
@@ -67,7 +63,6 @@ __all__ = [
     "default_planner",
     "CostCurve",
     "calibrate_stream_engine",
-    "clear_calibrations",
     "CompactionCostModel",
     "CompactionCandidate",
     "CompactionPlan",

@@ -25,10 +25,11 @@ The closed form leans on the exact complexity laws of
   ``probe_ceiling`` when planning far above it.
 
 Anchor runs use the engine's real dispatch path, so whatever the engine
-pads, truncates, or caches is priced in.  Calibrations are cached per
-``(engine, gpu, mapping)`` for the life of the process; anchor costs are
-also kept verbatim, so estimates *at* an anchor size are exact, not
-fitted.
+pads, truncates, or caches is priced in.  This module only probes and
+fits: the engine's :class:`~repro.planner.models.StreamCostModel` keeps
+each curve per ``(gpu, mapping)`` for the life of the engine instance,
+so re-registering the engine re-probes it.  Anchor costs are kept
+verbatim, so estimates *at* an anchor size are exact, not fitted.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from repro.analysis.complexity import fit_log_growth
 from repro.errors import ModelError
 
-__all__ = ["CostCurve", "calibrate_stream_engine", "clear_calibrations"]
+__all__ = ["CostCurve", "calibrate_stream_engine"]
 
 #: Anchor sizes (exponents of two) probed during calibration.  2^6..2^12
 #: keeps a full calibration of one (engine, gpu, mapping) combination well
@@ -111,26 +112,23 @@ class CostCurve:
         return self.predict_ops(n) * self.overhead_ms + max(body, 0.0)
 
 
-#: Calibration cache: (engine, gpu name, mapping name) -> CostCurve.
-_CURVES: dict[tuple[str, str, str], CostCurve] = {}
+def hardware_key(request) -> tuple[str, str]:
+    """The ``(gpu, mapping)`` names a curve is calibrated under (the
+    engines cost an unmapped request under Z-order)."""
+    mapping = request.mapping
+    return request.gpu.name, "z-order" if mapping is None else mapping.name
 
 
 def calibrate_stream_engine(engine_name: str, request) -> CostCurve:
-    """The calibrated cost curve for ``engine_name`` under ``request``'s
-    GPU and mapping, probing the anchors on first use.
+    """Probe the anchors of ``engine_name`` under ``request``'s GPU and
+    mapping, and fit its cost curve.
 
     ``request`` supplies the hardware context only; its payload is never
     touched.  Probes dispatch through the registry's engine exactly as
-    real traffic does.
+    real traffic does.  Nothing is cached here (see the module docs).
     """
     from repro.engines.base import SortRequest
     from repro.engines.registry import get
-
-    mapping = request.mapping
-    mapping_name = mapping.name if mapping is not None else "z-order"
-    key = (engine_name, request.gpu.name, mapping_name)
-    if key in _CURVES:
-        return _CURVES[key]
 
     engine = get(engine_name)
     rng = np.random.default_rng(PROBE_SEED)
@@ -142,7 +140,7 @@ def calibrate_stream_engine(engine_name: str, request) -> CostCurve:
             keys=rng.random(n, dtype=np.float32),
             gpu=request.gpu,
             host=request.host,
-            mapping=mapping,
+            mapping=request.mapping,
         )
         telemetry = engine.sort(probe).telemetry
         anchors[exponent] = telemetry.modeled_gpu_ms
@@ -162,31 +160,13 @@ def calibrate_stream_engine(engine_name: str, request) -> CostCurve:
     )
     body_coef, *_ = np.linalg.lstsq(basis, body, rcond=None)
 
-    curve = CostCurve(
+    gpu, mapping = hardware_key(request)
+    return CostCurve(
         engine=engine_name,
-        gpu=request.gpu.name,
-        mapping=mapping_name,
+        gpu=gpu,
+        mapping=mapping,
         overhead_ms=overhead_ms,
         op_poly=tuple(float(c) for c in op_poly),
         body_coef=tuple(float(c) for c in body_coef),
         anchor_ms=anchors,
     )
-    _CURVES[key] = curve
-    return curve
-
-
-def evict_engine(engine_name: str) -> None:
-    """Drop the cached curves of one engine, across every (gpu, mapping).
-
-    Called by the registry whenever ``engine_name`` is re-registered or
-    removed: a replacement engine must be re-probed, not priced from the
-    old implementation's measurements.
-    """
-    for key in [k for k in _CURVES if k[0] == engine_name]:
-        del _CURVES[key]
-
-
-def clear_calibrations() -> None:
-    """Drop every cached curve (tests, or after re-registering engines
-    under existing names with different behaviour)."""
-    _CURVES.clear()

@@ -1,4 +1,4 @@
-"""Built-in cost models: one per registered backend family.
+"""Built-in cost models: one per built-in backend family.
 
 Each model predicts the :func:`repro.engines.cost.measured_cost_ms` of a
 request *without serving it*, from the request shape and the hardware
@@ -30,9 +30,10 @@ ABiSort variants, networks  calibrated stream cost curve
                             (seek counts approximated; see class docs)
 ==========================  =============================================
 
-:func:`builtin_cost_model` maps a registered engine instance to its model;
-:func:`repro.engines.registry.cost_model` consults it after the engine's
-own :attr:`~repro.engines.base.SortEngine.cost_model` hook.
+Each built-in adapter of :mod:`repro.engines.adapters` carries its model
+as :attr:`~repro.engines.base.SortEngine.cost_model` (the stream engines
+build theirs per instance, so their calibrated curves go with the
+instance); the planner reads it off the engine the registry returns.
 
 The module also hosts :class:`CompactionCostModel` /
 :func:`plan_compaction`: the :mod:`repro.store` layer's planner for
@@ -56,11 +57,14 @@ from repro.analysis.complexity import (
     loser_tree_merge_comparisons,
 )
 from repro.engines.cost import CostEstimate, CostModel
+from repro.engines.registry import get
 from repro.errors import ModelError
 from repro.planner.calibration import (
     ANCHOR_EXPONENTS,
     PROBE_SEED,
+    CostCurve,
     calibrate_stream_engine,
+    hardware_key,
 )
 from repro.stream.gpu_model import (
     PCIE_SYSTEM,
@@ -81,7 +85,6 @@ __all__ = [
     "CompactionCandidate",
     "CompactionPlan",
     "plan_compaction",
-    "builtin_cost_model",
 ]
 
 
@@ -103,16 +106,30 @@ class StreamCostModel(CostModel):
     Cost = calibrated modeled GPU time at the engine's effective length
     (the next power of two: the ABiSort engines pad, the networks only
     accept powers of two) + the bus round trip of the actual payload.
+    Each engine instance builds its own model, which probes the engine
+    registered under ``engine_name`` once per (GPU, mapping) and keeps
+    the curve for as long as the engine lives.
     """
 
     def __init__(self, engine_name: str):
         self.engine_name = engine_name
+        self._curves: dict[tuple[str, str], CostCurve] = {}
+
+    def curve(self, request) -> CostCurve:
+        """The engine's calibrated curve under ``request``'s hardware."""
+        key = hardware_key(request)
+        curve = self._curves.get(key)
+        if curve is None:  # racing threads only repeat a deterministic fit
+            curve = self._curves[key] = calibrate_stream_engine(
+                self.engine_name, request
+            )
+        return curve
 
     def estimate(self, request, *, devices=None) -> CostEstimate:
         n = _shape_n(request)
         if n <= 1:
             return CostEstimate()
-        curve = calibrate_stream_engine(self.engine_name, request)
+        curve = self.curve(request)
         return CostEstimate(
             modeled_gpu_ms=curve.predict_ms(next_pow2(n)),
             modeled_transfer_ms=transfer_round_trip_ms(n, request.host),
@@ -134,20 +151,13 @@ class ShardedCostModel(CostModel):
     error -- zero at calibration anchors.
     """
 
-    def __init__(
-        self,
-        base_engine: str = "abisort",
-        slices_per_device: int = 2,
-        max_devices: int = 4,
-    ):
-        self.base_engine = base_engine
+    def __init__(self, slices_per_device: int):
         self.slices_per_device = slices_per_device
-        self.max_devices = max_devices
 
-    def device_counts(self, request, max_devices=None):
+    def device_counts(self, request, max_devices):
         if request.devices is not None:
             return (request.devices,)
-        return tuple(range(1, (max_devices or self.max_devices) + 1))
+        return tuple(range(1, max_devices + 1))
 
     def estimate(self, request, *, devices=None) -> CostEstimate:
         from repro.cluster.device import make_devices
@@ -158,7 +168,7 @@ class ShardedCostModel(CostModel):
         count = devices or request.devices or 2
         if n <= 1:
             return CostEstimate(devices=count)
-        curve = calibrate_stream_engine(self.base_engine, request)
+        curve = get("abisort").cost_model.curve(request)
         plan = ShardPlanner(count, self.slices_per_device).plan(n)
 
         sort_ms = []
@@ -288,7 +298,7 @@ class ExternalCostModel(CostModel):
         runs = -(-n // chunk)
         last = n - (runs - 1) * chunk
 
-        curve = calibrate_stream_engine("abisort", request)
+        curve = get("abisort").cost_model.curve(request)
         gpu_ms = 0.0
         if runs > 1:
             gpu_ms += (runs - 1) * curve.predict_ms(chunk)
@@ -519,22 +529,3 @@ def plan_compaction(
         candidates=candidates,
     )
 
-
-def builtin_cost_model(name: str, engine) -> CostModel | None:
-    """The built-in cost model for a registered engine instance, or
-    ``None`` when the family is unknown (the planner then skips it)."""
-    from repro.engines import adapters
-
-    if isinstance(engine, (adapters.ABiSortEngine, adapters.NetworkEngine)):
-        return StreamCostModel(name)
-    if isinstance(engine, adapters.ShardedABiSortEngine):
-        return ShardedCostModel(slices_per_device=engine.slices_per_device)
-    if isinstance(engine, adapters.QuicksortEngine):
-        return QuicksortCostModel()
-    if isinstance(engine, adapters.StdSortEngine):
-        return StdSortCostModel()
-    if isinstance(engine, adapters.TransitionSortEngine):
-        return TransitionCostModel()
-    if isinstance(engine, adapters.ExternalSortEngine):
-        return ExternalCostModel(engine.chunk_size, engine.merge_buffer)
-    return None

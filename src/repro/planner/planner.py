@@ -4,8 +4,9 @@ The plan half of the plan -> execute pipeline.  :meth:`Planner.plan` turns
 one :class:`~repro.engines.base.SortRequest` into a :class:`SortPlan`:
 
 1. **enumerate** -- every registered engine that is capability-feasible
-   for the request (declares the required flags; accepts the length), has
-   a cost model, and is not the planner's own ``auto`` front end;
+   for the request (declares the required flags;
+   :meth:`~repro.engines.base.EngineCapabilities.accepts` the length) and
+   carries a cost model (the ``auto`` front end carries none);
 2. **score** -- each candidate's :class:`~repro.engines.cost.CostEstimate`
    from its cost model, cluster-aware engines once per device count in
    ``1..max_devices``;
@@ -188,7 +189,7 @@ class PlanCache:
 
 
 class Planner:
-    """Auto engine/device selection over the registry's cost models.
+    """Auto engine/device selection over the registered engines' cost models.
 
     Parameters
     ----------
@@ -240,20 +241,11 @@ class Planner:
     ) -> list[PlanCandidate]:
         """Every feasible (engine, devices) candidate, scored."""
         candidates: list[PlanCandidate] = []
-        trivial = shape.n <= 1
         for name in registry.available(require=shape.require):
-            if name == "auto":
-                continue
-            caps = registry.capabilities(name)
-            if (
-                not trivial
-                and not caps.any_length
-                and shape.n & (shape.n - 1)
-            ):
-                continue  # power-of-two engines cannot serve this length
-            model = registry.cost_model(name)
-            if model is None:
-                continue  # unplannable: explicit dispatch only
+            engine = registry.get(name)
+            model = engine.cost_model
+            if model is None or not engine.capabilities.accepts(shape.n):
+                continue  # unplannable (dispatch by name) or infeasible
             for devices in model.device_counts(
                 request, max_devices=self.max_devices
             ):

@@ -450,7 +450,7 @@ class SortService:
             ticket.exec_engine = plan.engine
             return plan.cost_ms
         ticket.exec_engine = ticket.engine
-        model = registry.cost_model(ticket.engine)
+        model = registry.get(ticket.engine).cost_model
         if model is not None:
             try:
                 return model.estimate(request).cost_ms

@@ -24,7 +24,7 @@ from repro.fleet import (
     Trace,
     TraceRequest,
 )
-from repro.workloads.traces import TenantLoad, generate_trace
+from repro.workloads.traces import TenantLoad, generate_trace, scenario_trace
 from repro.workloads.generators import paper_workload
 
 def _stress_trace(seed: int) -> Trace:
@@ -271,6 +271,18 @@ class TestPoolBounds:
         assert 1 <= report.pool_min <= report.pool_max <= 3
         assert all(j.state in ("completed", "evicted") for j in sched.jobs)
         assert report.completed + report.evicted == report.submitted
+
+    def test_autoscaled_makespan_ends_at_the_last_completion(self):
+        # No tick armed after the last completion may extend the replay.
+        sched = FleetScheduler(
+            scenario_trace("diurnal", seed=0),
+            "weighted-fair",
+            devices=2,
+            autoscaler=Autoscaler(min_devices=1, max_devices=6, tick_ms=50.0),
+        )
+        report = sched.run()
+        last = max(j.completed_ms for j in sched.jobs if j.state == "completed")
+        assert report.makespan_ms == last
 
 
 class TestOutputIdentity:

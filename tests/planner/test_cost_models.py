@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engines import SortRequest, measured_cost_ms
-from repro.engines.registry import cost_model
+from repro.engines import SortRequest, get, measured_cost_ms
 from repro.planner.calibration import calibrate_stream_engine
 from repro.stream.gpu_model import AGP_SYSTEM, GEFORCE_6800_ULTRA
 
@@ -31,21 +30,21 @@ class TestStreamCurves:
     @pytest.mark.parametrize("engine", ("abisort", "bitonic-network"))
     def test_exact_at_anchor_sizes(self, engine, rng):
         request = SortRequest(keys=rng.random(1 << 10, np.float32))
-        predicted = cost_model(engine).estimate(request).cost_ms
+        predicted = get(engine).cost_model.estimate(request).cost_ms
         assert predicted == pytest.approx(_measure(request, engine), rel=1e-9)
 
     @pytest.mark.parametrize("engine", ("abisort", "odd-even-merge"))
     def test_extrapolation_within_three_percent(self, engine, rng):
         # 2^14 is two octaves past the last calibration anchor (2^12).
         request = SortRequest(keys=rng.random(1 << 14, np.float32))
-        predicted = cost_model(engine).estimate(request).cost_ms
+        predicted = get(engine).cost_model.estimate(request).cost_ms
         assert predicted == pytest.approx(_measure(request, engine), rel=0.03)
 
     def test_padding_priced_like_the_engine(self, rng):
         # A non-power-of-two request costs what its padded length costs.
         odd = SortRequest(keys=rng.random(700, np.float32))
         padded = SortRequest(keys=rng.random(1024, np.float32))
-        model = cost_model("abisort")
+        model = get("abisort").cost_model
         assert model.estimate(odd).modeled_gpu_ms == pytest.approx(
             model.estimate(padded).modeled_gpu_ms
         )
@@ -57,29 +56,30 @@ class TestStreamCurves:
             gpu=GEFORCE_6800_ULTRA,
             host=AGP_SYSTEM,
         )
-        pcie_curve = calibrate_stream_engine("abisort", pcie)
-        agp_curve = calibrate_stream_engine("abisort", agp)
+        model = get("abisort").cost_model
+        pcie_curve = model.curve(pcie)
+        agp_curve = model.curve(agp)
         assert pcie_curve.gpu != agp_curve.gpu
         # Distinct hardware models calibrate to distinct curves (the 6800's
         # lower op overhead vs. the 7800's cheaper kernels trade places as
         # n grows, so no one ordering holds at every size).
         assert pcie_curve.predict_ms(1 << 9) != agp_curve.predict_ms(1 << 9)
-        assert calibrate_stream_engine("abisort", pcie) is pcie_curve
+        assert model.curve(pcie) is pcie_curve
 
     def test_reregistering_an_engine_evicts_its_curves(self, rng):
         from repro.engines.registry import _REGISTRY
-        from repro.planner import calibration
 
         request = SortRequest(keys=rng.random(1 << 8, np.float32))
-        calibrate_stream_engine("abisort", request)
-        assert any(k[0] == "abisort" for k in calibration._CURVES)
+        old = get("abisort").cost_model.curve(request)
+        other = get("bitonic-network").cost_model.curve(request)
         # Re-register the same factory: the replacement must be re-probed,
         # not priced from the old implementation's measurements.
         repro.engines.register("abisort", _REGISTRY["abisort"], replace=True)
-        assert not any(k[0] == "abisort" for k in calibration._CURVES)
-        # Other engines' curves survive; re-probing restores the entry.
-        recalibrated = calibrate_stream_engine("abisort", request)
-        assert recalibrated.predict_ms(1 << 8) > 0.0
+        recalibrated = get("abisort").cost_model.curve(request)
+        assert recalibrated is not old
+        assert recalibrated.predict_ms(1 << 8) == old.predict_ms(1 << 8) > 0.0
+        # Other engines' curves survive.
+        assert get("bitonic-network").cost_model.curve(request) is other
 
     def test_op_count_polynomial_is_exact(self, rng):
         request = SortRequest(keys=rng.random(4, np.float32))
@@ -99,7 +99,7 @@ class TestComposedModels:
         # Shards land on power-of-two anchor sizes: the composition
         # (shard planner + curve + scheduler + closed-form merge) is exact.
         request = SortRequest(keys=rng.random(1 << 12, np.float32))
-        predicted = cost_model("sharded-abisort").estimate(
+        predicted = get("sharded-abisort").cost_model.estimate(
             request, devices=devices
         )
         assert predicted.makespan_ms == pytest.approx(
@@ -107,15 +107,15 @@ class TestComposedModels:
         )
 
     def test_sharded_device_counts_respect_request(self, rng):
-        model = cost_model("sharded-abisort")
-        assert model.device_counts(SortRequest(keys=np.zeros(4, np.float32))) \
-            == (1, 2, 3, 4)
+        model = get("sharded-abisort").cost_model
+        free = SortRequest(keys=np.zeros(4, np.float32))
+        assert model.device_counts(free, max_devices=4) == (1, 2, 3, 4)
         pinned = SortRequest(keys=np.zeros(4, np.float32), devices=3)
-        assert model.device_counts(pinned) == (3,)
+        assert model.device_counts(pinned, max_devices=4) == (3,)
 
     def test_external_within_ten_percent(self, rng):
         request = SortRequest(keys=rng.random(6000, np.float32))
-        predicted = cost_model("external").estimate(request).cost_ms
+        predicted = get("external").cost_model.estimate(request).cost_ms
         assert predicted == pytest.approx(
             _measure(request, "external"), rel=0.10
         )
@@ -124,27 +124,27 @@ class TestComposedModels:
 class TestCPUModels:
     def test_std_sort_model_is_exact(self, rng):
         request = SortRequest(keys=rng.random(999, np.float32))
-        predicted = cost_model("cpu-std").estimate(request).cost_ms
+        predicted = get("cpu-std").cost_model.estimate(request).cost_ms
         assert predicted == pytest.approx(_measure(request, "cpu-std"))
 
     def test_transition_model_is_exact(self, rng):
         request = SortRequest(keys=rng.random(200, np.float32))
-        predicted = cost_model("odd-even-transition").estimate(request).cost_ms
+        predicted = get("odd-even-transition").cost_model.estimate(request).cost_ms
         assert predicted == pytest.approx(
             _measure(request, "odd-even-transition")
         )
 
     def test_quicksort_model_within_ten_percent(self, rng):
         request = SortRequest(keys=rng.random(4096, np.float32))
-        predicted = cost_model("cpu-quicksort").estimate(request).cost_ms
+        predicted = get("cpu-quicksort").cost_model.estimate(request).cost_ms
         assert predicted == pytest.approx(
             _measure(request, "cpu-quicksort"), rel=0.10
         )
 
     def test_host_prices_the_cpu_models(self, rng):
         keys = rng.random(2048, np.float32)
-        fast = cost_model("cpu-std").estimate(SortRequest(keys=keys))
-        slow = cost_model("cpu-std").estimate(
+        fast = get("cpu-std").cost_model.estimate(SortRequest(keys=keys))
+        slow = get("cpu-std").cost_model.estimate(
             SortRequest(keys=keys, gpu=GEFORCE_6800_ULTRA, host=AGP_SYSTEM)
         )
         # The AGP host's slower cpu_op_ns must surface in the estimate.

@@ -119,13 +119,56 @@ class TestPlannerScoring:
             for c in plan.candidates
         )
 
+    def test_abisort_under_a_new_name_is_priced_by_its_own_curve(self, rng):
+        from repro.core.api import ABiSortConfig
+        from repro.engines.adapters import ABiSortEngine
+
+        config = ABiSortConfig(schedule="overlapped", optimized=True)
+        repro.engines.register(
+            "abisort-twin", lambda: ABiSortEngine("abisort-twin", config, "")
+        )
+        try:
+            request = SortRequest(keys=rng.random(1000, np.float32))
+            plan = Planner().plan(request)
+            costs = {c.engine: c.cost_ms for c in plan.candidates}
+            assert costs["abisort-twin"] == costs["abisort"]
+            twin = repro.engines.get("abisort-twin").cost_model.curve(request)
+            assert twin.engine == "abisort-twin"
+            assert twin is not repro.engines.get("abisort").cost_model.curve(
+                request
+            )
+        finally:
+            repro.engines.unregister("abisort-twin")
+
+    def test_engine_without_a_cost_model_is_dispatch_only(self, rng):
+        class Unpriced(SortEngine):
+            name = "unpriced-dummy"
+            capabilities = EngineCapabilities(any_length=True)
+
+            def _run(self, values, request):
+                return reference_sort(values), SortTelemetry(), None
+
+        repro.engines.register("unpriced-dummy", Unpriced)
+        try:
+            assert repro.engines.get("unpriced-dummy").cost_model is None
+            request = SortRequest(keys=rng.random(300, np.float32))
+            plan = Planner().plan(request)
+            assert "unpriced-dummy" not in {c.engine for c in plan.candidates}
+            result = repro.sort(request, engine="unpriced-dummy")
+            assert result.engine == "unpriced-dummy"
+            assert np.array_equal(
+                result.values, reference_sort(request.to_values())
+            )
+        finally:
+            repro.engines.unregister("unpriced-dummy")
+
     def test_max_devices_bounds_enumeration(self, rng):
         plan = Planner(max_devices=2).plan(
             SortRequest(keys=rng.random(2048, np.float32))
         )
         assert all((c.devices or 1) <= 2 for c in plan.candidates)
         # And the limit widens the enumeration too -- including past the
-        # sharded model's own default ceiling of 4.
+        # default planner's cap of 4.
         wide = Planner(max_devices=6).plan(
             SortRequest(keys=rng.random(2048, np.float32))
         )

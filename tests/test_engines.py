@@ -77,6 +77,27 @@ class TestCrossEngineEquivalence:
             # The error names engines that can serve the request.
             assert "abisort" in str(err.value)
 
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 4, 6, 8))
+    def test_one_length_rule_for_dispatch_and_planning(self, n, rng):
+        """``EngineCapabilities.accepts`` is the one length rule: dispatch
+        serves exactly the lengths the planner scores an engine for."""
+        power_of_two = n in (0, 1, 2, 4, 8)
+        request = SortRequest(keys=rng.random(n, dtype=np.float32))
+        planned = {c.engine for c in repro.plan(request).candidates}
+        for engine in ENGINES:
+            caps = repro.engines.capabilities(engine)
+            accepted = caps.any_length or power_of_two
+            assert caps.accepts(n) == accepted, engine
+            assert (engine in planned) == accepted, engine
+            if accepted:
+                result = repro.sort(request, engine=engine)
+                assert np.array_equal(
+                    result.values, reference_sort(request.to_values())
+                )
+            else:
+                with pytest.raises(CapabilityError):
+                    repro.sort(request, engine=engine)
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_ids_are_a_permutation(self, engine, rng):
         keys = workload_keys("duplicate-key", N_POW2, rng)
