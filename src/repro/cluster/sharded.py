@@ -10,7 +10,10 @@ The scale-out sort the cluster subsystem exists for:
    the shard and returns its machine.  Otherwise no shard is sorted:
    the machine comes from the stream tier's memo
    (:func:`~repro.exec.stream_tier.counting_machine`), because the merge
-   of step 4 is the sorted runs' only reader and sorts the union anyway;
+   of step 4 is the sorted runs' only reader and sorts the union anyway.
+   The shard goes to the memo unpadded and uncopied (only a miss pads a
+   private copy), and shards sharing a memo entry and a device GPU are
+   costed once per sort;
 3. the :class:`~repro.cluster.scheduler.Scheduler` lays the shards'
    upload/sort/download stages onto the devices' modeled resources,
    overlapping transfers with compute (Section 7 generalised to N devices);
@@ -45,7 +48,6 @@ from repro.exec.stream_tier import counting_sort_run  # noqa: F401
 from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, cpu_sort_time_ms
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
-from repro.workloads.records import pad_to_power_of_two
 
 __all__ = ["ShardedSorter", "ShardedSortResult", "merge_sorted_runs"]
 
@@ -112,7 +114,9 @@ class ShardedSorter:
     trace:
         Run every shard sort and the host-side merge on the reference
         interpreters (see :mod:`repro.exec`) instead of the stream tier's
-        memo and the numpy merge.  Bit- and telemetry-identical.
+        memo and the numpy merge.  Bit- and telemetry-identical.  Without
+        it, two or more shards are neither sorted nor copied: each takes
+        its machine from the memo, and the merge sorts their union once.
     """
 
     def __init__(
@@ -139,7 +143,10 @@ class ShardedSorter:
         self.trace = trace
 
     def sort(self, values: np.ndarray) -> ShardedSortResult:
-        """Sort a ``VALUE_DTYPE`` array of any length across the cluster."""
+        """Sort a ``VALUE_DTYPE`` array of any length across the cluster.
+
+        ``values`` is only read: the result holds fresh arrays.
+        """
         if values.dtype != VALUE_DTYPE:
             raise SortInputError(
                 f"expected VALUE_DTYPE input, got {values.dtype}; "
@@ -166,21 +173,25 @@ class ShardedSorter:
         unsorted = not self.trace and len(plan.shards) > 1
         runs: list[np.ndarray] = []
         shard_sort_ms: list[float] = []
+        # Modeled ms per (memo run, device GPU): equal shards share a run.
+        costs: dict[tuple[int, int], float] = {}
         for shard in plan.shards:
             chunk = values[shard.start : shard.stop]
             sort_ms = 0.0
             if chunk.shape[0] >= 2:
                 device = self.devices[shard.device]
-                machine = None
-                if unsorted:
-                    padded = pad_to_power_of_two(chunk)[0]
-                    machine = counting_machine(self.config, padded)
+                machine = counting_machine(self.config, chunk) if unsorted else None
                 if machine is None:
                     chunk, machine = sort_on_stream(
                         self.config, chunk, trace=self.trace
                     )
                 device.machines.append(machine)
-                sort_ms = modeled_cost(machine, device.gpu, self.mapping).total_ms
+                run = getattr(machine, "run", None)
+                key = (id(run), id(device.gpu))
+                if run is None or key not in costs:
+                    cost = modeled_cost(machine, device.gpu, self.mapping)
+                    costs[key] = cost.total_ms
+                sort_ms = costs[key]
             runs.append(chunk)
             shard_sort_ms.append(sort_ms)
 

@@ -49,8 +49,9 @@ under the one padding rule of
 :func:`~repro.workloads.records.pad_to_power_of_two`, serves the sort
 from the memo or the reference interpreter, and strips the padding.  The
 one caller that needs a machine but no sorted output -- the sharded
-sorter, whose merge sorts the union of its raw shards -- pads and calls
-the memo lookup :func:`counting_machine` alone.
+sorter, whose merge sorts the union of its raw shards -- calls the memo
+lookup :func:`counting_machine` alone, on the unpadded shard: only a
+memo miss pads it.
 
 **Fallback conditions** (wholesale, to the reference interpreter -- the
 tier contract is bit-identity, so anything not provably coverable runs the
@@ -67,8 +68,9 @@ real thing):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -86,7 +88,7 @@ from repro.stream.kernel import (
 )
 from repro.stream.mapping2d import Mapping2D
 from repro.stream.stream import Stream, Substream, VALUE_DTYPE
-from repro.workloads.records import pad_to_power_of_two
+from repro.workloads.records import pad_to_power_of_two, padded_length
 
 __all__ = [
     "KERNEL_GATHER_PROFILE",
@@ -254,19 +256,21 @@ _RUNS: dict[tuple, _CountingRun] = {}
 def counting_machine(program, values: np.ndarray) -> CountingStreamMachine | None:
     """The machine sorting ``values`` with ``program`` logs, without sorting.
 
-    ``values`` has a power-of-two length (pad it first).  The machine is
-    served from the memo entry ``(program, len(values))``, driven on a
-    miss; only a miss reads ``values``.  Returns ``None`` when the memo
+    ``values`` (``n >= 1``) need not be padded: the machine is that of its
+    padding to a power of two, served from the memo entry
+    ``(program, padded n)``.  Only a miss reads ``values``: it drives the
+    program on a padded private copy.  Returns ``None`` when the memo
     declines (``validate_levels``, or an unprofiled kernel).  Threads
     racing on a miss drive equal runs; the first wins.
     """
     if isinstance(program, ABiSortConfig) and program.validate_levels:
         return None  # the validator reads stream contents mid-sort
-    key = (program, values.shape[0])
+    key = (program, padded_length(values.shape[0]))
     run = _RUNS.get(key)
     if run is None:
+        padded = pad_to_power_of_two(values)[0]
         try:
-            driven = _run_program(program, values, _counting_machine)[1]
+            driven = _run_program(program, padded, _counting_machine)[1]
         except StreamTierUnsupported:
             return None
         run = _RUNS.setdefault(

@@ -28,6 +28,15 @@ composite agrees with the reference tie-break.  Decoding inverts the bit
 transform and gives the ``-0.0`` keys their sign back by id, which is
 exact because a strict order has one record per composite.
 
+Both directions move 4-byte halves, not words.  The transformed key bits
+and the id are written straight into the high and low ``uint32`` halves
+of one preallocated ``uint64`` array, and the sorted words are decoded
+straight into the key and id fields of a fresh ``VALUE_DTYPE`` array: two
+xor passes into the key field (negatives below the zero band, the rest
+from it) and one copy into the id field.  No widening cast, shift or or
+pass and no word-sized temporary is made either way.  Which ``uint32`` of
+a word is its high half follows the host's byte order (:func:`_half`).
+
 Inputs meet the (key, id) contract -- no NaN key, unique ids -- because
 :meth:`~repro.engines.base.SortRequest.to_values` checks it once per
 request.  Two records can still share a composite in one place:
@@ -50,24 +59,19 @@ from repro.stream.stream import VALUE_DTYPE, concat_pairs, copy_pairs
 __all__ = ["composite_keys", "strict_order", "strict_sort", "VectorizedBackend"]
 
 _SIGN = np.uint32(0x80000000)
+_FLIP_ALL = np.uint32(0xFFFFFFFF)
 
 
-def _word_shift(field: str) -> np.uint64:
-    """Bit position of a 4-byte ``VALUE_DTYPE`` field in the pair's
-    native-endian ``uint64`` word."""
-    offset = VALUE_DTYPE.fields[field][1]
-    if sys.byteorder == "big":
-        offset = VALUE_DTYPE.itemsize - 4 - offset
-    return np.uint64(8 * offset)
+def _half(bit: int) -> int:
+    """Index of the ``uint32`` holding bits ``[bit, bit + 32)`` of a
+    native-endian ``uint64`` word (the low half is first on little-endian)."""
+    half = bit // 32
+    return 1 - half if sys.byteorder == "big" else half
 
 
-_KEY_SHIFT = _word_shift("key")
-_ID_SHIFT = _word_shift("id")
-_ID_ROTATE = np.uint64(64) - _ID_SHIFT
-#: XOR masks that undo the composite's bit transform on a pair word's
-#: key bits: every bit of a negative key, the sign bit of the others.
-_UNFLIP_NEGATIVE = np.uint64(0xFFFFFFFF) << _KEY_SHIFT
-_UNFLIP_SIGN = np.uint64(_SIGN) << _KEY_SHIFT
+#: The composite's halves: the transformed key bits high, the id low.
+_KEY_HALF = _half(32)
+_ID_HALF = _half(0)
 #: The composite band of the (folded) zero keys: ``[+0.0, next float)``.
 _ZERO_BAND = np.array([0x80000000 << 32, 0x80000001 << 32], dtype=np.uint64)
 
@@ -80,17 +84,20 @@ def composite_keys(values: np.ndarray) -> np.ndarray:
 
     ``composite(a) < composite(b)`` iff ``(a.key, a.id) < (b.key, b.id)``
     under the reference comparison (floats compared numerically with
-    ``-0.0 == +0.0``, ids breaking ties).
+    ``-0.0 == +0.0``, ids breaking ties).  The transformed key bits are
+    the word's high half and the id its low half, each written in place.
     """
     # -0.0 + 0.0 == +0.0: collapse the two zeros so the id tie-break
     # decides, exactly as the loser tree does.  The sum is a fresh array.
     bits = (values["key"] + np.float32(0.0)).view(np.uint32)
     # Negatives (arithmetic shift fills with ones) flip every bit,
     # non-negatives only the sign bit.
-    bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | _SIGN
-    composite = bits.astype(np.uint64)
-    composite <<= np.uint64(32)
-    composite |= values["id"]
+    flip = (bits.view(np.int32) >> 31).view(np.uint32)
+    flip |= _SIGN
+    composite = np.empty(values.shape[0], dtype=np.uint64)
+    halves = composite.view(np.uint32)
+    np.bitwise_xor(bits, flip, out=halves[_KEY_HALF::2])
+    halves[_ID_HALF::2] = values["id"]
     return composite
 
 
@@ -115,10 +122,11 @@ def strict_sort(values: np.ndarray) -> np.ndarray | None:
     """``values`` sorted by (key, id), or ``None`` (see :func:`strict_order`).
 
     Sorts the composites themselves -- no permutation, no gather -- and
-    decodes each sorted word back into a pair: the id from the low half,
-    the key bits by inverting the bit transform of :func:`composite_keys`.
-    Negative keys are the composites below the zero band and the rest
-    start at it, so one ``searchsorted`` splits the two inversions.  The
+    decodes the sorted words straight into a fresh pair array: the id
+    field copied from the low halves, the key field by inverting the bit
+    transform of :func:`composite_keys` on the high halves.  Negative
+    keys are the composites below the zero band and the rest start at
+    it, so one ``searchsorted`` splits the two inverting xors.  The
     composite folds ``-0.0`` into ``+0.0``; when the zero band is not
     empty, the input's ``-0.0`` ids are looked up in it (sorted by id)
     and get their sign back.  Byte-identical to
@@ -129,13 +137,13 @@ def strict_sort(values: np.ndarray) -> np.ndarray | None:
     if np.count_nonzero(composite[1:] == composite[:-1]):
         return None
     zero_start, zero_stop = composite.searchsorted(_ZERO_BAND).tolist()
-    # Rotate the id half into the id's place: ``>>`` by 64 yields 0 in
-    # numpy, so an id already in place rotates by 0.
-    words = composite << _ID_SHIFT
-    words |= composite >> _ID_ROTATE
-    words[:zero_start] ^= _UNFLIP_NEGATIVE
-    words[zero_start:] ^= _UNFLIP_SIGN
-    out = words.view(VALUE_DTYPE)
+    halves = composite.view(np.uint32)
+    flipped = halves[_KEY_HALF::2]
+    out = np.empty(composite.shape[0], dtype=VALUE_DTYPE)
+    key = out["key"].view(np.uint32)
+    np.bitwise_xor(flipped[:zero_start], _FLIP_ALL, out=key[:zero_start])
+    np.bitwise_xor(flipped[zero_start:], _SIGN, out=key[zero_start:])
+    out["id"] = halves[_ID_HALF::2]
     if zero_stop > zero_start:
         negative_zero_ids = values["id"][values["key"].view(np.uint32) == _SIGN]
         if negative_zero_ids.shape[0]:

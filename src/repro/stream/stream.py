@@ -68,9 +68,11 @@ def check_values(values: np.ndarray) -> np.ndarray:
             f"use repro.make_values"
         )
     _reject_nan(values["key"])
-    ids = values["id"]
+    # A contiguous copy: the comparisons below run faster on it than on
+    # the strided field, and the fallback sorts it in place.
+    ids = values["id"].copy()
     if not (ids[1:] > ids[:-1]).all():  # increasing ids (positions) are unique
-        ids = np.sort(ids)
+        ids.sort()
         if (ids[1:] == ids[:-1]).any():
             raise SortInputError(
                 "value ids must be unique: they serve as the secondary sort "

@@ -19,11 +19,17 @@ from repro.core.values import make_values, values_greater
 from repro.stream.stream import VALUE_DTYPE, concat_pairs, copy_pairs
 
 __all__ = [
+    "padded_length",
     "pad_to_power_of_two",
     "is_sorted_values",
     "verify_sort_output",
     "RecordTable",
 ]
+
+
+def padded_length(n: int) -> int:
+    """The length :func:`pad_to_power_of_two` pads ``n >= 1`` records to."""
+    return 1 << max(1, (n - 1).bit_length())
 
 
 def pad_to_power_of_two(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -46,7 +52,7 @@ def pad_to_power_of_two(values: np.ndarray) -> tuple[np.ndarray, int]:
     n = values.shape[0]
     if n == 0:
         raise SortInputError("cannot pad an empty sequence")
-    target = 1 << max(1, (n - 1).bit_length())
+    target = padded_length(n)
     if target == n:
         return copy_pairs(values), n
     pad = np.empty(target - n, dtype=VALUE_DTYPE)

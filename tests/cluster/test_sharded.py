@@ -10,14 +10,19 @@ invariants.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro
-from repro.cluster import ShardedSorter, make_devices, merge_sorted_runs
+from repro.cluster import ShardedSorter, make_devices, merge_sorted_runs, sharded
+from repro.cluster.device import Device
 from repro.core.values import reference_sort
 from repro.engines import SortRequest
+from repro.exec import stream_tier
 from repro.stream.gpu_model import AGP_SYSTEM, GEFORCE_6800_ULTRA
+from repro.workloads import records
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
@@ -103,6 +108,80 @@ class TestShardedEquivalence:
         up = sum(e.duration_ms for e in result.schedule.events
                  if e.stage == "upload")
         assert down > up
+
+
+class TestUnsortedShardPath:
+    """The default path with two or more shards sorts no shard: it takes
+    each shard's machine from the stream tier's memo, pads a shard only
+    on a memo miss, and costs each distinct (memo run, GPU) once."""
+
+    @pytest.fixture
+    def pads(self, monkeypatch) -> list[int]:
+        """An empty memo, and the lengths padded wherever the name is bound."""
+        monkeypatch.setattr(stream_tier, "_RUNS", {})
+        lengths: list[int] = []
+        real = records.pad_to_power_of_two
+
+        def pad_to_power_of_two(values):
+            lengths.append(values.shape[0])
+            return real(values)
+
+        for module in (records, stream_tier, sharded):
+            if hasattr(module, "pad_to_power_of_two"):
+                monkeypatch.setattr(module, "pad_to_power_of_two", pad_to_power_of_two)
+        return lengths
+
+    @staticmethod
+    def _telemetry(result) -> dict:
+        d = dataclasses.asdict(result.telemetry)
+        d.pop("wall_time_s")  # measured, the one field allowed to differ
+        return d
+
+    def test_cold_power_of_two_shards_match_trace_and_leave_input(self, pads, rng):
+        values = repro.make_values(rng.random(4096, dtype=np.float32))
+        before = values.tobytes()
+        request = SortRequest(values=values)
+        got = repro.sort(request, engine="sharded-abisort", devices=4)
+        assert values.tobytes() == before
+        (length,) = {s.stop - s.start for s in got.cluster.plan.shards}
+        assert len(got.cluster.plan.shards) > 1 and length & (length - 1) == 0
+        assert pads == [length]  # the first shard misses; the rest hit
+        want = repro.sort(
+            SortRequest(values=values, trace=True),
+            engine="sharded-abisort",
+            devices=4,
+        )
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.cluster.shard_sort_ms == want.cluster.shard_sort_ms
+        assert self._telemetry(got) == self._telemetry(want)
+
+    def test_memo_hit_pads_nothing(self, pads, rng):
+        sorter = ShardedSorter(4)
+        sorter.sort(repro.make_values(rng.random(3000, dtype=np.float32)))
+        primed = len(pads)
+        assert primed == 1  # shards of 750 all pad to 1024
+        values = repro.make_values(rng.random(3000, dtype=np.float32))
+        result = sorter.sort(values)
+        assert len(pads) == primed
+        assert np.array_equal(result.values, reference_sort(values))
+
+    def test_gpus_differing_in_one_kernel_cost_differently(self, rng):
+        base = GEFORCE_6800_ULTRA
+        name = next(iter(base.kernel_cycles))
+        cycles = dict(base.kernel_cycles, **{name: base.kernel_cycles[name] + 1})
+        other = dataclasses.replace(base, kernel_cycles=cycles)
+        link = make_devices(1)[0].link
+        devices = [
+            Device(index=0, gpu=base, link=link),
+            Device(index=1, gpu=other, link=link),
+            Device(index=2, gpu=base, link=link),
+        ]
+        values = repro.make_values(rng.random(3072, dtype=np.float32))
+        got = ShardedSorter(devices).sort(values)
+        ms = got.shard_sort_ms
+        assert ms[0] == ms[2] != ms[1]
+        want = ShardedSorter(devices, trace=True).sort(values)
+        assert ms == want.shard_sort_ms
 
 
 class TestTrivialReports:

@@ -8,9 +8,13 @@ properties pin that decode:
 * the output is byte-identical to ``values[total_order_argsort(values)]``
   (``np.lexsort``) over the hard keys (``-0.0``/``+0.0``, ``+-inf``, the
   smallest subnormals), key ties broken by shuffled unique ids, and the
-  sizes around the ``cpu-std`` cutoff;
+  sizes around the ``cpu-std`` cutoff and at 2^16 (the sharded merge's
+  size), one power of two and just past it;
 * it returns ``None`` exactly when two records share a composite
   (``(-0.0, i)`` and ``(+0.0, i)`` included);
+* :func:`~repro.exec.vectorized.composite_keys`, which writes the two
+  ``uint32`` halves of each word, equals the shift/or formula
+  ``(flipped key bits << 32) | id`` written out in full;
 * :func:`~repro.stream.stream.copy_pairs` and
   :func:`~repro.stream.stream.concat_pairs` are byte-identical to
   ``.copy()`` and ``np.concatenate`` on empty, single, contiguous and
@@ -25,11 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.values import concat_pairs, copy_pairs, total_order_argsort
-from repro.exec.vectorized import strict_sort
+from repro.exec.vectorized import composite_keys, strict_sort
 from repro.stream.stream import VALUE_DTYPE
 
 HARD_KEYS = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45], dtype=np.float32)
-SIZES = [0, 1, 2, 511, 512, 513, 4096]
+SIZES = [0, 1, 2, 511, 512, 513, 4096, 65536, 65539]
 ID_MAX = 2**32 - 1
 
 
@@ -69,6 +73,24 @@ def test_strict_sort_is_the_lexsort_output(values):
     assert ranked.tobytes() == _reference(values)
 
 
+def _shift_or_composite(values: np.ndarray) -> np.ndarray:
+    """The composite as a shift/or formula: flipped key bits high, id low."""
+    bits = values["key"].astype(np.float32).view(np.uint32).astype(np.uint64)
+    bits[bits == 0x80000000] = 0  # -0.0 folds into +0.0
+    negative = bits >= 0x80000000
+    flipped = np.where(negative, bits ^ 0xFFFFFFFF, bits | 0x80000000)
+    return (flipped << np.uint64(32)) | values["id"].astype(np.uint64)
+
+
+@settings(max_examples=60)
+@given(sized_records())
+def test_composite_keys_is_the_shift_or_formula(values):
+    composite = composite_keys(values)
+    assert composite.dtype == np.uint64
+    assert composite.flags.c_contiguous
+    assert np.array_equal(composite, _shift_or_composite(values))
+
+
 @given(
     st.lists(
         st.tuples(st.floats(width=32, allow_nan=False), st.integers(0, ID_MAX)),
@@ -97,7 +119,7 @@ def test_strict_sort_is_none_exactly_on_a_shared_composite(records):
         assert ranked.tobytes() == _reference(values)
 
 
-@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("n", [512, 4096, 65536])
 def test_opposite_zeros_sharing_an_id_are_caught_at_size(n):
     rng = np.random.default_rng(n)
     values = _pack(rng.standard_normal(n), rng.permutation(n))
