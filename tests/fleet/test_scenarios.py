@@ -6,7 +6,9 @@ be bit-identical to what ``scenario_trace`` regenerates (record/replay
 round trip), and replaying them must reproduce the golden per-tenant
 stats exactly (virtual time: no tolerance needed).  ``goldens/spans.json``
 pins each replay's Chrome trace (job spans on their pool-slot tracks) by
-sha256, per scenario and policy.
+sha256, per scenario and policy, and ``goldens/metrics.json`` pins the
+NDJSON metrics file a :class:`FleetObserver` samples during each replay
+the same way.
 
 Regenerate after an intentional scheduler/trace change with::
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,7 @@ HERE = Path(__file__).parent
 TRACE_DIR = HERE / "traces"
 GOLDEN_DIR = HERE / "goldens"
 SPANS_GOLDEN = GOLDEN_DIR / "spans.json"
+METRICS_GOLDEN = GOLDEN_DIR / "metrics.json"
 
 #: The committed artifacts' generation seed.
 SEED = 0
@@ -72,6 +76,21 @@ def _span_digests(name: str) -> dict:
     return digests
 
 
+def _metrics_digests(name: str) -> dict:
+    """sha256 of each policy's sampled metrics NDJSON for scenario ``name``."""
+    trace = Trace.load(TRACE_DIR / f"{name}.ndjson")
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in sorted(POLICIES):
+            path = Path(tmp) / f"{policy}.ndjson"
+            observer = FleetObserver(metrics_path=path)
+            FleetScheduler(
+                trace, policy, observer=observer, **REPLAY_PARAMS[name]
+            ).run()
+            digests[policy] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 class TestCommittedTraces:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_trace_matches_regenerated_scenario(self, name, tmp_path):
@@ -98,6 +117,11 @@ class TestGoldenStats:
     def test_span_tracks_match_digests(self, name):
         golden = json.loads(SPANS_GOLDEN.read_text())
         assert _span_digests(name) == golden[name]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_metrics_ndjson_matches_digests(self, name):
+        golden = json.loads(METRICS_GOLDEN.read_text())
+        assert _metrics_digests(name) == golden[name]
 
     def test_replay_is_deterministic_across_runs(self):
         trace = Trace.load(TRACE_DIR / "burst.ndjson")
@@ -153,6 +177,11 @@ def _regen() -> None:
     spans = {name: _span_digests(name) for name in sorted(SCENARIOS)}
     SPANS_GOLDEN.write_text(json.dumps(spans, indent=2, sort_keys=True) + "\n")
     print("regenerated span digests")
+    metrics = {name: _metrics_digests(name) for name in sorted(SCENARIOS)}
+    METRICS_GOLDEN.write_text(
+        json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+    )
+    print("regenerated metrics digests")
 
 
 if __name__ == "__main__":

@@ -5,12 +5,19 @@ exposition reports must exactly match a simultaneously-taken
 ``ServiceStats.snapshot()`` -- which holds by construction, because every
 stats-mirroring metric is callback-backed and reads the live record at
 scrape time.
+
+``goldens/batch_trace.json`` pins the Chrome trace of one hand-built
+batch; regenerate it after an intended trace change with::
+
+    PYTHONPATH=src python tests/service/test_instrumentation.py regen
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +276,71 @@ def test_planner_relative_error_counts_every_request_across_devices(rng):
     assert sum(s.value > 0 for s in busy) > 1  # shares ran on several devices
     count, _total = _plan_error(inst)
     assert count == len(sizes)
+
+
+#: The Chrome trace of :func:`_pinned_batch_trace`, recorded once; the
+#: exported bytes must not change while the trace stays the same.
+TRACE_GOLDEN = Path(__file__).parent / "goldens" / "batch_trace.json"
+
+
+def _pinned_batch_trace():
+    """``to_chrome()`` of one hand-built two-request batch on two devices.
+
+    The clock, the instrumentation's origin and the tickets' submit
+    instants are fixed, so the trace is a pure function of the batch:
+    one planner-routed ticket and one pinned ticket, executed, placed on
+    devices 0 and 1 and scheduled by a real two-device pipeline.
+    """
+    from repro.cluster.device import make_devices
+    from repro.cluster.scheduler import Scheduler
+    from repro.engines.auto import execute
+    from repro.engines.base import SortRequest
+    from repro.engines.telemetry import pipeline_tasks_for_results
+    from repro.service.service import _Ticket
+    from repro.workloads.generators import generate_keys
+
+    svc = SortService(devices=2)
+    inst = instrument(svc)
+    inst._t0 = 100.0
+    inst.now_ms = lambda: 40.0
+    svc.stats.batches = 3
+
+    routed = SortRequest(keys=generate_keys("uniform", 4096, seed=1))
+    plan = default_planner(1).plan(routed)
+    pinned = SortRequest(keys=generate_keys("uniform", 1024, seed=2))
+    tickets = [
+        _Ticket(routed, None, None, submitted=100.0125, coalesce_ms=1.5,
+                plan=plan, exec_engine=plan.engine),
+        _Ticket(pinned, "abisort", None, submitted=100.0131,
+                coalesce_ms=0.9, exec_engine="abisort"),
+    ]
+    for ticket, wait_ms in zip(tickets, (2.25, 4.75)):
+        ticket.result = execute(ticket.exec_engine, ticket.request, ticket.plan)
+        ticket.result.telemetry.queue_wait_ms = wait_ms
+    devices = make_devices(2)
+    schedule = Scheduler(devices).run(pipeline_tasks_for_results(
+        [t.result for t in tickets], [0, 1], devices[0].link,
+    ))
+    inst.on_batch([(tickets[0], 0), (tickets[1], 1)], schedule)
+    return inst.spans.to_chrome()
+
+
+def _trace_text(trace: dict) -> str:
+    return json.dumps(trace, indent=2, sort_keys=True) + "\n"
+
+
+def test_batch_trace_matches_golden():
+    trace = _pinned_batch_trace()
+    assert _trace_text(trace) == TRACE_GOLDEN.read_text()
+    cats = [event["cat"] for event in trace["traceEvents"]]
+    assert cats.count("coalesce") == cats.count("queue") == 2
+    assert cats[-1] == "batch"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["regen"]:
+        TRACE_GOLDEN.parent.mkdir(exist_ok=True)
+        TRACE_GOLDEN.write_text(_trace_text(_pinned_batch_trace()))
+        print(f"regenerated {TRACE_GOLDEN.name}")
+    else:
+        print(__doc__)
