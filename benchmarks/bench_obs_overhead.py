@@ -3,7 +3,7 @@
 Observability must not distort what it observes.  The same mixed-size
 service workload runs twice -- once on a bare ``SortService``, once with
 the full :func:`repro.service.metrics.instrument` attachment (callback
-metrics, histograms, span recording) -- interleaved over :data:`ROUNDS`
+metrics, histograms, the request event log) -- interleaved over :data:`ROUNDS`
 rounds with the best (minimum) wall time kept per variant.  A round's
 timed run of each variant maps the request set through its service
 :data:`REPEATS` times, the two variants taking turns map by map, so both
@@ -15,9 +15,11 @@ via ``REPRO_OBS_GATE`` for shared-runner jitter).
 
 The design makes the margin comfortable: every stats-mirroring metric is
 callback-backed (it costs nothing until scraped), so the hot path adds
-only the per-batch histogram observations and bounded-ring span appends.
-A scrape is also taken at the end so the exposition path itself is
-exercised (outside the timed region, as in production).
+only the per-batch histogram observations and one event-ring append per
+request and per batch.  A scrape and a trace export are also taken at
+the end, so the exposition path and the span rendering are exercised
+(outside the timed region, as in production); ``spans_recorded`` counts
+the spans that export builds.
 """
 
 from __future__ import annotations

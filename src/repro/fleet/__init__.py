@@ -19,7 +19,8 @@ competing for devices.  This package schedules that competition:
 * :mod:`repro.fleet.autoscaler` -- reactive pool sizing from queue depth
   and utilization;
 * :mod:`repro.fleet.observe` -- :class:`~repro.fleet.observe.FleetObserver`,
-  the metrics, job spans and per-slot busy time of one replay;
+  the metrics and job event log of one replay, with the spans and
+  per-slot busy time built from it;
 * :mod:`repro.fleet.stats` -- :class:`~repro.fleet.stats.FleetReport`
   with per-tenant makespan, p99 wait, Jain fairness, and
   preemption/eviction counters.

@@ -42,7 +42,7 @@ execution modeled (costs only), which is what benchmarks want.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,10 +92,6 @@ class Job:
     #: Guards stale completion events after a preemption: a completion
     #: only lands if its epoch still matches the job's.
     epoch: int = 0
-    #: Closed execution spans ``(start_ms, end_ms, outcome)`` with outcome
-    #: ``"completed"`` or ``"preempted"`` -- the audit trail the invariant
-    #: tests sweep to check quotas and single-completion.
-    spans: list[tuple[float, float, str]] = field(default_factory=list)
 
     @cached_property
     def duration_ms(self) -> float:
@@ -315,7 +311,6 @@ class FleetScheduler:
         victim.state = "queued"
         victim.epoch += 1  # invalidates the in-flight completion event
         victim.preemptions += 1
-        victim.spans.append((victim.started_ms, self._now, "preempted"))
         if self.observer is not None:
             self.observer.on_preempt(victim, self._now, victim.started_ms)
         victim.started_ms = None
@@ -329,7 +324,6 @@ class FleetScheduler:
         job.state = "completed"
         job.completed_ms = self._now
         job.completions += 1
-        job.spans.append((job.started_ms, self._now, "completed"))
         self.policy.on_complete(job, self._now)
         if self.observer is not None:
             self.observer.on_complete(job, self._now)

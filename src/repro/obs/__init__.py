@@ -7,8 +7,8 @@ with it:
 * :mod:`repro.obs.metrics` -- a dependency-free Prometheus-style
   registry (counters, gauges, histograms, labels) with the text
   exposition format and a round-trip parser;
-* :mod:`repro.obs.trace` -- per-request spans and the Chrome
-  trace-event JSON export;
+* :mod:`repro.obs.trace` -- the per-request event log, from which
+  spans and the Chrome trace-event JSON export are built on export;
 * :mod:`repro.obs.sampler` -- periodic NDJSON persistence of metric
   snapshots, with the schema validator CI runs over the files;
 * :mod:`repro.obs.health` -- the pool-health analyzer over a fleet
@@ -35,20 +35,21 @@ from repro.obs.metrics import (
 )
 from repro.obs.report import render_health_html, save_health_html
 from repro.obs.sampler import MetricsSampler, read_samples, validate_sample_line
-from repro.obs.trace import Span, SpanRecorder
+from repro.obs.trace import EventLog, RequestEvent, Span
 
 __all__ = [
     "DEFAULT_MS_BUCKETS",
     "Counter",
     "DeviceHealth",
+    "EventLog",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSampler",
     "PoolHealth",
+    "RequestEvent",
     "Sample",
     "Span",
-    "SpanRecorder",
     "WaitWindow",
     "analyze_pool_health",
     "escape_label_value",

@@ -168,13 +168,14 @@ def analyze_pool_health(report, observer):
     uptime = report.uptime_ms
     busy = observer.busy_ms
     capacity = observer.capacity_ms
+    slot_jobs = observer.slot_jobs
     per_device = tuple(
         DeviceHealth(
             slot=slot,
             busy_ms=busy_ms,
             bubble_ms=max(uptime - busy_ms, 0.0),
             utilization=busy_ms / uptime if uptime else 0.0,
-            jobs=observer.slot_jobs[slot],
+            jobs=slot_jobs[slot],
         )
         for slot, busy_ms in enumerate(observer.slot_busy_ms)
     )

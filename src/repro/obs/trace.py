@@ -1,13 +1,12 @@
-"""Request trace spans and the Chrome trace-event export.
+"""Request events, trace spans and the Chrome trace-event export.
 
-A :class:`Span` is one timed interval on one track -- a request waiting
-in the queue, a batch being coalesced, an upload/sort/download stage on
-a device, a fleet job's execution on a pool slot.  A
-:class:`SpanRecorder` keeps the most recent spans in a bounded ring and
-renders them as Chrome trace-event JSON (the ``chrome://tracing`` /
-Perfetto "complete event" format: one ``"ph": "X"`` record per span),
-so a service's last few thousand requests -- or a whole fleet replay --
-can be dropped into a trace viewer and inspected stage by stage.
+A face records each request's life once, as :class:`RequestEvent` tuples
+appended to an :class:`EventLog` ring as they happen.  A :class:`Span`
+is one timed interval on one track (a request waiting in the queue, an
+upload/sort/download stage on a device, a fleet job's execution on a
+pool slot); spans are built from the log only when a trace is exported,
+as Chrome trace-event JSON (the ``chrome://tracing`` / Perfetto
+"complete event" format: one ``"ph": "X"`` record per span).
 
 This is the paper's own evaluation method made continuous: Section 7
 measures upload/sort/download overlap per stage; a span trace is the
@@ -16,20 +15,21 @@ same decomposition for every request a running service handles.
 Timestamps are plain milliseconds on whatever clock the instrumenting
 layer uses -- wall milliseconds since service start for the live
 service, virtual milliseconds for fleet replays (which is what makes
-fleet traces bit-reproducible).  The recorder never reads a clock
-itself.
+fleet traces bit-reproducible).  The log never reads a clock itself.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.errors import ObsError
 
-__all__ = ["Span", "SpanRecorder"]
+__all__ = ["EventLog", "RequestEvent", "Span"]
 
 
 @dataclass(frozen=True)
@@ -70,72 +70,70 @@ class Span:
         return record
 
 
-@dataclass
-class SpanRecorder:
-    """A bounded ring of the most recent spans.
+class RequestEvent(NamedTuple):
+    """One step of a request's life, as the face that served it saw it.
 
-    ``capacity`` bounds memory on a long-running service (old spans fall
-    off the front); ``enabled=False`` turns :meth:`add` into a no-op so
-    the bare-throughput benchmark can price instrumentation out.
+    ``t_ms`` is the face's clock when it happened; ``kind`` names it
+    (``complete``, ``preempt``, ``evict``, ``batch`` ...); ``index`` is
+    the request and ``slot`` the device or pool slot it ran on (``None``
+    for none); ``start_ms`` the start of the interval the event closes;
+    ``detail`` a few face-specific scalars (a tenant, a size, a wait --
+    for a service batch, its modeled stage schedule), never a ticket, a
+    result or an array.
     """
 
-    capacity: int = 4096
-    enabled: bool = True
-    _spans: deque = field(default_factory=deque, repr=False)
+    t_ms: float
+    kind: str
+    index: int | None
+    slot: int | None
+    start_ms: float
+    detail: tuple = ()
 
-    def __post_init__(self) -> None:
-        """Validate the capacity bound and size the ring."""
-        if self.capacity < 1:
-            raise ObsError(f"span recorder needs capacity >= 1, got {self.capacity}")
-        self._spans = deque(maxlen=self.capacity)
 
-    def add(self, span: Span) -> None:
-        """Record one span (dropping the oldest when the ring is full)."""
-        if self.enabled:
-            self._spans.append(span)
+class EventLog:
+    """An append-only ring of :class:`RequestEvent` s; spans on export.
 
-    def record(
+    ``capacity`` counts events (the oldest drops first; ``None`` keeps
+    every event, for a finite replay).  Recording is one
+    :meth:`append`: no :class:`Span` exists until :meth:`spans`,
+    :meth:`to_chrome`, :meth:`save` or ``len()`` asks, and then
+    ``render`` -- the owning observer's function from one event to the
+    spans it stands for -- builds them from the retained events.
+    """
+
+    def __init__(
         self,
-        name: str,
-        cat: str,
-        start_ms: float,
-        duration_ms: float,
-        *,
-        pid: str = "repro",
-        tid: str = "0",
-        **args: object,
-    ) -> None:
-        """Build and :meth:`add` one span in a single call."""
-        if not self.enabled:
-            return
-        self._spans.append(
-            Span(
-                name=name,
-                cat=cat,
-                start_ms=start_ms,
-                duration_ms=duration_ms,
-                pid=pid,
-                tid=tid,
-                args=tuple(sorted(args.items())),
-            )
-        )
+        render: Callable[[RequestEvent], Iterable[Span]],
+        capacity: int | None = 4096,
+    ):
+        if capacity is not None and capacity < 1:
+            raise ObsError(f"event log needs capacity >= 1, got {capacity}")
+        self._render = render
+        self._events: deque[RequestEvent] = deque(maxlen=capacity)
+        #: Record one event (dropping the oldest when the ring is full).
+        self.append = self._events.append
 
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def spans(self) -> list[Span]:
-        """The retained spans, oldest first."""
-        return list(self._spans)
+    def events(self) -> list[RequestEvent]:
+        """The retained events, oldest first."""
+        return list(self._events)
 
     def clear(self) -> None:
-        """Drop every retained span."""
-        self._spans.clear()
+        """Drop every retained event."""
+        self._events.clear()
+
+    def spans(self) -> list[Span]:
+        """The retained events rendered as spans, oldest first."""
+        return [span for event in self._events for span in self._render(event)]
+
+    def __len__(self) -> int:
+        """How many spans an export of the retained events holds."""
+        return len(self.spans())
 
     def to_chrome(self) -> dict:
-        """The retained spans as a Chrome trace-event JSON object."""
+        """The rendered spans as a Chrome trace-event JSON object."""
         return {
             "displayTimeUnit": "ms",
-            "traceEvents": [span.to_chrome() for span in self._spans],
+            "traceEvents": [span.to_chrome() for span in self.spans()],
         }
 
     def save(self, path) -> Path:

@@ -11,19 +11,21 @@ honest:
   acceptance check);
 * only the distribution metrics (queue-wait / coalesce / batch-size
   histograms, per-device busy counters, planner-error histogram) and the
-  span recorder touch the pipeline, through two hooks the service calls
+  event log touch the pipeline, through two hooks the service calls
   per executed request, on the worker thread between sorts
   (:meth:`ServiceInstrumentation.on_execute`, per-device busy time only),
   and per finalized batch, on the event loop
-  (:meth:`ServiceInstrumentation.on_batch`, everything else).
+  (:meth:`ServiceInstrumentation.on_batch`: the histograms, which are
+  lifetime totals, and one :class:`~repro.obs.trace.RequestEvent` per
+  completed request plus one for the batch -- no span).
 
-Spans put each batch on a wall-clock timeline (milliseconds since the
-instrumentation was created): per request a ``coalesce`` span (submit to
-batch seal) and a ``queue`` span (seal to execution start), then the
-batch's modeled ``upload``/``sort``/``download``/``merge`` stage spans
+An export (``{"op": "trace"}``, ``serve_forever(trace_out=...)``) builds
+spans from the retained events, on a wall-clock timeline (milliseconds
+since the instrumentation was created): per request a ``coalesce`` span
+(submit to batch seal) and a ``queue`` span (seal to execution start),
+then the batch's modeled ``upload``/``sort``/``download`` stage spans
 laid out from its :class:`~repro.cluster.scheduler.ClusterSchedule` so
-the trace ends where the batch finalized.  ``{"op": "trace"}`` on the
-socket server exports them as Chrome trace-event JSON.
+the trace ends where the batch finalized.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import time
 
 from repro.engines.cost import measured_cost_ms
 from repro.obs.metrics import DEFAULT_MS_BUCKETS, MetricsRegistry
-from repro.obs.trace import SpanRecorder
+from repro.obs.trace import EventLog, RequestEvent, Span
 from repro.planner.planner import default_planner
 from repro.service.config import RETRY_AFTER_MS
 
@@ -44,92 +46,94 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 ERROR_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
 
+def _batch_spans(event: RequestEvent) -> list[Span]:
+    """The spans one service event stands for (see the module docstring)."""
+    if event.kind == "complete":
+        batch, engine, coalesce_ms, queue_wait_ms = event.detail
+        tid = f"req{event.index}"
+        name = f"batch{batch}/{tid}"
+        return [
+            Span(name, "coalesce", event.start_ms, coalesce_ms,
+                 "requests", tid, (("engine", engine),)),
+            Span(name, "queue", event.start_ms + coalesce_ms,
+                 max(queue_wait_ms - coalesce_ms, 0.0), "requests", tid),
+        ]
+    batch, size, schedule = event.detail
+    origin = event.t_ms - schedule.makespan_ms
+    spans = [
+        Span(f"batch{batch}/{stage.task}", stage.stage,
+             origin + stage.start_ms, stage.duration_ms,
+             "devices", f"dev{stage.device}")
+        for stage in schedule.events
+    ]
+    spans.append(Span(
+        f"batch{batch}", "batch", event.start_ms,
+        event.t_ms - event.start_ms, "service", "batches",
+        (("makespan_ms", round(schedule.makespan_ms, 6)), ("size", size)),
+    ))
+    return spans
+
+
 class ServiceInstrumentation:
-    """One service's metrics registry and span recorder.
+    """One service's metrics registry and request event log.
 
     Construct through :func:`instrument`, which also points
     ``service.observer`` here so the pipeline hooks fire.
     """
 
-    #: Span ring size: the most recent spans a trace export can show.
+    #: Event ring size: each completed request is one event and each
+    #: batch one more, so an export shows at least the last 2048 requests.
     TRACE_CAPACITY = 4096
 
     def __init__(self, service):
         self.service = service
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(capacity=self.TRACE_CAPACITY)
+        #: The request events; their spans are built only on export.
+        self.spans = EventLog(_batch_spans, self.TRACE_CAPACITY)
         self._t0 = time.perf_counter()
 
         reg = self.registry
-        stats = service.stats
 
         def s(field_name):
             return lambda: getattr(service.stats, field_name)
 
-        reg.counter(
-            "repro_service_submitted_total", "Requests admitted",
-            fn=s("submitted"),
-        )
-        reg.counter(
-            "repro_service_completed_total", "Requests completed",
-            fn=s("completed"),
-        )
-        reg.counter(
-            "repro_service_rejected_total",
-            "Requests rejected by admission control", fn=s("rejected"),
-        )
-        reg.counter(
-            "repro_service_failed_total", "Requests that raised",
-            fn=s("failed"),
-        )
-        reg.counter(
-            "repro_service_batches_total", "Batches finalized",
-            fn=s("batches"),
-        )
-        reg.counter(
-            "repro_service_makespan_ms_total",
-            "Modeled batch makespans, summed", fn=s("service_makespan_ms"),
-        )
-        reg.counter(
-            "repro_service_serialized_ms_total",
-            "Modeled all-stages-serialized yardstick, summed",
-            fn=s("serialized_ms"),
-        )
-        reg.gauge(
-            "repro_service_pending",
-            "Requests admitted but not yet completed (queue depth)",
-            fn=lambda: service.pending,
-        )
-        reg.gauge(
-            "repro_service_largest_batch", "Largest batch so far",
-            fn=s("largest_batch"),
-        )
-        reg.gauge(
-            "repro_service_uptime_seconds",
-            "Seconds since the service's stats record started",
-            fn=lambda: service.stats.live_uptime_s(),
-        )
-        reg.gauge(
-            "repro_service_retry_after_ms",
-            "Back-off hint rejected clients receive",
-            fn=lambda: RETRY_AFTER_MS,
-        )
         # The service plans with the process-wide single-device planner,
-        # so these count every caller of default_planner(1) in the process.
+        # so the cache metrics count every caller of default_planner(1).
         cache = default_planner(1).cache
-        reg.counter(
-            "repro_planner_cache_hits_total", "Plan-cache hits",
-            fn=lambda: cache.hits,
-        )
-        reg.counter(
-            "repro_planner_cache_misses_total", "Plan-cache misses",
-            fn=lambda: cache.misses,
-        )
-        reg.gauge(
-            "repro_planner_cache_hit_ratio",
-            "Plan-cache hits over lookups",
-            fn=lambda: cache.hit_ratio,
-        )
+        for metric, name, help_text, fn in (
+            (reg.counter, "repro_service_submitted_total", "Requests admitted",
+             s("submitted")),
+            (reg.counter, "repro_service_completed_total", "Requests completed",
+             s("completed")),
+            (reg.counter, "repro_service_rejected_total",
+             "Requests rejected by admission control", s("rejected")),
+            (reg.counter, "repro_service_failed_total", "Requests that raised",
+             s("failed")),
+            (reg.counter, "repro_service_batches_total", "Batches finalized",
+             s("batches")),
+            (reg.counter, "repro_service_makespan_ms_total",
+             "Modeled batch makespans, summed", s("service_makespan_ms")),
+            (reg.counter, "repro_service_serialized_ms_total",
+             "Modeled all-stages-serialized yardstick, summed",
+             s("serialized_ms")),
+            (reg.gauge, "repro_service_pending",
+             "Requests admitted but not yet completed (queue depth)",
+             lambda: service.pending),
+            (reg.gauge, "repro_service_largest_batch", "Largest batch so far",
+             s("largest_batch")),
+            (reg.gauge, "repro_service_uptime_seconds",
+             "Seconds since the service's stats record started",
+             lambda: service.stats.live_uptime_s()),
+            (reg.gauge, "repro_service_retry_after_ms",
+             "Back-off hint rejected clients receive", lambda: RETRY_AFTER_MS),
+            (reg.counter, "repro_planner_cache_hits_total", "Plan-cache hits",
+             lambda: cache.hits),
+            (reg.counter, "repro_planner_cache_misses_total",
+             "Plan-cache misses", lambda: cache.misses),
+            (reg.gauge, "repro_planner_cache_hit_ratio",
+             "Plan-cache hits over lookups", lambda: cache.hit_ratio),
+        ):
+            metric(name, help_text, fn=fn)
         self.queue_wait = reg.histogram(
             "repro_service_queue_wait_ms",
             "Submit-to-execution wait of completed requests (wall ms)",
@@ -155,7 +159,6 @@ class ServiceInstrumentation:
             "Wall time each worker spent executing sorts", ("device",),
         )
         self._device_children: dict[int, object] = {}
-        del stats  # callbacks read the live record, not this binding
 
     def now_ms(self) -> float:
         """Wall milliseconds since this instrumentation was created."""
@@ -181,18 +184,19 @@ class ServiceInstrumentation:
 
         Runs on the event loop.  Histograms get every completed request's
         measured queue wait and coalesce hold, and every planner-routed
-        request's plan error; the span recorder gets the batch laid out
-        on the wall timeline, with the modeled stage schedule anchored so
-        the batch ends at the finalize instant.
+        request's plan error; the log gets one ``complete`` event per
+        request (its submit instant, device and waits) and one ``batch``
+        event (its earliest submit, size and modeled schedule) stamped
+        at the finalize instant.
         """
         now = self.now_ms()
         batch_index = self.service.stats.batches
         self.batch_size.observe(len(done))
-        origin = now - schedule.makespan_ms
+        append = self.spans.append
         earliest = now
-        for i, (ticket, _device) in enumerate(done):
-            telemetry = ticket.result.telemetry
-            self.queue_wait.observe(telemetry.queue_wait_ms)
+        for i, (ticket, device) in enumerate(done):
+            queue_wait_ms = ticket.result.telemetry.queue_wait_ms
+            self.queue_wait.observe(queue_wait_ms)
             self.coalesce.observe(ticket.coalesce_ms)
             if ticket.plan is not None:
                 executed = measured_cost_ms(ticket.result, ticket.request)
@@ -202,33 +206,17 @@ class ServiceInstrumentation:
                     )
             submit = (ticket.submitted - self._t0) * 1e3
             earliest = min(earliest, submit)
-            tid = f"req{i}"
-            self.spans.record(
-                f"batch{batch_index}/{tid}", "coalesce",
-                submit, ticket.coalesce_ms,
-                pid="requests", tid=tid, engine=ticket.exec_engine,
-            )
-            self.spans.record(
-                f"batch{batch_index}/{tid}", "queue",
-                submit + ticket.coalesce_ms,
-                max(telemetry.queue_wait_ms - ticket.coalesce_ms, 0.0),
-                pid="requests", tid=tid,
-            )
-        for event in schedule.events:
-            self.spans.record(
-                f"batch{batch_index}/{event.task}", event.stage,
-                origin + event.start_ms, event.duration_ms,
-                pid="devices", tid=f"dev{event.device}",
-            )
-        self.spans.record(
-            f"batch{batch_index}", "batch", earliest, now - earliest,
-            pid="service", tid="batches",
-            size=len(done), makespan_ms=round(schedule.makespan_ms, 6),
-        )
+            append(RequestEvent(now, "complete", i, device, submit, (
+                batch_index, ticket.exec_engine, ticket.coalesce_ms,
+                queue_wait_ms,
+            )))
+        append(RequestEvent(
+            now, "batch", None, None, earliest, (batch_index, len(done), schedule)
+        ))
 
 
 def instrument(service, *, store=None):
-    """Attach metrics and span recording to ``service``.
+    """Attach metrics and request event recording to ``service``.
 
     Returns the :class:`ServiceInstrumentation` (also reachable as
     ``service.observer``).  ``store`` additionally binds a

@@ -304,8 +304,8 @@ async def serve_forever(
     When the service carries instrumentation (``service.observer``, see
     :func:`repro.service.metrics.instrument`), ``metrics_out`` appends a
     metrics-NDJSON sample every :data:`SAMPLE_EVERY_S` seconds (plus a final
-    one at shutdown) and ``trace_out`` saves the span ring as Chrome
-    trace JSON at shutdown.  Returns the (closed) service so callers can
+    one at shutdown) and ``trace_out`` saves the spans built from its
+    event log as Chrome trace JSON at shutdown.  Returns the (closed) service so callers can
     inspect its final stats.
     """
     await service.start()

@@ -65,9 +65,21 @@ def _run(seed: int, policy: str) -> FleetScheduler:
         policy,
         devices=2,
         queue_bound=4,
+        observer=FleetObserver(),
     )
     scheduler.run()
     return scheduler
+
+
+def _executions(sched: FleetScheduler) -> dict[int, list]:
+    """Each job's closed executions, in order: its ``preempt`` and
+    ``complete`` events from the observer's log, which carry the start
+    and slot the execution had at event time."""
+    executions = {job.index: [] for job in sched.jobs}
+    for event in sched.observer.spans.events():
+        if event.kind in ("preempt", "complete"):
+            executions[event.index].append(event)
+    return executions
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +97,12 @@ class TestConservation:
         for (seed, policy), sched in runs.items():
             states = [j.state for j in sched.jobs]
             assert set(states) <= {"completed", "evicted"}, (seed, policy)
+            executions = _executions(sched)
             for job in sched.jobs:
                 expected = 1 if job.state == "completed" else 0
                 assert job.completions == expected, (seed, policy, job.index)
-                done_spans = [s for s in job.spans if s[2] == "completed"]
-                assert len(done_spans) == expected, (seed, policy, job.index)
+                done = [e for e in executions[job.index] if e.kind == "complete"]
+                assert len(done) == expected, (seed, policy, job.index)
 
     def test_contention_actually_happened(self, runs):
         # The sweep is vacuous if the traces never force hard decisions.
@@ -100,18 +113,20 @@ class TestConservation:
 
     def test_timestamps_are_ordered(self, runs):
         for (seed, policy), sched in runs.items():
+            executions = _executions(sched)
             for job in sched.jobs:
-                for start, end, _outcome in job.spans:
-                    assert job.request.arrival_ms <= start <= end, (
+                for event in executions[job.index]:
+                    assert job.request.arrival_ms <= event.start_ms <= event.t_ms, (
                         seed, policy, job.index,
                     )
                 if job.state == "completed":
-                    assert job.completed_ms == job.spans[-1][1]
+                    assert job.completed_ms == executions[job.index][-1].t_ms
 
 
 class TestQuota:
     def test_concurrency_never_exceeds_quota(self, runs):
         for (seed, policy), sched in runs.items():
+            executions = _executions(sched)
             for tenant in sched.trace.tenants:
                 quota = tenant.max_concurrency
                 if quota is None:
@@ -120,9 +135,9 @@ class TestQuota:
                 for job in sched.jobs:
                     if job.tenant.name != tenant.name:
                         continue
-                    for start, end, _outcome in job.spans:
-                        events.append((start, 1))
-                        events.append((end, -1))
+                    for event in executions[job.index]:
+                        events.append((event.start_ms, 1))
+                        events.append((event.t_ms, -1))
                 events.sort(key=lambda e: (e[0], e[1]))
                 live = peak = 0
                 for _t, delta in events:
@@ -136,9 +151,12 @@ class TestPlacement:
         for (seed, policy), sched in runs.items():
             done = [j for j in sched.jobs if j.state == "completed"]
             assert {j.slot for j in done} <= {0, 1}, (seed, policy)
+            executions = _executions(sched)
             for slot in (0, 1):
                 finals = sorted(
-                    j.spans[-1][:2] for j in done if j.slot == slot
+                    (final.start_ms, final.t_ms)
+                    for final in (executions[j.index][-1] for j in done)
+                    if final.slot == slot
                 )
                 for (_s, end), (start, _e) in zip(finals, finals[1:]):
                     assert end <= start, (seed, policy, slot)
