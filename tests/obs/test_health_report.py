@@ -100,6 +100,28 @@ class TestHealthShape:
         assert cats["wait"] == waited > 0
 
 
+class TestEventLog:
+    def test_hooks_append_one_event_each_and_build_no_span(self, monkeypatch):
+        from repro.fleet import observe
+        from repro.obs.trace import Span
+
+        built = []
+
+        class CountedSpan(Span):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(observe, "Span", CountedSpan)
+        report, observer = _replay_with_observer()
+        kinds = [e.kind for e in observer.spans.events()]
+        assert kinds[0] == "begin" and kinds[-1] == "finish"
+        assert kinds.count("arrive") == report.submitted
+        assert kinds.count("complete") == report.completed
+        assert built == []
+        assert len(observer.spans) == len(built) > report.completed
+
+
 def _regen() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     health = _health()

@@ -42,8 +42,7 @@ class TestEventLog:
         assert dict(spans[1].args) == {"size": 3, "engine": "abisort"}
 
     def test_capacity_counts_events_and_drops_oldest_first(self):
-        two_spans = lambda event: _one_span(event) * 2  # noqa: E731
-        log = EventLog(two_spans, capacity=3)
+        log = EventLog(lambda event: _one_span(event) * 2, capacity=3)
         for i in range(5):
             log.append(_event(f"e{i}"))
         assert [e.kind for e in log.events()] == ["e2", "e3", "e4"]

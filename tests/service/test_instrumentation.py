@@ -278,6 +278,33 @@ def test_planner_relative_error_counts_every_request_across_devices(rng):
     assert count == len(sizes)
 
 
+def test_pipeline_appends_events_and_builds_spans_only_on_export(
+    rng, monkeypatch
+):
+    from repro.engines.base import SortRequest
+    from repro.obs.trace import Span
+    from repro.service import metrics
+
+    built = []
+
+    class CountedSpan(Span):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(metrics, "Span", CountedSpan)
+    svc = SortService(devices=2, coalesce_window_ms=5.0, max_batch=4)
+    inst = instrument(svc)
+    svc.map([SortRequest(keys=rng.random(64, dtype=np.float32))
+             for _ in range(8)])
+    events = inst.spans.events()
+    assert [e.kind for e in events].count("complete") == 8
+    assert [e.kind for e in events].count("batch") == svc.stats.batches
+    assert built == []
+    trace = inst.spans.to_chrome()
+    assert len(built) == len(trace["traceEvents"]) > 0
+
+
 #: The Chrome trace of :func:`_pinned_batch_trace`, recorded once; the
 #: exported bytes must not change while the trace stays the same.
 TRACE_GOLDEN = Path(__file__).parent / "goldens" / "batch_trace.json"
