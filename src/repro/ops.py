@@ -5,8 +5,9 @@ the domain object, and the object's two renderings: ``to_json`` (the
 socket's response line and the CLI's ``--json``) and ``to_text`` (the
 CLI's output).  Both faces check parameters with :func:`bind`, so a bad
 one reads the same on either.  Inputs only one face has are built by
-that face before the call (:attr:`Op.inputs`): ``store`` is the socket's
-attached store or the CLI's ``--path``; ``keys`` are inline on the
+that face before the call (:attr:`Op.inputs`), or bound from the face's
+own stand-in parameters: ``store`` is the socket's attached store or the
+CLI's ``--path``; ``keys`` are an inline :class:`NumberArray` on the
 socket, generated from ``--n/--dist/--seed`` on the CLI; ``observer`` is
 the fleet observer the CLI builds from ``--metrics-out``/``--trace-out``
 (the socket attaches none); ``service`` is the socket's live service,
@@ -19,13 +20,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, NamedTuple
 
+import numpy as np
+
 from repro.analysis.cluster_report import format_fleet_report, format_store_stats
 from repro.errors import ReproError
 from repro.fleet import Autoscaler, FleetScheduler, compare_policies
 from repro.fleet.policy import POLICIES
 from repro.workloads.traces import Trace, scenario_trace
 
-__all__ = ["Param", "Op", "OPS", "bind", "load_trace"]
+__all__ = ["Param", "Op", "OPS", "NumberArray", "bind", "load_trace",
+           "pairs_json"]
 
 
 class Param(NamedTuple):
@@ -60,8 +64,8 @@ def bind(op: Op, mapping: Mapping[str, Any]) -> dict:
 
     An absent (or ``None``) value takes the default, unless required.
     Strings -- every CLI value -- parse to the parameter's type; JSON
-    values must already have it (a JSON object builds a type that has
-    ``from_json``).  Keys that name no parameter are ignored.
+    values must already have it (a JSON object or array builds a type
+    that has ``from_json``).  Keys that name no parameter are ignored.
     """
     args = {}
     for p in op.params:
@@ -88,13 +92,27 @@ def _coerce(op: Op, p: Param, value):
             return p.type(value)
         if p.type is float and type(value) is int:
             return float(value)
-        if isinstance(value, dict) and hasattr(p.type, "from_json"):
+        if isinstance(value, (dict, list)) and hasattr(p.type, "from_json"):
             return p.type.from_json(value)
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         pass
     raise ReproError(
         f"{op.name}: {p.name} must be {p.type.__name__}, not {value!r:.60}"
     )
+
+
+class NumberArray:
+    """A JSON array of numbers (no string, bool, null, nesting or scalar).
+
+    Only the JSON shape: :func:`repro.core.values.make_values` owns what
+    the values may be."""
+
+    @staticmethod
+    def from_json(value: list) -> np.ndarray:
+        """``value`` as an array, or a :class:`TypeError`."""
+        if type(value) is not list or not set(map(type, value)) <= {int, float}:
+            raise TypeError("not an array of numbers")
+        return np.asarray(value)
 
 
 SCENARIO = (
@@ -191,12 +209,10 @@ def _observer(args):
     return args["service"].observer
 
 
-def _hits_json(hits) -> dict:
-    return {
-        "n": int(hits.shape[0]),
-        "keys": [float(k) for k in hits["key"]],
-        "ids": [int(i) for i in hits["id"]],
-    }
+def pairs_json(values) -> dict:
+    """Sorted ``VALUE_DTYPE`` pairs on the wire: ``n``, ``keys``, ``ids``."""
+    return {"n": len(values), "keys": values["key"].tolist(),
+            "ids": values["id"].tolist()}
 
 
 def _first_keys(hits) -> str:
@@ -266,12 +282,12 @@ OPS: dict[str, Op] = {op.name: op for op in (
         Param("hi", float, required=True, help="highest key")),
        lambda args: (args["store"].range(args["lo"], args["hi"]),
                      args["store"].run_count),
-       lambda r: _hits_json(r[0]),
+       lambda r: pairs_json(r[0]),
        _query_text,
        help="answer a key-range query", inputs=("store",)),
     Op("store.topk", (Param("k", int, 10, help="how many pairs"),),
        lambda args: args["store"].top_k(args["k"]),
-       _hits_json,
+       pairs_json,
        lambda hits, args: (
            f"top {args['k']}: {hits.shape[0]} pairs: {_first_keys(hits)}"),
        help="the k smallest pairs", inputs=("store",)),

@@ -2,12 +2,14 @@
 
 ``python -m repro serve`` binds a :class:`repro.service.SortService` to a
 TCP socket.  The wire protocol is one JSON object per line, in both
-directions: a line with ``"keys"`` sorts, and every ``{"op": ...}`` line
-runs an entry of the one op table :data:`repro.ops.OPS` --
-``{"op": X}`` the op ``X`` (``ping``, ``stats``, ``metrics``,
-``trace``: the ops with a ``service`` input, answered on the event
-loop), ``{"op": X, "action": Y}`` the op ``"X.Y"`` (the store and fleet
-actions the CLI serves too, run in the executor).  Every line gets
+directions, and every line is one op: a line without ``"op"`` is the
+sort op :data:`SORT` (``keys``, optional ``ids`` and ``engine``);
+``{"op": X}`` runs the op ``X`` of the one op table :data:`repro.ops.OPS`
+(``ping``, ``stats``, ``metrics``, ``trace``: the ops with a ``service``
+input, answered on the event loop) and ``{"op": X, "action": Y}`` the op
+``"X.Y"`` (the store and fleet actions the CLI serves too, run in the
+executor).  Each line is bound by :func:`repro.ops.bind`, so a field of
+the wrong JSON type is named the same way on every op.  Every line gets
 exactly one response line; a failure answers
 ``{"id": ..., "error": "..."}``.  A line longer than
 :data:`MAX_LINE_BYTES` is skipped through its newline and answered
@@ -27,22 +29,16 @@ repro metrics`` scrapes through it).
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
-
-import numpy as np
 
 from repro.engines.base import SortRequest, SortResult
 from repro.errors import ReproError, ServiceOverloadError
-from repro.ops import OPS, Op, bind
+from repro.ops import OPS, NumberArray, Op, Param, bind, pairs_json
 from repro.service.service import SortService
 
-__all__ = [
-    "start_server",
-    "serve_forever",
-    "request_sort",
-    "request_op",
-    "MAX_LINE_BYTES",
-]
+__all__ = ["start_server", "serve_forever", "request_sort", "request_op",
+           "MAX_LINE_BYTES"]
 
 #: Longest request or response line either side reads (asyncio's default
 #: of 64 KiB would reset the connection on a sort of ~3k keys).
@@ -53,55 +49,58 @@ MAX_LINE_BYTES = 1 << 24
 SAMPLE_EVERY_S = 1.0
 
 
-def _telemetry_payload(result: SortResult) -> dict:
-    """The service-relevant telemetry fields of one result, JSON-ready."""
-    t = result.telemetry
-    return {
-        "queue_wait_ms": t.queue_wait_ms,
-        "coalesce_ms": t.coalesce_ms,
-        "service_makespan_ms": t.service_makespan_ms,
-        "modeled_total_ms": t.modeled_total_ms,
-        "modeled_makespan_ms": t.modeled_makespan_ms,
-        "stream_ops": t.stream_ops,
-        "devices": t.devices,
-        "wall_time_s": t.wall_time_s,
-    }
+#: The service-relevant telemetry fields a sort response carries.
+TELEMETRY_FIELDS = ("queue_wait_ms", "coalesce_ms", "service_makespan_ms",
+                    "modeled_total_ms", "modeled_makespan_ms", "stream_ops",
+                    "devices", "wall_time_s")
 
 
-def _parse_request(message: dict, config) -> tuple[SortRequest, str | None]:
-    """Build the (request, engine) pair one JSON sort line describes.
+def _sort_json(result: SortResult) -> dict:
+    telemetry = result.telemetry
+    return {"engine": result.engine, **pairs_json(result.values), "telemetry": {
+        name: getattr(telemetry, name) for name in TELEMETRY_FIELDS}}
 
-    The wire protocol carries no hardware fields: requests inherit the
-    serving :class:`~repro.service.ServiceConfig`'s ``gpu``/``host``
-    models, so ``python -m repro serve --gpu 6800`` prices every socket
-    request on the system it advertises.
-    """
-    if "keys" not in message:
-        raise ReproError('sort lines need a "keys" array')
-    keys = np.asarray(message["keys"], dtype=np.float32)
-    ids = message.get("ids")
-    if ids is not None:
-        ids = np.asarray(ids, dtype=np.uint32)
-    request = SortRequest(keys=keys, ids=ids, gpu=config.gpu, host=config.host)
-    return request, message.get("engine")
+
+def _submit(args):
+    """Submit one sort line (a coroutine), priced on the serving config's
+    ``gpu``/``host``: the wire carries no hardware fields."""
+    service = args["service"]
+    request = SortRequest(keys=args["keys"], ids=args["ids"],
+                          gpu=service.config.gpu, host=service.config.host)
+    return service.submit(request, engine=args["engine"])
+
+
+KEYS = Param("keys", NumberArray, required=True, help="the keys to sort")
+
+#: The op of every line without ``"op"``.  It is no entry of
+#: :data:`repro.ops.OPS`, so ``{"op": "sort"}`` names no op.
+SORT = Op(
+    "sort",
+    (KEYS, Param("ids", NumberArray, help="the pairs' ids (default: positions)"),
+     Param("engine", help="pin a backend (default: the service's)")),
+    _submit, _sort_json, help="sort one batch of (key, id) pairs", inputs=("service",))
+
+#: The socket's stand-ins for the shared ops' face inputs (as the CLI's
+#: ``_CLI_PARAMS``): an insert's keys come inline.
+_SOCKET_PARAMS = {"store.insert": (KEYS,)}
 
 
 def _line_op(message: dict, service: SortService, store) -> tuple[Op, dict]:
-    """The op an ``{"op"[, "action"]}`` line names, with its arguments.
+    """The op a line names, with its bound arguments and face inputs.
 
-    A bare op name (``ping``) is the whole key and ``"action"`` is
-    ignored; a group (``store``) takes its action: ``"store.query"``.
-    The socket's face inputs join the bound parameters: the live
-    ``service``, the attached ``store`` and the inline ``keys``.
+    No ``"op"`` is :data:`SORT`; a bare op name (``ping``) is the whole
+    key and ``"action"`` is ignored; a group (``store``) takes its
+    action: ``"store.query"``.
     """
-    name, action = message["op"], message.get("action")
-    if not isinstance(name, str):
-        raise ReproError(f"unknown op {name!r}")
-    op = ("." not in name and OPS.get(name)) or OPS.get(f"{name}.{action}")
-    if op is None:
-        if any(key.startswith(f"{name}.") for key in OPS):
+    name, action = message.get("op"), message.get("action")
+    op = SORT if name is None else isinstance(name, str) and (
+        ("." not in name and OPS.get(name)) or OPS.get(f"{name}.{action}"))
+    if not op:
+        if isinstance(name, str) and any(k.startswith(f"{name}.") for k in OPS):
             raise ReproError(f"unknown {name} action {action!r}")
         raise ReproError(f"unknown op {name!r}")
+    if op.name in _SOCKET_PARAMS:
+        op = op._replace(params=op.params + _SOCKET_PARAMS[op.name])
     args = bind(op, message)
     if "service" in op.inputs:
         args["service"] = service
@@ -109,10 +108,6 @@ def _line_op(message: dict, service: SortService, store) -> tuple[Op, dict]:
         if store is None:
             raise ReproError("no store attached (start the server with --store)")
         args["store"] = store
-    if "keys" in op.inputs:
-        if "keys" not in message:
-            raise ReproError('store inserts need a "keys" array')
-        args["keys"] = np.asarray(message["keys"], dtype=np.float32)
     return op, args
 
 
@@ -120,9 +115,9 @@ async def _serve_line(service: SortService, line: bytes, store=None) -> dict:
     """Serve one request line, returning its one response object.
 
     An op with a ``service`` input reads loop-owned state, so it runs on
-    the event loop; every other op runs in the default executor (store
-    calls are blocking file work, fleet replays pure CPU), so the event
-    loop keeps serving sort lines meanwhile.
+    the event loop (a sort awaits its submission there); every other op
+    runs in the default executor (store calls are blocking file work,
+    fleet replays pure CPU), so the event loop keeps serving meanwhile.
     """
     tag = None
     try:
@@ -133,36 +128,24 @@ async def _serve_line(service: SortService, line: bytes, store=None) -> dict:
         if not isinstance(message, dict):
             raise ReproError("request lines must be JSON objects")
         tag = message.get("id")
-        if message.get("op") is not None:
-            op, args = _line_op(message, service, store)
-            if "service" in op.inputs:
-                result = op.handler(args)
-            else:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    None, op.handler, args
-                )
-            return {"id": tag, **op.to_json(result)}
-        request, engine = _parse_request(message, service.config)
-        result = await service.submit(request, engine=engine)
-        return {
-            "id": tag,
-            "engine": result.engine,
-            "n": len(result),
-            "keys": [float(k) for k in result.keys],
-            "ids": [int(i) for i in result.ids],
-            "telemetry": _telemetry_payload(result),
-        }
+        op, args = _line_op(message, service, store)
+        if "service" in op.inputs:
+            result = op.handler(args)
+            if inspect.isawaitable(result):
+                result = await result
+        else:
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, op.handler, args
+            )
+        return {"id": tag, **op.to_json(result)}
     except ServiceOverloadError as err:
-        return {
-            "id": tag,
-            "error": "overloaded",
-            "retry_after_ms": err.retry_after_ms,
-        }
+        return {"id": tag, "error": "overloaded",
+                "retry_after_ms": err.retry_after_ms}
     except ReproError as err:
         return {"id": tag, "error": str(err)}
     except Exception as err:  # noqa: BLE001 -- a client must always get a
-        # response line; e.g. np.asarray raising on non-numeric keys would
-        # otherwise kill the respond task and hang the client's readline.
+        # response line; an unexpected failure in a handler would otherwise
+        # kill the respond task and hang the client's readline.
         return {"id": tag, "error": f"{type(err).__name__}: {err}"}
 
 

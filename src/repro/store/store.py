@@ -255,7 +255,7 @@ class SortedStore:
         the new run's :class:`~repro.store.manifest.RunMeta`, or ``None``
         for an empty batch (nothing to persist).
         """
-        keys = np.asarray(keys, dtype=np.float32)
+        keys = np.asarray(keys)  # make_values casts (and checks) them
         if keys.ndim != 1:
             raise SortInputError(f"store inserts take 1-D keys, got {keys.ndim}-D")
         n = int(keys.shape[0])

@@ -105,10 +105,19 @@ def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     construction up to :data:`MAX_GENERATED_IDS` pairs (longer inputs are
     rejected), so only the keys are checked for NaN; supplied ``ids`` get
     the full :func:`check_values`.
+
+    This is where every face's values meet the contract, so it also
+    refuses what a cast would silently change: a finite key beyond
+    float32's range (it would become ±inf; ±inf keys themselves are in
+    contract) and an id that is no integer in ``[0, 2**32)``.  Both
+    checks are skipped when the dtype proves them (``float32`` keys,
+    ``uint32`` ids).  Each raises :class:`~repro.errors.SortInputError`.
     """
-    keys = np.asarray(keys, dtype=np.float32)
+    keys = np.asarray(keys)
     if keys.ndim != 1:
         raise ValueError(f"keys must be 1D, got shape {keys.shape}")
+    if keys.dtype != np.float32:
+        keys = _float32_keys(keys)
     if ids is None and keys.shape[0] > MAX_GENERATED_IDS:
         raise SortInputError(
             f"{keys.shape[0]} keys exceed the {MAX_GENERATED_IDS} distinct "
@@ -120,11 +129,46 @@ def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         _reject_nan(keys)
         out["id"] = np.arange(keys.shape[0], dtype=np.uint32)
         return out
-    ids = np.asarray(ids, dtype=np.uint32)
+    ids = np.asarray(ids)
     if ids.shape != keys.shape:
         raise ValueError(f"ids shape {ids.shape} != keys shape {keys.shape}")
-    out["id"] = ids
+    out["id"] = ids if ids.dtype == np.uint32 else _uint32_ids(ids)
     return check_values(out)
+
+
+def _float32_keys(keys: np.ndarray) -> np.ndarray:
+    """``keys`` cast to float32, refusing a finite key the cast makes ±inf.
+
+    The cast itself detects the overflow (``np.errstate(over="raise")``),
+    so no ``RuntimeWarning`` is emitted; a Python int too large for any
+    float raises during the same cast.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return keys.astype(np.float32)
+    except (FloatingPointError, OverflowError):
+        raise SortInputError(
+            "keys must lie within float32's range (magnitude at most "
+            "3.4028235e+38) or be infinite: a larger finite key would "
+            "round to infinity"
+        ) from None
+
+
+def _uint32_ids(ids: np.ndarray) -> np.ndarray:
+    """``ids`` as uint32, or a :class:`~repro.errors.SortInputError`
+    naming the first one that is no integer in ``[0, 2**32)``."""
+    if ids.dtype.kind in "iu" and (
+        ids.size == 0 or (ids.min() >= 0 and ids.max() < MAX_GENERATED_IDS)
+    ):
+        return ids.astype(np.uint32)
+    bad = [i for i in ids.tolist()
+           if type(i) is not int or not 0 <= i < MAX_GENERATED_IDS]
+    if not bad:  # an empty array of any dtype, or Python ints in range
+        return ids.astype(np.uint32)
+    raise SortInputError(
+        f"ids must be integers in [0, 2**32) (uint32 record pointers), "
+        f"not {bad[0]!r}"
+    )
 
 
 def copy_pairs(values: np.ndarray) -> np.ndarray:

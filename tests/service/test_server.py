@@ -262,22 +262,33 @@ def test_socket_example_shuts_down_cleanly():
 
 
 def test_parse_errors():
-    from repro.errors import ReproError
-    from repro.service.server import _parse_request
-
-    with pytest.raises(ReproError):
-        _parse_request({}, ServiceConfig())
+    (resp,) = _serve_raw(b'{"id": 4}\n', 1)
+    assert resp == {"id": 4, "error": 'sort needs "keys"'}
 
 
 def test_server_requests_inherit_service_hardware():
-    from repro.service.server import _parse_request
     from repro.stream.gpu_model import AGP_SYSTEM, GEFORCE_6800_ULTRA
 
-    config = ServiceConfig(gpu=GEFORCE_6800_ULTRA, host=AGP_SYSTEM)
-    request, engine = _parse_request({"keys": [1.0, 2.0]}, config)
-    assert request.gpu is GEFORCE_6800_ULTRA
-    assert request.host is AGP_SYSTEM
-    assert engine is None
+    keys = [float(k) for k in np.linspace(1.0, 0.0, 256, dtype=np.float32)]
+
+    async def run():
+        config = ServiceConfig(devices=1, gpu=GEFORCE_6800_ULTRA, host=AGP_SYSTEM)
+        async with SortService(config) as svc:
+            server, port = await _open(svc)
+            try:
+                return await request_sort("127.0.0.1", port, keys)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+    resp = _run(run())
+    old = repro.sort(
+        repro.SortRequest(keys=keys, gpu=GEFORCE_6800_ULTRA, host=AGP_SYSTEM),
+        engine=resp["engine"],
+    )
+    new = repro.sort(repro.SortRequest(keys=keys), engine=resp["engine"])
+    assert resp["telemetry"]["modeled_total_ms"] == old.telemetry.modeled_total_ms
+    assert old.telemetry.modeled_total_ms != new.telemetry.modeled_total_ms
 
 
 async def _lines(port: int, payload: bytes, count: int) -> list[dict]:
@@ -407,6 +418,82 @@ def test_out_of_contract_sort_lines_get_one_error_line_each():
         assert resp == {"id": resp["id"], "error": str(err.value)}
     assert [r["id"] for r in got] == [1, 2, 3]
     assert got[2] == {"id": 3, "ok": True}
+
+
+#: Lines outside the wire contract, each with the field its error names.
+#: The JSON shape of a field is checked when the line binds; the values
+#: are checked by make_values, as for every other face.
+SHAPE_LINES = [
+    ({"keys": ["2.5", "1e1"]}, "keys"),
+    ({"keys": [True, False]}, "keys"),
+    ({"keys": 5}, "keys"),
+    ({"keys": [1.0], "ids": [True]}, "ids"),
+    ({}, "keys"),
+    ({"op": "store", "action": "insert", "keys": ["a", "b"]}, "keys"),
+]
+#: (keys, ids) that are well-formed JSON but no (key, id) pairs.
+VALUE_LINES = [
+    ([1.0, 2.0], [1.9, 0.2]),
+    ([1e300], None),
+    ([1.0], [-1]),
+    ([1.0], [2**32]),
+    ([1.0], [1.0]),
+]
+
+
+def _python_face_error(keys, ids) -> str:
+    """The SortInputError text of ``repro.sort`` and of ``SortService.submit``."""
+    request = repro.SortRequest(keys=keys, ids=ids)
+    with pytest.raises(SortInputError) as direct:
+        repro.sort(request)
+
+    async def submit():
+        async with SortService(devices=1, coalesce_window_ms=0.0) as svc:
+            await svc.submit(request)
+
+    with pytest.raises(SortInputError) as served:
+        _run(submit())
+    assert str(served.value) == str(direct.value)
+    return str(direct.value)
+
+
+def test_out_of_contract_wire_table(tmp_path):
+    from repro.store import SortedStore
+
+    lines = [dict(fields) for fields, _field in SHAPE_LINES]
+    lines += [{"keys": keys} if ids is None else {"keys": keys, "ids": ids}
+              for keys, ids in VALUE_LINES]
+
+    async def run():
+        async with SortService(devices=1, coalesce_window_ms=1.0) as svc:
+            server = await start_server(svc, store=SortedStore(tmp_path))
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                got = []
+                for tag, line in enumerate(lines):
+                    writer.write((json.dumps({"id": tag, **line}) + "\n").encode())
+                    await writer.drain()
+                    got.append(json.loads(await reader.readline()))
+                writer.write(b'{"id": "last", "op": "ping"}\n')
+                await writer.drain()
+                got.append(json.loads(await reader.readline()))
+                return got
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+    got = _run(run())
+    assert got[-1] == {"id": "last", "ok": True}
+    for tag, resp in enumerate(got[:-1]):
+        assert set(resp) == {"id", "error"} and resp["id"] == tag, resp
+    for (_fields, field), resp in zip(SHAPE_LINES, got):
+        assert f'"{field}"' in resp["error"] or f" {field} " in resp["error"]
+    for (keys, ids), resp in zip(VALUE_LINES, got[len(SHAPE_LINES):]):
+        assert resp["error"] == _python_face_error(keys, ids)
+        assert ("ids" if ids is not None else "keys") in resp["error"]
 
 
 def test_a_line_over_64_kib_is_served(rng):

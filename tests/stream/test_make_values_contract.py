@@ -110,6 +110,42 @@ class TestSuppliedIds:
         assert str(info.value) == _nan_message()
 
 
+class TestCasts:
+    """What the float32/uint32 casts would silently change is refused."""
+
+    @pytest.mark.parametrize("ids", [[1.9, 0.2], [-1, 0], [0, 2**32], [1.0, 0.0],
+                                     [True, False], [0, 2**64]])
+    def test_ids_must_be_uint32_integers(self, ids):
+        match = r"ids must be integers in \[0, 2\*\*32\)"
+        with pytest.raises(SortInputError, match=match):
+            make_values(np.zeros(2, np.float32), ids)
+
+    @pytest.mark.parametrize("keys", [[1e300, 0.0], [0.0, -1e39], [10**40, 0],
+                                      [10**400, 0]])
+    def test_keys_beyond_float32_are_refused_without_a_warning(self, keys):
+        # pytest.ini turns a RuntimeWarning from repro into an error.
+        with pytest.raises(SortInputError, match="float32's range"):
+            make_values(np.asarray(keys))
+
+    def test_in_range_casts_are_kept(self):
+        keys = [np.inf, -np.inf, 3.4028235e38, 2.5, 1]
+        values = make_values(np.array(keys), np.array([4, 0, 2**32 - 1, 7, 3]))
+        assert values["key"].tolist() == np.array(keys, np.float32).tolist()
+        assert values["id"].tolist() == [4, 0, 2**32 - 1, 7, 3]
+        assert make_values(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    def test_proven_dtypes_skip_the_checks(self, monkeypatch):
+        from repro.stream import stream
+
+        def unexpected(_array):
+            raise AssertionError("checked a dtype that proves the contract")
+
+        monkeypatch.setattr(stream, "_float32_keys", unexpected)
+        monkeypatch.setattr(stream, "_uint32_ids", unexpected)
+        make_values(np.ones(3, np.float32), np.arange(3, dtype=np.uint32))
+        make_values(np.ones(3, np.float32))
+
+
 _COUNT = st.integers(min_value=1, max_value=1 << 40)
 _MS = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
