@@ -31,6 +31,11 @@ class DiskStats:
     bytes_read: int = 0
     bytes_written: int = 0
 
+    def add(self, charge: DiskStats) -> None:
+        """Charge every counter of ``charge`` to this disk."""
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(charge, name))
+
     def io_time_ms(self, seek_ms: float = 8.0, bandwidth_mb_s: float = 60.0) -> float:
         """Modeled I/O wall time (2006-era commodity disk defaults)."""
         transfer = (self.bytes_read + self.bytes_written) / (bandwidth_mb_s * 1e6)

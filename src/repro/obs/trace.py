@@ -121,19 +121,25 @@ class EventLog:
         """Drop every retained event."""
         self._events.clear()
 
-    def spans(self) -> list[Span]:
-        """The retained events rendered as spans, oldest first."""
-        return [span for event in self._events for span in self._render(event)]
+    def spans(self, events: Iterable[RequestEvent] | None = None) -> list[Span]:
+        """``events`` (default: the retained ones) rendered as spans."""
+        events = self._events if events is None else events
+        return [span for event in events for span in self._render(event)]
 
     def __len__(self) -> int:
         """How many spans an export of the retained events holds."""
         return len(self.spans())
 
-    def to_chrome(self) -> dict:
-        """The rendered spans as a Chrome trace-event JSON object."""
+    def to_chrome(self, events: Iterable[RequestEvent] | None = None) -> dict:
+        """The rendered spans as a Chrome trace-event JSON object.
+
+        ``events`` defaults to the retained ones; a copy taken by
+        :meth:`events` can be rendered on another thread than the one
+        appending.
+        """
         return {
             "displayTimeUnit": "ms",
-            "traceEvents": [span.to_chrome() for span in self.spans()],
+            "traceEvents": [span.to_chrome() for span in self.spans(events)],
         }
 
     def save(self, path) -> Path:

@@ -18,6 +18,7 @@ of every op.
 
 from __future__ import annotations
 
+import asyncio
 from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -209,6 +210,13 @@ def _observer(args):
     return args["service"].observer
 
 
+async def _trace(args) -> dict:
+    """Copy the event ring on the loop; build its spans in the executor."""
+    log = _observer(args).spans
+    return await asyncio.get_running_loop().run_in_executor(
+        None, log.to_chrome, log.events())
+
+
 def pairs_json(values) -> dict:
     """Sorted ``VALUE_DTYPE`` pairs on the wire: ``n``, ``keys``, ``ids``."""
     return {"n": len(values), "keys": values["key"].tolist(),
@@ -328,7 +336,7 @@ OPS: dict[str, Op] = {op.name: op for op in (
     Op("metrics", (), lambda args: _observer(args).registry.expose(),
        lambda text: {"metrics": text},
        help="the service's metrics exposition", inputs=("service",)),
-    Op("trace", (), lambda args: _observer(args).spans.to_chrome(),
+    Op("trace", (), _trace,
        lambda trace: {"trace": trace},
        help="the service's request spans as Chrome trace JSON",
        inputs=("service",)),

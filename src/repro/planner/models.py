@@ -382,59 +382,64 @@ class CompactionCostModel:
         flushes = -(-total // buffer)
         return refills + flushes
 
-    def group_estimate(self, lengths) -> CostEstimate:
-        """Cost of one k-way merge group (k = 1 is a carry: free)."""
+    def group_io(self, lengths):
+        """The :class:`~repro.hybrid.disk.DiskStats` charge of one merge
+        group: every pair read once and written once, plus its seeks."""
         from repro.hybrid.disk import DiskStats
 
+        nbytes = int(sum(lengths)) * PAIR_BYTES
+        return DiskStats(reads=len(lengths), writes=1, bytes_read=nbytes,
+                         bytes_written=nbytes, seeks=self.group_seeks(lengths))
+
+    def group_estimate(self, lengths) -> CostEstimate:
+        """Cost of one k-way merge group (k = 1 is a carry: free)."""
         k = len(lengths)
         total = int(sum(lengths))
         if k < 2 or total == 0:
             return CostEstimate()
         comparisons = loser_tree_merge_comparisons(total, k)
-        stats = DiskStats(
-            reads=k,
-            writes=1,
-            seeks=self.group_seeks(lengths),
-            bytes_read=total * PAIR_BYTES,
-            bytes_written=total * PAIR_BYTES,
-        )
         return CostEstimate(
             modeled_cpu_ms=cpu_sort_time_ms(comparisons, self.host),
-            modeled_io_ms=stats.io_time_ms(),
+            modeled_io_ms=self.group_io(lengths).io_time_ms(),
         )
 
-    def passes(self, run_lengths, fan_in: int) -> list[list[list[int]]]:
-        """The deterministic pass/group structure a compaction executes.
+    def passes(self, run_lengths, fan_in: int, devices: int = 1) -> list[tuple]:
+        """The deterministic schedule a compaction executes, pass by pass.
 
         Each pass groups the surviving lengths (ascending) into chunks of
         at most ``fan_in``; singleton groups carry through unmerged.  The
-        executor in :mod:`repro.store.compaction` groups the *runs* the
-        same way (ascending length, ties by run name), so modeled and
-        executed group shapes are identical.
+        groups are LPT-placed on ``devices`` by their
+        :meth:`group_estimate` cost (:func:`~repro.cluster.scheduler.lpt`).
+        Returns one ``(groups, assignment, estimates, makespan_ms)`` per
+        pass, each group a ``slice`` of that pass's ascending lengths.  The
+        executor in :mod:`repro.store.compaction` orders the *runs* the
+        same way (ascending length, ties by run name) and runs these
+        groups on these devices, so it executes exactly what
+        :meth:`estimate` prices.
         """
+        from repro.cluster.scheduler import lpt
+
         if fan_in < 2:
             raise ModelError(f"compaction fan-in must be >= 2, got {fan_in}")
+        if devices < 1:
+            raise ModelError(f"compaction needs >= 1 device, got {devices}")
         lengths = sorted(int(length) for length in run_lengths if int(length) > 0)
-        structure: list[list[list[int]]] = []
+        schedule: list[tuple] = []
         while len(lengths) > 1:
-            groups = [
-                lengths[i : i + fan_in] for i in range(0, len(lengths), fan_in)
-            ]
-            structure.append(groups)
-            lengths = sorted(sum(group) for group in groups)
-        return structure
+            groups = [slice(i, i + fan_in) for i in range(0, len(lengths), fan_in)]
+            estimates = [self.group_estimate(lengths[group]) for group in groups]
+            assignment, loads = lpt([e.cost_ms for e in estimates], range(devices))
+            schedule.append((groups, assignment, estimates, max(loads.values())))
+            lengths = sorted(sum(lengths[group]) for group in groups)
+        return schedule
 
     def estimate(self, run_lengths, *, fan_in: int, devices: int = 1) -> CostEstimate:
         """Full-compaction cost at one (fan-in, device-count) point."""
-        from repro.cluster.scheduler import lpt
-
-        if devices < 1:
-            raise ModelError(f"compaction needs >= 1 device, got {devices}")
         cpu_ms = io_ms = makespan_ms = 0.0
-        for groups in self.passes(run_lengths, fan_in):
-            estimates = [self.group_estimate(group) for group in groups]
-            _assignment, loads = lpt([e.cost_ms for e in estimates], range(devices))
-            makespan_ms += max(loads.values())
+        for _groups, _assignment, estimates, pass_ms in self.passes(
+            run_lengths, fan_in, devices
+        ):
+            makespan_ms += pass_ms
             cpu_ms += sum(e.modeled_cpu_ms for e in estimates)
             io_ms += sum(e.modeled_io_ms for e in estimates)
         return CostEstimate(

@@ -1,13 +1,14 @@
 """Compaction execution: merge live runs down under a planned policy.
 
-:func:`run_compaction` executes the pass/group structure
-:class:`repro.planner.models.CompactionCostModel` prices: per pass, live
-runs (ascending length, ties by name) are grouped into batches of at
-most ``fan_in``, each batch is merged with the cluster layer's
-loser-tree merge (:func:`repro.cluster.sharded.merge_sorted_runs` -- the
-same merge that reassembles sharded sorts, so compaction output is
-bit-identical to sorting the union), and the merged runs are committed
-to the manifest before the inputs are deleted.
+:func:`run_compaction` executes the schedule
+:meth:`repro.planner.models.CompactionCostModel.passes` prices: per pass,
+live runs (ascending length, ties by name) are grouped as the model
+groups them and placed on the devices its LPT picks, each group is
+merged with the cluster layer's loser-tree merge
+(:func:`repro.cluster.sharded.merge_sorted_runs` -- the same merge that
+reassembles sharded sorts, so compaction output is bit-identical to
+sorting the union), and the merged runs are committed to the manifest
+before the inputs are deleted.
 
 Crash safety is ordering: (1) write every merged run file
 (temp-then-rename), (2) atomically commit the manifest swap, (3) unlink
@@ -29,13 +30,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.cluster.scheduler import lpt
 from repro.cluster.sharded import merge_sorted_runs
 from repro.planner.models import CompactionCostModel
 from repro.store.manifest import RunMeta
 from repro.store.runs import write_run
 from repro.stream.gpu_model import cpu_sort_time_ms
-from repro.stream.stream import PAIR_BYTES
 
 __all__ = ["CompactionReport", "run_compaction"]
 
@@ -72,8 +71,12 @@ class CompactionReport:
         )
 
 
-def run_compaction(store, *, fan_in: int, devices: int, predicted_ms: float):
-    """Execute a compaction on ``store`` (caller holds the store lock).
+def run_compaction(
+    store, model: CompactionCostModel, *, fan_in: int, devices: int,
+    predicted_ms: float,
+):
+    """Execute ``model``'s compaction schedule on ``store`` (caller holds
+    the store lock).
 
     ``store`` is the owning :class:`~repro.store.store.SortedStore`; the
     executor drives its manifest, run cache, and disk accounting through
@@ -81,69 +84,51 @@ def run_compaction(store, *, fan_in: int, devices: int, predicted_ms: float):
     (as the crash-safety tests do) leaves the manifest untouched.
     """
     started = time.perf_counter()
-    model = CompactionCostModel(
-        host=store.config.host, memory_pairs=store.config.memory_pairs
-    )
     runs_before = len(store.manifest.runs)
-    passes = merged_pairs = comparisons = 0
+    schedule = model.passes([run.n for run in store.manifest.runs], fan_in, devices)
+    merged_pairs = comparisons = 0
     cpu_ms = io_ms = makespan_ms = 0.0
 
-    while True:
+    for groups, assignment, estimates, _predicted_pass_ms in schedule:
         live = sorted(
             (run for run in store.manifest.runs if run.n > 0),
             key=lambda run: (run.n, run.name),
         )
-        if len(live) <= 1:
-            break
-        groups = [live[i : i + fan_in] for i in range(0, len(live), fan_in)]
-        weights = [
-            model.group_estimate([meta.n for meta in group]).cost_ms
-            for group in groups
-        ]
-        assignment, _loads = lpt(weights, range(devices))
-        loads = {d: 0.0 for d in range(devices)}
+        loads = dict.fromkeys(range(devices), 0.0)
         consumed: list[RunMeta] = []
         produced: list[tuple[RunMeta, object]] = []
-        for group, device in zip(groups, assignment):
-            if len(group) == 1:
+        for group, device, estimate in zip(groups, assignment, estimates):
+            runs = live[group]
+            if len(runs) == 1:
                 continue  # singleton carries through unmerged (a free copy)
-            lengths = [meta.n for meta in group]
-            arrays = [store._run_values(meta) for meta in group]
-            merged, comps = merge_sorted_runs(arrays)
-            generation = max(meta.generation for meta in group) + 1
-            name = store.manifest.new_run_name(generation)
+            merged, comps = merge_sorted_runs([store._run_values(m) for m in runs])
+            generation = max(meta.generation for meta in runs) + 1
             meta = RunMeta(
-                name=name,
+                name=store.manifest.new_run_name(generation),
                 n=int(merged.shape[0]),
                 generation=generation,
                 min_key=float(merged["key"][0]),
                 max_key=float(merged["key"][-1]),
             )
-            write_run(store.path / name, merged)
+            write_run(store.path / meta.name, merged)
             # Modeled accounting: the streamed buffered merge the cost
             # model assumes, with the tree's actual comparison count.
-            estimate = model.group_estimate(lengths)
             merge_ms = cpu_sort_time_ms(comps, store.config.host)
             loads[device] += merge_ms + estimate.modeled_io_ms
             cpu_ms += merge_ms
             io_ms += estimate.modeled_io_ms
-            store.disk.reads += len(group)
-            store.disk.writes += 1
-            store.disk.seeks += model.group_seeks(lengths)
-            store.disk.bytes_read += sum(lengths) * PAIR_BYTES
-            store.disk.bytes_written += int(merged.nbytes)
+            store.disk.add(model.group_io([run.n for run in runs]))
             comparisons += comps
-            merged_pairs += int(merged.shape[0])
-            consumed.extend(group)
+            merged_pairs += meta.n
+            consumed.extend(runs)
             produced.append((meta, merged))
-        passes += 1
         makespan_ms += max(loads.values())
         store._commit_compaction(produced, consumed)
 
     return CompactionReport(
         fan_in=fan_in,
         devices=devices,
-        passes=passes,
+        passes=len(schedule),
         runs_before=runs_before,
         runs_after=len(store.manifest.runs),
         merged_pairs=merged_pairs,

@@ -71,18 +71,17 @@ class StoreConfig:
 
     ``engine`` names the backend each ingest batch is sorted with
     (default ``"auto"``: the planner).  ``gpu``/``host`` are the hardware
-    models every modeled cost is priced on.  ``max_fan_in`` /
-    ``max_devices`` bound the compaction planner's candidate grid, and
-    ``memory_pairs`` is the merge memory budget its I/O model splits
-    over the cursors.  ``cache_pairs`` bounds the in-memory run cache (0
-    disables caching entirely; every query then pays disk charges).
+    models every modeled cost is priced on.  ``memory_pairs`` is the
+    merge memory budget the compaction planner's I/O model splits over
+    the cursors (its candidate grid is :func:`plan_compaction`'s
+    default: fan-in up to 8, up to 4 devices).  ``cache_pairs`` bounds
+    the in-memory run cache (0 disables caching entirely; every query
+    then pays disk charges).
     """
 
     engine: str = "auto"
     gpu: GPUModel = field(default_factory=lambda: GEFORCE_7800_GTX)
     host: HostSystem = field(default_factory=lambda: PCIE_SYSTEM)
-    max_fan_in: int = 8
-    max_devices: int = 4
     memory_pairs: int = COMPACTION_MEMORY_PAIRS
     cache_pairs: int = 1 << 22
 
@@ -225,16 +224,22 @@ class SortedStore:
         if values is not None:
             self._cache_pairs -= values.shape[0]
 
+    def _cached(self, meta: RunMeta) -> np.ndarray | None:
+        """A run's cached array (a hit, now most recent), or ``None`` (a miss)."""
+        cached = self._cache.get(meta.name)
+        if cached is None:
+            self._stats.cache_misses += 1
+        else:
+            self._cache.move_to_end(meta.name)
+            self._stats.cache_hits += 1
+        return cached
+
     def _run_values(self, meta: RunMeta) -> np.ndarray:
         """A run's full array: from cache (free) or disk (charged)."""
-        cached = self._cache.get(name := meta.name)
-        if cached is not None:
-            self._cache.move_to_end(name)
-            self._stats.cache_hits += 1
-            return cached
-        self._stats.cache_misses += 1
-        values = read_run(self.path / name, meta.n, self.disk)
-        self._cache_put(name, values)
+        values = self._cached(meta)
+        if values is None:
+            values = read_run(self.path / meta.name, meta.n, self.disk)
+            self._cache_put(meta.name, values)
         return values
 
     # ------------------------------------------------------------------
@@ -307,34 +312,22 @@ class SortedStore:
         if np.isnan(lo) or np.isnan(hi) or lo > hi:
             raise SortInputError(f"bad range [{lo}, {hi}]")
         lo32, hi32 = _float32_window(lo, hi)
+
+        def bounds(cached, meta):
+            if cached is not None:
+                keys = cached["key"]
+                return (int(np.searchsorted(keys, lo32, side="left")),
+                        int(np.searchsorted(keys, hi32, side="right")))
+            path = self.path / meta.name
+            return (bisect_run(path, meta.n, lo, "left", self.disk),
+                    bisect_run(path, meta.n, hi, "right", self.disk))
+
         with self._lock:
-            read0 = self.disk.bytes_read
-            slices = []
-            for meta in self.manifest.runs:
-                if meta.n == 0 or meta.max_key < lo or meta.min_key > hi:
-                    continue
-                cached = self._cache.get(meta.name)
-                if cached is not None:
-                    self._cache.move_to_end(meta.name)
-                    self._stats.cache_hits += 1
-                    start = int(np.searchsorted(cached["key"], lo32, side="left"))
-                    stop = int(np.searchsorted(cached["key"], hi32, side="right"))
-                    if stop > start:
-                        slices.append(cached[start:stop])
-                    continue
-                self._stats.cache_misses += 1
-                path = self.path / meta.name
-                start = bisect_run(path, meta.n, lo, "left", self.disk)
-                stop = bisect_run(path, meta.n, hi, "right", self.disk)
-                if stop > start:
-                    slices.append(
-                        read_run_slice(path, start, stop - start, self.disk)
-                    )
-            merged, _comparisons = merge_sorted_runs(slices)
-            self._stats.queries += 1
-            self._stats.query_pairs += int(merged.shape[0])
-            self._stats.query_read_bytes += self.disk.bytes_read - read0
-            return merged
+            return self._query(
+                [meta for meta in self.manifest.runs
+                 if meta.n and meta.min_key <= hi and meta.max_key >= lo],
+                bounds,
+            )
 
     def top_k(self, k: int) -> np.ndarray:
         """The ``k`` smallest pairs under the (key, id) total order.
@@ -347,29 +340,34 @@ class SortedStore:
         if k < 0:
             raise SortInputError(f"top_k needs k >= 0, got {k}")
         with self._lock:
-            read0 = self.disk.bytes_read
-            slices = []
-            if k > 0:
-                for meta in self.manifest.runs:
-                    if meta.n == 0:
-                        continue
-                    head = min(k, meta.n)
-                    cached = self._cache.get(meta.name)
-                    if cached is not None:
-                        self._cache.move_to_end(meta.name)
-                        self._stats.cache_hits += 1
-                        slices.append(cached[:head])
-                    else:
-                        self._stats.cache_misses += 1
-                        slices.append(
-                            read_run_slice(self.path / meta.name, 0, head, self.disk)
-                        )
-            merged, _comparisons = merge_sorted_runs(slices)
-            out = merged[:k].copy()
-            self._stats.queries += 1
-            self._stats.query_pairs += int(out.shape[0])
-            self._stats.query_read_bytes += self.disk.bytes_read - read0
-            return out
+            runs = [meta for meta in self.manifest.runs if meta.n] if k else []
+            return self._query(runs, lambda _cached, meta: (0, min(k, meta.n)), k)
+
+    def _query(self, runs, bounds, k: int | None = None) -> np.ndarray:
+        """The query path: each run's ``bounds`` slice, merged and counted.
+
+        ``bounds(cached, meta)`` is the ``[start, stop)`` slice of a run:
+        found in its cached array, or (``cached`` is ``None``) by charged
+        probes of its file, whose slice is then read charged.
+        ``k`` truncates the merged answer to a copy of its head.
+        """
+        read0 = self.disk.bytes_read
+        slices = []
+        for meta in runs:
+            cached = self._cached(meta)
+            start, stop = bounds(cached, meta)
+            if stop > start and cached is not None:
+                slices.append(cached[start:stop])
+            elif stop > start:
+                slices.append(read_run_slice(
+                    self.path / meta.name, start, stop - start, self.disk))
+        merged, _comparisons = merge_sorted_runs(slices)
+        if k is not None:
+            merged = merged[:k].copy()
+        self._stats.queries += 1
+        self._stats.query_pairs += int(merged.shape[0])
+        self._stats.query_read_bytes += self.disk.bytes_read - read0
+        return merged
 
     # ------------------------------------------------------------------
     # compaction
@@ -381,8 +379,6 @@ class SortedStore:
                 [run.n for run in self.manifest.runs],
                 host=self.config.host,
                 memory_pairs=self.config.memory_pairs,
-                max_fan_in=self.config.max_fan_in,
-                max_devices=self.config.max_devices,
             )
 
     def compact(
@@ -402,26 +398,16 @@ class SortedStore:
             if len(lengths) < 2:
                 return None
             if fan_in is None or devices is None:
-                plan = plan_compaction(
-                    lengths,
-                    host=self.config.host,
-                    memory_pairs=self.config.memory_pairs,
-                    max_fan_in=self.config.max_fan_in,
-                    max_devices=self.config.max_devices,
-                )
-                fan_in = fan_in if fan_in is not None else plan.fan_in
-                devices = devices if devices is not None else plan.devices
-            fan_in = max(2, int(fan_in))
-            devices = max(1, int(devices))
+                plan = self.compaction_plan()
+                fan_in = plan.fan_in if fan_in is None else fan_in
+                devices = plan.devices if devices is None else devices
+            fan_in, devices = max(2, int(fan_in)), max(1, int(devices))
             model = CompactionCostModel(
                 host=self.config.host, memory_pairs=self.config.memory_pairs
             )
-            predicted = model.estimate(
-                lengths, fan_in=fan_in, devices=devices
-            ).cost_ms
-            report = run_compaction(
-                self, fan_in=fan_in, devices=devices, predicted_ms=predicted
-            )
+            predicted = model.estimate(lengths, fan_in=fan_in, devices=devices)
+            report = run_compaction(self, model, fan_in=fan_in, devices=devices,
+                                    predicted_ms=predicted.cost_ms)
             self._stats.compactions += 1
             self._stats.compaction_passes += report.passes
             self._stats.merge_comparisons += report.merge_comparisons
@@ -460,70 +446,40 @@ class SortedStore:
     def bind_metrics(self, registry) -> None:
         """Register callback-backed store metrics on ``registry``.
 
-        Every instrument reads :attr:`stats` at collection time (a
+        Every instrument reads the live counters at collection time (a
         :class:`repro.obs.metrics.MetricsRegistry` scrape), so the store
-        pays nothing on its own hot paths and an exposition always agrees
-        with a simultaneously-taken stats snapshot.
+        pays nothing on its own hot paths.  The callbacks take no lock:
+        a scrape never waits out a compaction (the socket's metrics op
+        and sampler run on the event loop), and between operations an
+        exposition agrees with a stats snapshot.
         """
-        def g(field_name):
-            return lambda: getattr(self.stats, field_name)
+        def live(field_name):
+            return lambda: getattr(self._snapshot(), field_name)
 
-        registry.gauge(
-            "repro_store_runs", "Live runs in the manifest", fn=g("runs")
-        )
-        registry.gauge(
-            "repro_store_levels", "Occupied size-tier levels", fn=g("levels")
-        )
-        registry.gauge(
-            "repro_store_live_pairs", "Live (key, id) pairs",
-            fn=g("live_pairs"),
-        )
-        registry.counter(
-            "repro_store_ingested_pairs_total", "Pairs ingested",
-            fn=g("ingested_pairs"),
-        )
-        registry.counter(
-            "repro_store_queries_total", "Range/top-k queries served",
-            fn=g("queries"),
-        )
-        registry.counter(
-            "repro_store_run_cache_hits_total", "Run-file cache hits",
-            fn=g("cache_hits"),
-        )
-        registry.counter(
-            "repro_store_run_cache_misses_total", "Run-file cache misses",
-            fn=g("cache_misses"),
-        )
-        registry.counter(
-            "repro_store_compactions_total", "Compactions executed",
-            fn=g("compactions"),
-        )
-        registry.counter(
-            "repro_store_compaction_passes_total",
-            "Multi-pass merge passes across all compactions",
-            fn=g("compaction_passes"),
-        )
-        registry.counter(
-            "repro_store_bytes_read_total", "Modeled disk bytes read",
-            fn=g("bytes_read"),
-        )
-        registry.counter(
-            "repro_store_bytes_written_total", "Modeled disk bytes written",
-            fn=g("bytes_written"),
-        )
-        registry.counter(
-            "repro_store_seeks_total", "Modeled disk seeks", fn=g("seeks")
-        )
-        registry.gauge(
-            "repro_store_write_amplification",
-            "Bytes written over bytes ingested (1.0 = no rewrites)",
-            fn=g("write_amplification"),
-        )
-        registry.gauge(
-            "repro_store_read_amplification",
-            "Query bytes read over bytes returned",
-            fn=g("read_amplification"),
-        )
+        gauge, counter = registry.gauge, registry.counter
+        for metric, name, help_text, field_name in (
+            (gauge, "runs", "Live runs in the manifest", "runs"),
+            (gauge, "levels", "Occupied size-tier levels", "levels"),
+            (gauge, "live_pairs", "Live (key, id) pairs", "live_pairs"),
+            (counter, "ingested_pairs_total", "Pairs ingested", "ingested_pairs"),
+            (counter, "queries_total", "Range/top-k queries served", "queries"),
+            (counter, "run_cache_hits_total", "Run-file cache hits", "cache_hits"),
+            (counter, "run_cache_misses_total", "Run-file cache misses",
+             "cache_misses"),
+            (counter, "compactions_total", "Compactions executed", "compactions"),
+            (counter, "compaction_passes_total",
+             "Multi-pass merge passes across all compactions", "compaction_passes"),
+            (counter, "bytes_read_total", "Modeled disk bytes read", "bytes_read"),
+            (counter, "bytes_written_total", "Modeled disk bytes written",
+             "bytes_written"),
+            (counter, "seeks_total", "Modeled disk seeks", "seeks"),
+            (gauge, "write_amplification",
+             "Bytes written over bytes ingested (1.0 = no rewrites)",
+             "write_amplification"),
+            (gauge, "read_amplification", "Query bytes read over bytes returned",
+             "read_amplification"),
+        ):
+            metric(f"repro_store_{name}", help_text, fn=live(field_name))
 
     def __len__(self) -> int:
         with self._lock:
@@ -533,12 +489,16 @@ class SortedStore:
     def stats(self) -> StoreStats:
         """A snapshot of the store's lifetime telemetry."""
         with self._lock:
-            return replace(
-                self._stats,
-                runs=len(self.manifest.runs),
-                levels=self.manifest.levels,
-                live_pairs=self.manifest.live_pairs,
-                bytes_read=self.disk.bytes_read,
-                bytes_written=self.disk.bytes_written,
-                seeks=self.disk.seeks,
-            )
+            return self._snapshot()
+
+    def _snapshot(self) -> StoreStats:
+        """The telemetry record, read without the lock."""
+        return replace(
+            self._stats,
+            runs=len(self.manifest.runs),
+            levels=self.manifest.levels,
+            live_pairs=self.manifest.live_pairs,
+            bytes_read=self.disk.bytes_read,
+            bytes_written=self.disk.bytes_written,
+            seeks=self.disk.seeks,
+        )

@@ -111,11 +111,12 @@ def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     float32's range (it would become ±inf; ±inf keys themselves are in
     contract) and an id that is no integer in ``[0, 2**32)``.  Both
     checks are skipped when the dtype proves them (``float32`` keys,
-    ``uint32`` ids).  Each raises :class:`~repro.errors.SortInputError`.
+    ``uint32`` ids).  Each raises :class:`~repro.errors.SortInputError`,
+    as do keys that are not 1-D and ids of another shape than the keys.
     """
     keys = np.asarray(keys)
     if keys.ndim != 1:
-        raise ValueError(f"keys must be 1D, got shape {keys.shape}")
+        raise SortInputError(f"keys must be 1-D, got shape {keys.shape}")
     if keys.dtype != np.float32:
         keys = _float32_keys(keys)
     if ids is None and keys.shape[0] > MAX_GENERATED_IDS:
@@ -131,7 +132,10 @@ def make_values(keys: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
         return out
     ids = np.asarray(ids)
     if ids.shape != keys.shape:
-        raise ValueError(f"ids shape {ids.shape} != keys shape {keys.shape}")
+        raise SortInputError(
+            f"ids and keys must have the same shape, got ids {ids.shape} "
+            f"and keys {keys.shape}"
+        )
     out["id"] = ids if ids.dtype == np.uint32 else _uint32_ids(ids)
     return check_values(out)
 

@@ -104,6 +104,39 @@ def test_round_trip_and_control_ops(rng):
     _run(run())
 
 
+def test_trace_export_renders_spans_off_the_loop_thread(rng, monkeypatch):
+    from repro.service import instrument, metrics, request_op
+
+    render_threads = []
+    render = metrics._batch_spans
+
+    def recording(event):
+        render_threads.append(threading.get_ident())
+        return render(event)
+
+    # The event log binds its render function when the service is instrumented.
+    monkeypatch.setattr(metrics, "_batch_spans", recording)
+
+    async def run():
+        async with SortService(devices=2, coalesce_window_ms=1.0) as svc:
+            instrument(svc)
+            server, port = await _open(svc)
+            try:
+                for _ in range(3):
+                    await request_sort("127.0.0.1", port,
+                                       rng.random(32, dtype=np.float32))
+                assert render_threads == []
+                trace = await request_op("127.0.0.1", port, "trace")
+                return threading.get_ident(), trace["trace"]
+            finally:
+                server.close()
+                await server.wait_closed()
+
+    loop_thread, trace = _run(run())
+    assert trace["traceEvents"]
+    assert render_threads and loop_thread not in render_threads
+
+
 def test_pipelined_lines_coalesce_and_tag(rng):
     async def run():
         config = ServiceConfig(
@@ -438,6 +471,7 @@ VALUE_LINES = [
     ([1.0], [-1]),
     ([1.0], [2**32]),
     ([1.0], [1.0]),
+    ([1, 2], [1]),
 ]
 
 

@@ -109,6 +109,22 @@ class TestSuppliedIds:
             make_values(np.array([1.0, np.nan]), np.array([9, 3]))
         assert str(info.value) == _nan_message()
 
+    @pytest.mark.parametrize("keys,ids", [([1, 2], [1]), ([1.0], [0, 1]),
+                                          ([1.0, 2.0], [[0, 1]])])
+    def test_ids_of_another_shape_raise_naming_both_fields(self, keys, ids):
+        with pytest.raises(SortInputError, match="ids and keys must have the "
+                                                 "same shape"):
+            make_values(np.asarray(keys), ids)
+        with pytest.raises(SortInputError, match="ids and keys"):
+            SortRequest(keys=keys, ids=ids).to_values()
+
+    @pytest.mark.parametrize("keys", [[[1.0, 2.0]], 5.0, np.zeros((2, 2))])
+    def test_keys_that_are_not_1d_raise(self, keys):
+        with pytest.raises(SortInputError, match="keys must be 1-D"):
+            make_values(keys)
+        with pytest.raises(SortInputError, match="keys must be 1-D"):
+            make_values(keys, [0])
+
 
 class TestCasts:
     """What the float32/uint32 casts would silently change is refused."""

@@ -34,11 +34,11 @@ class TestMakeValues:
         assert list(vals["id"]) == [7, 9]
 
     def test_rejects_2d_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SortInputError, match="keys must be 1-D"):
             make_values(np.zeros((2, 2)))
 
     def test_rejects_mismatched_ids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SortInputError, match="ids and keys"):
             make_values(np.zeros(3), np.zeros(2, dtype=np.uint32))
 
     def test_key_downcast_to_float32(self):

@@ -63,3 +63,30 @@ def test_uninstall_restores_every_patched_attribute():
         tracer.uninstall()
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, (owner, attr)
+
+
+def test_store_cycle_charges_planner_and_cluster_calls(tracer, tmp_path):
+    from repro.store import SortedStore
+
+    def grew(step, layer):
+        before = tracer.totals()[1].get(layer, 0)
+        result = step()
+        return result, tracer.totals()[1].get(layer, 0) - before
+
+    rng = np.random.default_rng(7)
+    store = SortedStore(tmp_path, engine="cpu-std")
+    for _ in range(3):
+        store.insert(rng.random(300, dtype=np.float32))
+    # Both queries merge their slices through repro.store.store's merge.
+    assert grew(lambda: store.range(0.25, 0.5), "cluster")[1] == 1
+    assert grew(lambda: store.top_k(10), "cluster")[1] == 1
+    # Planning is store.plan_compaction plus one estimate per candidate.
+    plan, planner_calls = grew(store.compaction_plan, "planner")
+    assert planner_calls == 1 + len(plan.candidates)
+    # compact() plans the same way and merges through repro.store.compaction.
+    report, planner_calls = grew(store.compact, "planner")
+    assert planner_calls > len(plan.candidates)
+    assert report.runs_after == 1
+    store.insert(rng.random(300, dtype=np.float32))
+    report, cluster_calls = grew(lambda: store.compact(fan_in=2, devices=1), "cluster")
+    assert cluster_calls == report.passes == 1
