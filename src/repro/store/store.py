@@ -235,12 +235,14 @@ class SortedStore:
         return cached
 
     def _run_values(self, meta: RunMeta) -> np.ndarray:
-        """A run's full array: from cache (free) or disk (charged)."""
-        values = self._cached(meta)
-        if values is None:
-            values = read_run(self.path / meta.name, meta.n, self.disk)
-            self._cache_put(meta.name, values)
-        return values
+        """A compaction input's full array, from the cache or its file.
+
+        Uncharged and uncounted: the merge's I/O is charged once, as the
+        model's ``group_io``, and the query hit rate counts queries only.
+        Nothing is cached: the input is deleted when its pass commits.
+        """
+        values = self._cache.get(meta.name)
+        return read_run(self.path / meta.name, meta.n) if values is None else values
 
     # ------------------------------------------------------------------
     # ingest

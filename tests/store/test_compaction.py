@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,35 @@ class TestExecutionMatchesModel:
         report = store.compact(fan_in=fan_in, devices=devices)
         assert report.predicted_ms == pytest.approx(predicted)
         assert report.makespan_ms == pytest.approx(predicted)
+
+    @pytest.mark.parametrize("cache_pairs", [0, 1 << 22])
+    def test_io_is_charged_once_whatever_the_cache_holds(
+        self, tmp_path, rng, cache_pairs
+    ):
+        store = SortedStore(tmp_path, engine="cpu-std", cache_pairs=cache_pairs)
+        _fill(store, rng, batches=2, size=1000)
+        before = dataclasses.replace(store.disk)
+        store.compact(fan_in=2, devices=1)
+        charged = {
+            name: getattr(store.disk, name) - getattr(before, name)
+            for name in before.__dataclass_fields__
+        }
+        model = CompactionCostModel(
+            host=store.config.host, memory_pairs=store.config.memory_pairs
+        )
+        assert charged == dataclasses.asdict(model.group_io([1000, 1000]))
+
+    @pytest.mark.parametrize("cache_pairs", [0, 1 << 22])
+    def test_compaction_counts_no_cache_lookups(self, tmp_path, rng, cache_pairs):
+        store = SortedStore(tmp_path, engine="cpu-std", cache_pairs=cache_pairs)
+        _fill(store, rng, batches=3, size=256)
+        store.range(0.0, 1.0)
+        before = store.stats
+        store.compact(fan_in=2, devices=1)
+        after = store.stats
+        assert (after.cache_hits, after.cache_misses) == (
+            before.cache_hits, before.cache_misses
+        )
 
     def test_generations_stack_into_levels(self, tmp_path, rng):
         store = SortedStore(tmp_path, engine="cpu-std")
