@@ -74,8 +74,7 @@ from repro.engines.telemetry import (
 )
 
 register_builtin_engines()
-if "auto" not in available():
-    register("auto", AutoEngine)
+register("auto", AutoEngine)
 
 __all__ = [
     "SortEngine",

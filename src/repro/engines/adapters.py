@@ -27,6 +27,12 @@ engine name                 wraps
                             (the GPUTeraSort-style hybrid pipeline)
 ==========================  =============================================
 
+Each backend is one row of the registration table ``_BUILTINS`` at the
+foot of this module: the eight stream programs are rows over
+:class:`StreamEngine`, the three host sorts rows over :class:`CPUEngine`,
+and the sharded and external engines keep a class each.  Adding a stream
+program or a CPU sort is one row.
+
 The ABiSort engines accept any input length by +inf padding (Section 4);
 the network engines keep the power-of-two restriction of their GPU-era
 implementations and raise :class:`~repro.errors.CapabilityError` otherwise.
@@ -40,14 +46,10 @@ seek + bandwidth model.
 
 from __future__ import annotations
 
+import functools
 
 from repro.analysis.complexity import library_sort_comparisons
-from repro.engines.base import (
-    EngineCapabilities,
-    SortEngine,
-    SortRequest,
-    SortTelemetry,
-)
+from repro.engines.base import EngineCapabilities, SortEngine, SortTelemetry
 from repro.engines.registry import register
 from repro.engines.telemetry import add_machine_counters, fill_schedule_telemetry
 from repro.baselines.bitonic_network import gpusort_stream
@@ -65,58 +67,94 @@ from repro.exec.stream_tier import counting_network_run, counting_sort_run  # no
 from repro.hybrid.disk import SimulatedDisk
 from repro.hybrid.external import ExternalSorter
 from repro.planner import models
-from repro.stream.context import StreamMachine
 from repro.stream.gpu_model import cpu_sort_time_ms
 from repro.stream.mapping2d import ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
 
 __all__ = [
-    "ABiSortEngine",
+    "StreamEngine",
+    "CPUEngine",
     "ShardedABiSortEngine",
-    "NetworkEngine",
-    "TransitionSortEngine",
-    "QuicksortEngine",
-    "StdSortEngine",
     "ExternalSortEngine",
 ]
 
 
-def _machine_telemetry(
-    machine: StreamMachine, request: SortRequest, *, tiled: bool
-) -> SortTelemetry:
-    """Telemetry from a stream machine's op log + the request's cost model."""
-    telemetry = SortTelemetry()
-    add_machine_counters(telemetry, machine.counters())
-    telemetry.modeled_gpu_ms = modeled_cost(
-        machine,
-        request.gpu,
-        None if tiled else request.mapping or ZOrderMapping(),
-        request.gpu.tiled_read_efficiency if tiled else None,
-    ).total_ms
-    return telemetry
+class StreamEngine(SortEngine):
+    """A stream program behind the engine interface: GPU-ABiSort or a
+    sorting network (the Section-2.2 family).
+
+    ``program`` is an :class:`ABiSortConfig` or a network's stream
+    function, run through :func:`repro.exec.stream_tier.sort_on_stream`
+    (untraced requests are served from the stream tier's memo).  The
+    program decides the rest.  GPU-ABiSort pads non-power-of-two input
+    with +inf keys and strips it again (Section 4), so ``any_length``
+    holds, and its modeled time uses the request's 1D->2D mapping.  A
+    network takes power-of-two input only, as the GPU implementations
+    it stands in for did, and its modeled time uses the GPU's fixed
+    software-tiling read efficiency (the GPUSort B=64 convention).
+    """
+
+    def __init__(self, name: str, program, description: str):
+        self.name = name
+        self.description = description
+        self.program = program
+        self._tiled = not isinstance(program, ABiSortConfig)
+        self.capabilities = EngineCapabilities(
+            any_length=not self._tiled, key_value=True, stable=True
+        )
+        self.cost_model = models.StreamCostModel(name)
+
+    def _run(self, values, request):
+        out, machine = sort_on_stream(self.program, values, trace=request.trace)
+        telemetry = SortTelemetry()
+        add_machine_counters(telemetry, machine.counters())
+        tiled = self._tiled
+        telemetry.modeled_gpu_ms = modeled_cost(
+            machine,
+            request.gpu,
+            None if tiled else request.mapping or ZOrderMapping(),
+            request.gpu.tiled_read_efficiency if tiled else None,
+        ).total_ms
+        return out, telemetry, machine
 
 
-class ABiSortEngine(SortEngine):
-    """GPU-ABiSort behind the engine interface.
+class CPUEngine(SortEngine):
+    """A host sort behind the engine interface.
 
-    One engine per :class:`ABiSortConfig`, run through
-    :func:`repro.exec.stream_tier.sort_on_stream`: non-power-of-two input
-    is padded with +inf keys and stripped again (Section 4), so
-    ``any_length`` holds, and untraced requests are served from the stream
-    tier's memo.
+    ``run(values)`` returns ``(sorted, ops)``: the telemetry reports the
+    counted operations as ``cpu_ops`` and prices them at the host's
+    per-op cost, which is what ``cost_model`` predicts.  Any length.
     """
 
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
 
-    def __init__(self, name: str, config: ABiSortConfig, description: str):
+    def __init__(self, name: str, run, cost_model, description: str):
         self.name = name
         self.description = description
-        self.config = config
-        self.cost_model = models.StreamCostModel(name)
+        self._sort = run
+        self.cost_model = cost_model
 
     def _run(self, values, request):
-        out, machine = sort_on_stream(self.config, values, trace=request.trace)
-        return out, _machine_telemetry(machine, request, tiled=False), machine
+        out, ops = self._sort(values)
+        telemetry = SortTelemetry(
+            cpu_ops=ops, modeled_cpu_ms=cpu_sort_time_ms(ops, request.host)
+        )
+        return out, telemetry, None
+
+
+def _transition_sort(values):
+    return odd_even_transition_sort(values), odd_even_transition_exchanges(
+        values.shape[0]
+    )
+
+
+def _quicksort(values):
+    counters = CPUSortCounters()
+    return quicksort(values, counters), counters.total_ops
+
+
+def _std_sort(values):
+    return std_sort(values), library_sort_comparisons(values.shape[0])
 
 
 class ShardedABiSortEngine(SortEngine):
@@ -137,8 +175,6 @@ class ShardedABiSortEngine(SortEngine):
         "loser-tree merge"
     )
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
-    #: Device count when the request names none.
-    default_devices = 2
     #: Shards per device (its cost model composes the same count).
     slices_per_device = 2
     cost_model = models.ShardedCostModel(slices_per_device)
@@ -147,7 +183,7 @@ class ShardedABiSortEngine(SortEngine):
         from repro.cluster.device import make_devices
         from repro.cluster.sharded import ShardedSorter
 
-        count = request.devices or self.default_devices
+        count = request.devices or self.cost_model.default_devices
         devices = make_devices(count, gpu=request.gpu, host=request.host)
         sorter = ShardedSorter(
             devices,
@@ -169,95 +205,6 @@ class ShardedABiSortEngine(SortEngine):
         for device in devices:
             add_machine_counters(telemetry, device.counters())
         return res.values, telemetry, None, res
-
-
-class NetworkEngine(SortEngine):
-    """A sorting network run as a stream program (the Section-2.2 family).
-
-    Power-of-two input only, as for the GPU implementations these stand in
-    for; modeled time uses the GPU's fixed software-tiling read efficiency
-    (the GPUSort B=64 modeling convention).  Runs through
-    :func:`repro.exec.stream_tier.sort_on_stream`.
-    """
-
-    capabilities = EngineCapabilities(any_length=False, key_value=True, stable=True)
-
-    def __init__(self, name: str, stream_sorter, description: str):
-        self.name = name
-        self.description = description
-        self._stream_sorter = stream_sorter
-        self.cost_model = models.StreamCostModel(name)
-
-    def _run(self, values, request):
-        out, machine = sort_on_stream(
-            self._stream_sorter, values, trace=request.trace
-        )
-        return out, _machine_telemetry(machine, request, tiled=True), machine
-
-
-class TransitionSortEngine(SortEngine):
-    """Standalone odd-even transition sort (the O(n^2) Section-7.1 block).
-
-    Any length, but quadratic work: ``cpu_ops`` counts the network's
-    compare-exchanges.  Useful as a tiny-n backend and as the reference for
-    the ``local_sort8`` kernel.
-    """
-
-    name = "odd-even-transition"
-    description = "O(n^2) odd-even transition sort (Section 7.1 building block)"
-    capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
-    cost_model = models.TransitionCostModel()
-
-    def _run(self, values, request):
-        out = odd_even_transition_sort(values)
-        ops = odd_even_transition_exchanges(values.shape[0])
-        telemetry = SortTelemetry(
-            cpu_ops=ops, modeled_cpu_ms=cpu_sort_time_ms(ops, request.host)
-        )
-        return out, telemetry, None
-
-
-class QuicksortEngine(SortEngine):
-    """The paper's CPU baseline: instrumented median-of-3 quicksort."""
-
-    name = "cpu-quicksort"
-    description = "instrumented median-of-3 quicksort (the paper's CPU baseline)"
-    capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
-    cost_model = models.QuicksortCostModel()
-
-    def _run(self, values, request):
-        counters = CPUSortCounters()
-        out = quicksort(values, counters)
-        telemetry = SortTelemetry(
-            cpu_ops=counters.total_ops,
-            modeled_cpu_ms=cpu_sort_time_ms(counters.total_ops, request.host),
-        )
-        return out, telemetry, None
-
-
-class StdSortEngine(SortEngine):
-    """The host library sort, in the reference (key, id) order.
-
-    :func:`repro.baselines.cpu_sort.std_sort`: ``np.lexsort`` below 512
-    pairs, one SIMD sort of the (key, id) composites from 512 pairs
-    up; the output is byte-identical either way.  Its modeled cost
-    follows the ``n log2 n`` library-sort comparison convention
-    (:func:`repro.analysis.complexity.library_sort_comparisons`) whichever
-    path sorts, so the engine competes fairly in planner scoring instead
-    of reporting an impossible zero-cost sort.
-    """
-
-    name = "cpu-std"
-    description = "host library sort (NumPy lexsort; SIMD sort >= 512 pairs)"
-    capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
-    cost_model = models.StdSortCostModel()
-
-    def _run(self, values, request):
-        ops = library_sort_comparisons(values.shape[0])
-        telemetry = SortTelemetry(
-            cpu_ops=ops, modeled_cpu_ms=cpu_sort_time_ms(ops, request.host)
-        )
-        return std_sort(values), telemetry, None
 
 
 class ExternalSortEngine(SortEngine):
@@ -284,7 +231,7 @@ class ExternalSortEngine(SortEngine):
 
     def _run(self, values, request):
         sorter = ExternalSorter(
-            min(self.chunk_size, models.next_pow2(values.shape[0])),
+            self.cost_model.chunk(values.shape[0]),
             gpu=request.gpu,
             mapping=request.mapping or ZOrderMapping(),
             merge_buffer=self.merge_buffer,
@@ -293,7 +240,7 @@ class ExternalSortEngine(SortEngine):
         disk = SimulatedDisk(VALUE_DTYPE)
         disk.write_file("input", values)
         report = sorter.sort_file(disk, "input", "output")
-        out = disk.read("output", 0, disk.size("output")).copy()
+        out = disk.read("output", 0, disk.size("output"))
         telemetry = SortTelemetry(
             cpu_ops=report.merge_comparisons,
             disk_seeks=report.disk_seeks,
@@ -307,81 +254,59 @@ class ExternalSortEngine(SortEngine):
         return out, telemetry, None
 
 
+#: The built-in engines, one row each: ``(name, engine class, *arguments
+#: after the name)``.
+_BUILTINS = (
+    ("abisort", StreamEngine,
+     ABiSortConfig(schedule="overlapped", optimized=True),
+     "GPU-ABiSort, overlapped + Section-7 optimized (the paper's "
+     "benchmarked configuration)"),
+    ("abisort-overlapped", StreamEngine,
+     ABiSortConfig(schedule="overlapped", optimized=False),
+     "GPU-ABiSort, overlapped schedule (Section 5.4), unoptimized"),
+    ("abisort-sequential", StreamEngine,
+     ABiSortConfig(schedule="sequential", optimized=False),
+     "GPU-ABiSort, sequential phases (Appendix A), unoptimized"),
+    ("abisort-sequential-optimized", StreamEngine,
+     ABiSortConfig(schedule="sequential", optimized=True),
+     "GPU-ABiSort, sequential phases + Section-7 optimizations"),
+    ("abisort-brook", StreamEngine,
+     ABiSortConfig(schedule="overlapped", optimized=True, gpu_semantics=False),
+     "GPU-ABiSort under Brook-style single-stream semantics "
+     "(no Section-6.1 copy-back)"),
+    ("bitonic-network", StreamEngine, gpusort_stream,
+     "Batcher bitonic sorting network (the GPUSort [GRHM05] baseline)"),
+    ("odd-even-merge", StreamEngine, odd_even_merge_stream,
+     "Batcher odd-even merge sort (the Kipfer [KSW04/KW05] baseline)"),
+    ("periodic-balanced", StreamEngine, periodic_balanced_stream,
+     "periodic balanced sorting network (the Govindaraju [GRM05] "
+     "baseline)"),
+    # The standalone O(n^2) Section-7.1 block: any length, but quadratic
+    # work, and cpu_ops counts the network's compare-exchanges.  Useful as
+    # a tiny-n backend and as the reference for the ``local_sort8`` kernel.
+    ("odd-even-transition", CPUEngine, _transition_sort,
+     models.CPUCostModel(odd_even_transition_exchanges),
+     "O(n^2) odd-even transition sort (Section 7.1 building block)"),
+    # The paper's CPU baseline; its model predicts the expected count.
+    ("cpu-quicksort", CPUEngine, _quicksort,
+     models.CPUCostModel(models.quicksort_ops),
+     "instrumented median-of-3 quicksort (the paper's CPU baseline)"),
+    # The host library sort in the reference (key, id) order
+    # (:func:`repro.baselines.cpu_sort.std_sort`: ``np.lexsort`` below 512
+    # pairs, one SIMD sort of the (key, id) composites from 512 up; the
+    # output is byte-identical either way).  Its modeled cost follows the
+    # ``n log2 n`` library-sort comparison convention whichever path
+    # sorts, so the engine competes fairly in planner scoring instead of
+    # reporting an impossible zero-cost sort.
+    ("cpu-std", CPUEngine, _std_sort,
+     models.CPUCostModel(library_sort_comparisons),
+     "host library sort (NumPy lexsort; SIMD sort >= 512 pairs)"),
+    (ShardedABiSortEngine.name, ShardedABiSortEngine),
+    (ExternalSortEngine.name, ExternalSortEngine),
+)
+
+
 def register_builtin_engines() -> None:
-    """Register the thirteen built-in backends (idempotent)."""
-    from repro.engines.registry import _REGISTRY
-
-    abisort_variants = [
-        (
-            "abisort",
-            ABiSortConfig(schedule="overlapped", optimized=True),
-            "GPU-ABiSort, overlapped + Section-7 optimized (the paper's "
-            "benchmarked configuration)",
-        ),
-        (
-            "abisort-overlapped",
-            ABiSortConfig(schedule="overlapped", optimized=False),
-            "GPU-ABiSort, overlapped schedule (Section 5.4), unoptimized",
-        ),
-        (
-            "abisort-sequential",
-            ABiSortConfig(schedule="sequential", optimized=False),
-            "GPU-ABiSort, sequential phases (Appendix A), unoptimized",
-        ),
-        (
-            "abisort-sequential-optimized",
-            ABiSortConfig(schedule="sequential", optimized=True),
-            "GPU-ABiSort, sequential phases + Section-7 optimizations",
-        ),
-        (
-            "abisort-brook",
-            ABiSortConfig(
-                schedule="overlapped", optimized=True, gpu_semantics=False
-            ),
-            "GPU-ABiSort under Brook-style single-stream semantics "
-            "(no Section-6.1 copy-back)",
-        ),
-    ]
-    for name, config, description in abisort_variants:
-        if name not in _REGISTRY:
-            register(
-                name,
-                lambda n=name, c=config, d=description: ABiSortEngine(n, c, d),
-            )
-
-    networks = [
-        (
-            "bitonic-network",
-            gpusort_stream,
-            "Batcher bitonic sorting network (the GPUSort [GRHM05] baseline)",
-        ),
-        (
-            "odd-even-merge",
-            odd_even_merge_stream,
-            "Batcher odd-even merge sort (the Kipfer [KSW04/KW05] baseline)",
-        ),
-        (
-            "periodic-balanced",
-            periodic_balanced_stream,
-            "periodic balanced sorting network (the Govindaraju [GRM05] "
-            "baseline)",
-        ),
-    ]
-    for name, stream_sorter, description in networks:
-        if name not in _REGISTRY:
-            register(
-                name,
-                lambda n=name, s=stream_sorter, d=description: NetworkEngine(
-                    n, s, d
-                ),
-            )
-
-    for cls in (
-        ShardedABiSortEngine,
-        TransitionSortEngine,
-        QuicksortEngine,
-        StdSortEngine,
-        ExternalSortEngine,
-    ):
-        if cls.name not in _REGISTRY:
-            register(cls.name, cls)
+    """Register the thirteen built-in backends, one per row of ``_BUILTINS``."""
+    for name, cls, *args in _BUILTINS:
+        register(name, functools.partial(cls, name, *args) if args else cls)

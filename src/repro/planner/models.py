@@ -33,7 +33,9 @@ ABiSort variants, networks  calibrated stream cost curve
 Each built-in adapter of :mod:`repro.engines.adapters` carries its model
 as :attr:`~repro.engines.base.SortEngine.cost_model` (the stream engines
 build theirs per instance, so their calibrated curves go with the
-instance); the planner reads it off the engine the registry returns.
+instance; the three CPU sorts are one :class:`CPUCostModel` over their
+op-count functions); the planner reads it off the engine the registry
+returns.
 
 The module also hosts :class:`CompactionCostModel` /
 :func:`plan_compaction`: the :mod:`repro.store` layer's planner for
@@ -48,14 +50,12 @@ the planner follows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.complexity import (
-    library_sort_comparisons,
-    loser_tree_merge_comparisons,
-)
+from repro.analysis.complexity import loser_tree_merge_comparisons
 from repro.engines.cost import CostEstimate, CostModel
 from repro.engines.registry import get
 from repro.errors import ModelError
@@ -77,9 +77,8 @@ from repro.stream.stream import PAIR_BYTES
 __all__ = [
     "StreamCostModel",
     "ShardedCostModel",
-    "QuicksortCostModel",
-    "StdSortCostModel",
-    "TransitionCostModel",
+    "CPUCostModel",
+    "quicksort_ops",
     "ExternalCostModel",
     "CompactionCostModel",
     "CompactionCandidate",
@@ -151,6 +150,9 @@ class ShardedCostModel(CostModel):
     error -- zero at calibration anchors.
     """
 
+    #: Device count when the request names none (the engine's default too).
+    default_devices = 2
+
     def __init__(self, slices_per_device: int):
         self.slices_per_device = slices_per_device
 
@@ -165,7 +167,7 @@ class ShardedCostModel(CostModel):
         from repro.cluster.scheduler import Scheduler
 
         n = _shape_n(request)
-        count = devices or request.devices or 2
+        count = devices or request.devices or self.default_devices
         if n <= 1:
             return CostEstimate(devices=count)
         curve = get("abisort").cost_model.curve(request)
@@ -199,73 +201,59 @@ class ShardedCostModel(CostModel):
         )
 
 
-class QuicksortCostModel(CostModel):
-    """The instrumented CPU quicksort: probed expected operation counts.
+class CPUCostModel(CostModel):
+    """A host sort priced by its operation count: ``ops(n)`` operations at
+    the host's per-op cost, the convention of the CPU engines' telemetry.
 
-    The count is data dependent (the paper's Tables 2/3 print CPU *ranges*
-    for exactly this reason), so the model predicts the expectation: probe
-    runs over random permutations at the calibration anchors, fitted over
-    ``{n log2 n, n}``.  Random workloads land within a few percent; fully
-    presorted or adversarial inputs deviate further, as they do in the
-    paper.
+    ``ops`` is the closed form for ``cpu-std`` (the ``n log2 n``
+    convention the engine's telemetry counts too, so prediction ==
+    measurement) and ``odd-even-transition`` (the exact exchange count),
+    and :func:`quicksort_ops` for ``cpu-quicksort``.
     """
 
-    _fit: tuple[float, float] | None = None
-
-    def _coefficients(self) -> tuple[float, float]:
-        if QuicksortCostModel._fit is None:
-            from repro.baselines.cpu_sort import CPUSortCounters, quicksort
-            from repro.core.values import make_values
-
-            rng = np.random.default_rng(PROBE_SEED)
-            rows = []
-            ops = []
-            for exponent in ANCHOR_EXPONENTS:
-                n = 1 << exponent
-                counters = CPUSortCounters()
-                quicksort(make_values(rng.random(n, dtype=np.float32)), counters)
-                rows.append([n * exponent, n])
-                ops.append(counters.total_ops)
-            coef, *_ = np.linalg.lstsq(
-                np.array(rows, dtype=float), np.array(ops, dtype=float),
-                rcond=None,
-            )
-            QuicksortCostModel._fit = (float(coef[0]), float(coef[1]))
-        return QuicksortCostModel._fit
-
-    def predict_ops(self, n: int) -> int:
-        if n < 2:
-            return 0
-        a, b = self._coefficients()
-        return int(a * n * np.log2(n) + b * n)
+    def __init__(self, ops):
+        self.ops = ops
 
     def estimate(self, request, *, devices=None) -> CostEstimate:
-        n = _shape_n(request)
-        return CostEstimate(
-            modeled_cpu_ms=cpu_sort_time_ms(self.predict_ops(n), request.host)
-        )
-
-
-class StdSortCostModel(CostModel):
-    """The host library sort: the exact ``n log2 n`` convention shared
-    with the engine's telemetry, so prediction == measurement."""
-
-    def estimate(self, request, *, devices=None) -> CostEstimate:
-        ops = library_sort_comparisons(_shape_n(request))
+        ops = self.ops(_shape_n(request))
         return CostEstimate(modeled_cpu_ms=cpu_sort_time_ms(ops, request.host))
 
 
-class TransitionCostModel(CostModel):
-    """O(n^2) odd-even transition sort: exact closed-form exchange count."""
+@functools.cache
+def _quicksort_fit() -> tuple[float, float]:
+    """The ``{n log2 n, n}`` coefficients of :func:`quicksort_ops`."""
+    from repro.baselines.cpu_sort import CPUSortCounters, quicksort
+    from repro.core.values import make_values
 
-    def estimate(self, request, *, devices=None) -> CostEstimate:
-        from repro.baselines.odd_even_transition import (
-            odd_even_transition_exchanges,
-        )
+    rng = np.random.default_rng(PROBE_SEED)
+    rows = []
+    ops = []
+    for exponent in ANCHOR_EXPONENTS:
+        n = 1 << exponent
+        counters = CPUSortCounters()
+        quicksort(make_values(rng.random(n, dtype=np.float32)), counters)
+        rows.append([n * exponent, n])
+        ops.append(counters.total_ops)
+    coef, *_ = np.linalg.lstsq(
+        np.array(rows, dtype=float), np.array(ops, dtype=float), rcond=None
+    )
+    return float(coef[0]), float(coef[1])
 
-        n = _shape_n(request)
-        ops = odd_even_transition_exchanges(n) if n >= 2 else 0
-        return CostEstimate(modeled_cpu_ms=cpu_sort_time_ms(ops, request.host))
+
+def quicksort_ops(n: int) -> int:
+    """The instrumented CPU quicksort's expected operation count.
+
+    The count is data dependent (the paper's Tables 2/3 print CPU *ranges*
+    for exactly this reason), so this predicts the expectation: probe runs
+    over random permutations at the calibration anchors, fitted over
+    ``{n log2 n, n}`` once per process, on first use.  Random workloads
+    land within a few percent; fully presorted or adversarial inputs
+    deviate further, as they do in the paper.
+    """
+    if n < 2:
+        return 0
+    a, b = _quicksort_fit()
+    return int(a * n * np.log2(n) + b * n)
 
 
 class ExternalCostModel(CostModel):
@@ -288,13 +276,17 @@ class ExternalCostModel(CostModel):
         self.chunk_size = chunk_size
         self.merge_buffer = merge_buffer
 
+    def chunk(self, n: int) -> int:
+        """In-core run length for ``n`` pairs (the engine sorts with it)."""
+        return min(self.chunk_size, next_pow2(n))
+
     def estimate(self, request, *, devices=None) -> CostEstimate:
         from repro.hybrid.disk import DiskStats
 
         n = _shape_n(request)
         if n <= 1:
             return CostEstimate()
-        chunk = min(self.chunk_size, next_pow2(n))
+        chunk = self.chunk(n)
         runs = -(-n // chunk)
         last = n - (runs - 1) * chunk
 

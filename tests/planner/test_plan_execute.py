@@ -121,11 +121,11 @@ class TestPlannerScoring:
 
     def test_abisort_under_a_new_name_is_priced_by_its_own_curve(self, rng):
         from repro.core.api import ABiSortConfig
-        from repro.engines.adapters import ABiSortEngine
+        from repro.engines.adapters import StreamEngine
 
         config = ABiSortConfig(schedule="overlapped", optimized=True)
         repro.engines.register(
-            "abisort-twin", lambda: ABiSortEngine("abisort-twin", config, "")
+            "abisort-twin", lambda: StreamEngine("abisort-twin", config, "")
         )
         try:
             request = SortRequest(keys=rng.random(1000, np.float32))
