@@ -20,6 +20,7 @@ from repro.stream.cache import (
     TextureCacheSim,
     block_read_efficiency,
 )
+from repro.stream.context import StreamMachine
 from repro.stream.mapping2d import RowWiseMapping, ZOrderMapping
 from repro.workloads.generators import paper_workload
 
@@ -27,17 +28,9 @@ N = 1 << 13
 
 
 def run_with_traces():
-    sorter = OptimizedGPUABiSorter()
-    original = sorter._setup
-
-    def tracing_setup(values):
-        state = original(values)
-        state.machine.trace_gathers = True
-        return state
-
-    sorter._setup = tracing_setup
-    sorter.sort(paper_workload(N))
-    return sorter.last_machine
+    machine = StreamMachine(trace_gathers=True)
+    OptimizedGPUABiSorter().sort(paper_workload(N), machine)
+    return machine
 
 
 def test_linear_read_shape_efficiency(benchmark, bench_json):

@@ -180,8 +180,9 @@ class ShardedSorter:
             sort_ms = 0.0
             if chunk.shape[0] >= 2:
                 device = self.devices[shard.device]
-                machine = counting_machine(self.config, chunk) if unsorted else None
-                if machine is None:
+                if unsorted:
+                    machine = counting_machine(self.config, chunk)
+                else:
                     chunk, machine = sort_on_stream(
                         self.config, chunk, trace=self.trace
                     )

@@ -39,7 +39,6 @@ The data flow per recursion level ``j`` (Listing 5):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -87,12 +86,11 @@ class GPUABiSorter:
     validate_levels:
         Host-side debugging aid: after every recursion level, check that the
         tree half holds sorted runs of the expected length and direction.
-    machine_factory:
-        Where each sort's :class:`StreamMachine` comes from.  By default the
-        sorter builds a private machine per sort;
-        :mod:`repro.exec.stream_tier` passes a factory that keeps the machine
-        it hands out (a counting machine when filling its memo).  The factory
-        receives the ``distinct_io`` flag the machine must enforce.
+        It reads stream contents, so it needs a machine that executes
+        kernels (the default one).
+
+    :meth:`sort` takes the stream machine to run on, as the networks'
+    stream functions do.
     """
 
     def __init__(
@@ -101,7 +99,6 @@ class GPUABiSorter:
         schedule: str = "overlapped",
         gpu_semantics: bool = True,
         validate_levels: bool = False,
-        machine_factory: Callable[[bool], StreamMachine] | None = None,
     ):
         if schedule not in SCHEDULES:
             raise SortInputError(
@@ -110,21 +107,24 @@ class GPUABiSorter:
         self.schedule = schedule
         self.gpu_semantics = gpu_semantics
         self.validate_levels = validate_levels
-        self.machine_factory = machine_factory or (
-            lambda distinct_io: StreamMachine(distinct_io=distinct_io)
-        )
         self.last_machine: StreamMachine | None = None
 
     # -- public API ---------------------------------------------------------
 
-    def sort(self, values: np.ndarray) -> np.ndarray:
+    def sort(
+        self, values: np.ndarray, machine: StreamMachine | None = None
+    ) -> np.ndarray:
         """Sort a ``VALUE_DTYPE`` array ascending by (key, id).
 
         The input length must be a power of two (paper Sections 4 and 9).
-        Returns a new array; the stream machine used for the run stays
-        available as :attr:`last_machine` for op-count inspection.
+        ``machine`` is the stream machine to run on (it must enforce
+        ``distinct_io == gpu_semantics``), e.g. ``StreamMachine
+        (trace_gathers=True)`` to record gather traces; by default the
+        sort builds a private one.  Returns a new array; the machine used
+        for the run stays available as :attr:`last_machine` for op-count
+        inspection.
         """
-        state = self._setup(values)
+        state = self._setup(values, machine)
         self.last_machine = state.machine
         self._init_trees(state, values)
         for j in range(1, state.log_n + 1):
@@ -135,7 +135,9 @@ class GPUABiSorter:
 
     # -- setup --------------------------------------------------------------
 
-    def _setup(self, values: np.ndarray) -> _SortState:
+    def _setup(
+        self, values: np.ndarray, machine: StreamMachine | None = None
+    ) -> _SortState:
         check_values(values)
         n = values.shape[0]
         if n < 2 or not is_power_of_two(n):
@@ -143,7 +145,8 @@ class GPUABiSorter:
                 f"input length {n} must be a power of two >= 2 "
                 f"(pad with repro.workloads.records.pad_to_power_of_two)"
             )
-        machine = self.machine_factory(self.gpu_semantics)
+        if machine is None:
+            machine = StreamMachine(distinct_io=self.gpu_semantics)
         nodes_in = machine.alloc("nodes_in", NODE_DTYPE, 2 * n)
         if self.gpu_semantics:
             nodes_out = machine.alloc("nodes_out", NODE_DTYPE, 2 * n)

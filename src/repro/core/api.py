@@ -3,8 +3,10 @@
 Callers sort through the unified engine API -- :func:`repro.sort` with a
 :class:`repro.SortRequest`, or ``engine="abisort"`` (and the other
 ``abisort-*`` names) to pin GPU-ABiSort.  This module holds what
-:func:`repro.exec.stream_tier.sort_on_stream` builds its sorters from.  See
-docs/architecture.md for the full layer map.
+:func:`repro.exec.stream_tier.sort_on_stream` builds its sorters from:
+an :class:`ABiSortConfig` is the stream program, run as
+``make_sorter(config).sort(values, machine)``.  See docs/architecture.md
+for the full layer map.
 
 >>> import numpy as np
 >>> from repro import make_sorter, make_values
@@ -40,32 +42,25 @@ class ABiSortConfig:
     gpu_semantics:
         Enforce distinct input/output streams with ping-pong/copy-back
         (Section 6.1, default) instead of the Brook-style model.
-    validate_levels:
-        Debug: verify every recursion level's invariant on the host.
+
+    A config is the memo key of the stream tier, so every config is
+    served from it; the per-level debug check is
+    ``GPUABiSorter(validate_levels=True)``.
     """
 
     schedule: str = "overlapped"
     optimized: bool = True
     gpu_semantics: bool = True
-    validate_levels: bool = False
 
 
-def make_sorter(
-    config: ABiSortConfig | None = None, *, machine_factory=None
-) -> GPUABiSorter:
+def make_sorter(config: ABiSortConfig | None = None) -> GPUABiSorter:
     """Instantiate the sorter described by ``config``.
 
-    ``machine_factory`` optionally binds the sorter to a stream-machine
-    source other than the default private-machine-per-sort -- the hook
-    :mod:`repro.exec.stream_tier` uses to drive the sorter on a counting
-    machine (see :class:`repro.core.abisort.GPUABiSorter`).
+    Its ``sort(values, machine=None)`` runs on the given stream machine
+    (the stream tier passes a counting machine to fill its memo) or on a
+    private one.
     """
     config = config or ABiSortConfig()
     cls = OptimizedGPUABiSorter if config.optimized else GPUABiSorter
-    return cls(
-        schedule=config.schedule,
-        gpu_semantics=config.gpu_semantics,
-        validate_levels=config.validate_levels,
-        machine_factory=machine_factory,
-    )
+    return cls(schedule=config.schedule, gpu_semantics=config.gpu_semantics)
 

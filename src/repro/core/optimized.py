@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core import kernels, layout
 from repro.core.abisort import GPUABiSorter, _SortState
+from repro.stream.context import StreamMachine
 from repro.stream.iterator import IteratorStream
 from repro.stream.stream import VALUE_DTYPE, Stream
 
@@ -59,9 +60,14 @@ class OptimizedGPUABiSorter(GPUABiSorter):
     schedule-independent).
     """
 
-    def sort(self, values: np.ndarray) -> np.ndarray:
-        """Sort with local-sort-8 + truncated merges + fixed merge-16."""
-        state = self._setup(values)
+    def sort(
+        self, values: np.ndarray, machine: StreamMachine | None = None
+    ) -> np.ndarray:
+        """Sort with local-sort-8 + truncated merges + fixed merge-16.
+
+        ``machine`` as in :meth:`GPUABiSorter.sort`.
+        """
+        state = self._setup(values, machine)
         self.last_machine = state.machine
         n, log_n = state.n, state.log_n
 

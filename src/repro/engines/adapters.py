@@ -86,9 +86,10 @@ class StreamEngine(SortEngine):
     ``program`` is an :class:`ABiSortConfig` or a network's stream
     function, run through :func:`repro.exec.stream_tier.sort_on_stream`
     (untraced requests are served from the stream tier's memo).  The
-    program decides the rest.  GPU-ABiSort pads non-power-of-two input
-    with +inf keys and strips it again (Section 4), so ``any_length``
-    holds, and its modeled time uses the request's 1D->2D mapping.  A
+    program decides the rest.  GPU-ABiSort sorts any length, logged and
+    priced as its +inf padding to a power of two (Section 4), so
+    ``any_length`` holds, and its modeled time uses the request's 1D->2D
+    mapping.  A
     network takes power-of-two input only, as the GPU implementations
     it stands in for did, and its modeled time uses the GPU's fixed
     software-tiling read efficiency (the GPUSort B=64 convention).

@@ -50,8 +50,11 @@ request's own ``trace`` flag:
 :class:`~repro.hybrid.external.ExternalSorter` and
 :func:`~repro.cluster.sharded.merge_sorted_runs` take ``trace: bool =
 False``, and every stream sort goes through the one entry point
-:func:`repro.exec.stream_tier.sort_on_stream` (pad, memo or interpreter,
-strip).  See ``docs/execution.md``.
+:func:`repro.exec.stream_tier.sort_on_stream`: untraced, the memo serves
+the unpadded input and never declines (an unprofiled kernel raises
+:class:`~repro.errors.KernelError`); only the interpreter pads and
+strips.  GPU-ABiSort and the networks both take ``(values, machine)``.
+See ``docs/execution.md``.
 """
 
 from __future__ import annotations

@@ -42,28 +42,26 @@ and memoized with its counters and the modeled costs asked of it
 (:func:`modeled_cost`) -- PPT-GPU's split of an architecture-independent
 task list characterised once from a prediction per architecture.
 
-**One entry point.**  Every caller -- the engines, the sharded sorter's
-shards, external run formation, the key generator and the timing tables
--- sorts through :func:`sort_on_stream`, which pads to a power of two
-under the one padding rule of
-:func:`~repro.workloads.records.pad_to_power_of_two`, serves the sort
-from the memo or the reference interpreter, and strips the padding.  The
-one caller that needs a machine but no sorted output -- the sharded
-sorter, whose merge sorts the union of its raw shards -- calls the memo
-lookup :func:`counting_machine` alone, on the unpadded shard: only a
-memo miss pads it.
+**One entry point, one padding rule.**  Every caller -- the engines,
+the sharded sorter's shards, external run formation, the key generator
+and the timing tables -- sorts through :func:`sort_on_stream`.  An
+untraced sort always takes the memo: its output is one
+:func:`sorted_output` of the unpadded input, and its machine comes from
+:func:`counting_machine`, which pads a private copy under the one padding
+rule of :func:`~repro.workloads.records.pad_to_power_of_two` only on a
+memo miss.  Only ``trace=True`` runs the reference interpreter, which
+pads, sorts and strips the padding.  The one caller that needs a machine
+but no sorted output -- the sharded sorter, whose merge sorts the union
+of its raw shards -- calls :func:`counting_machine` alone.
 
-**Fallback conditions** (wholesale, to the reference interpreter -- the
-tier contract is bit-identity, so anything not provably coverable runs the
-real thing):
-
-* ``validate_levels`` debugging runs: the driver reads stream contents
-  mid-sort;
-* gather tracing (``trace_gathers``): traces are data-dependent by
-  definition;
-* any kernel name without an entry in :data:`KERNEL_GATHER_PROFILE`
-  (raises :class:`StreamTierUnsupported`, which :func:`sort_on_stream`
-  turns into a reference re-run).
+The memo never declines.  A program that launches a kernel absent from
+:data:`KERNEL_GATHER_PROFILE` raises :class:`~repro.errors.KernelError`
+naming it on the vectorized tier (there is no silent re-run), and gather
+traces, being data-dependent, come only from a reference machine:
+``make_sorter(config).sort(values, StreamMachine(trace_gathers=True))``.
+Both program kinds take ``(values, machine)``: GPU-ABiSort through
+:meth:`~repro.core.abisort.GPUABiSorter.sort`, a network as its stream
+function.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro.core.api import ABiSortConfig, make_sorter
-from repro.errors import SortInputError
+from repro.errors import KernelError, SortInputError
 from repro.exec.vectorized import strict_sort
 from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import CostBreakdown, GPUModel, estimate_gpu_time_ms
@@ -92,7 +90,6 @@ from repro.workloads.records import pad_to_power_of_two, padded_length
 
 __all__ = [
     "KERNEL_GATHER_PROFILE",
-    "StreamTierUnsupported",
     "CountingStreamMachine",
     "sorted_output",
     "counting_machine",
@@ -103,25 +100,14 @@ __all__ = [
 ]
 
 
-class StreamTierUnsupported(Exception):
-    """Internal signal: this launch has no closed-form profile.
-
-    Raised by :class:`CountingStreamMachine` mid-drive; the memo entry
-    points catch it and :func:`sort_on_stream` re-runs the whole sort on
-    the reference interpreter (the counting drive has no caller-visible
-    side effects, so a wholesale restart is safe where a per-op fallback
-    would not be -- stream contents are never materialised in counting
-    mode).
-    """
-
-
 #: Audited gather traffic per kernel body: ``{kernel name: {gather port:
 #: elements gathered per instance}}``.  These counts restate what each body
 #: in :mod:`repro.core.kernels` / :mod:`repro.baselines.bitonic_network`
 #: does unconditionally -- e.g. ``traverse16`` gathers the 2 + 4 + 8 nodes
 #: of its subtree levels, ``bitonic_merge16`` its full 16-sequence -- so
 #: charging them closed-form is exact, not approximate.  A kernel absent
-#: here cannot run in counting mode (see :class:`StreamTierUnsupported`).
+#: here cannot run in counting mode: its launch raises
+#: :class:`~repro.errors.KernelError`.
 KERNEL_GATHER_PROFILE: dict[str, dict[str, int]] = {
     "init_tree_links": {},
     "local_sort8": {},
@@ -172,14 +158,11 @@ class CountingStreamMachine(StreamMachine):
         consts: dict[str, np.ndarray],
         out_ports: dict[str, _OutputPort],
     ) -> KernelStats:
-        if self.trace_gathers:
-            raise StreamTierUnsupported(
-                "gather traces are data-dependent; use the reference tier"
-            )
         profile = KERNEL_GATHER_PROFILE.get(name)
         if profile is None or set(profile) != set(gathers):
-            raise StreamTierUnsupported(
-                f"no closed-form gather profile for kernel {name!r}"
+            raise KernelError(
+                f"no closed-form gather profile for kernel {name!r}; "
+                f"add it to KERNEL_GATHER_PROFILE or sort with trace=True"
             )
         stats = KernelStats(instances=instances)
         # Linear reads: KernelContext.read charges `instances` elements per
@@ -253,26 +236,22 @@ class _CountingRun:
 _RUNS: dict[tuple, _CountingRun] = {}
 
 
-def counting_machine(program, values: np.ndarray) -> CountingStreamMachine | None:
+def counting_machine(program, values: np.ndarray) -> CountingStreamMachine:
     """The machine sorting ``values`` with ``program`` logs, without sorting.
 
     ``values`` (``n >= 1``) need not be padded: the machine is that of its
     padding to a power of two, served from the memo entry
     ``(program, padded n)``.  Only a miss reads ``values``: it drives the
-    program on a padded private copy.  Returns ``None`` when the memo
-    declines (``validate_levels``, or an unprofiled kernel).  Threads
-    racing on a miss drive equal runs; the first wins.
+    program on a padded private copy.  Threads racing on a miss drive
+    equal runs; the first wins.
     """
-    if isinstance(program, ABiSortConfig) and program.validate_levels:
-        return None  # the validator reads stream contents mid-sort
+    if not values.shape[0]:
+        raise SortInputError("cannot sort an empty sequence on the stream")
     key = (program, padded_length(values.shape[0]))
     run = _RUNS.get(key)
     if run is None:
-        padded = pad_to_power_of_two(values)[0]
-        try:
-            driven = _run_program(program, padded, _counting_machine)[1]
-        except StreamTierUnsupported:
-            return None
+        driven = _counting_machine(_distinct_io(program))
+        _run_program(program, pad_to_power_of_two(values)[0], driven)
         run = _RUNS.setdefault(
             key,
             _CountingRun(
@@ -289,60 +268,47 @@ def counting_machine(program, values: np.ndarray) -> CountingStreamMachine | Non
     return machine
 
 
-def _counting_run(program, values: np.ndarray):
-    """:func:`sorted_output` plus :func:`counting_machine`, or ``None``."""
-    out = sorted_output(values)
-    machine = counting_machine(program, values)
-    return None if machine is None else (out, machine)
-
-
 def _counting_machine(distinct_io: bool) -> CountingStreamMachine:
     return CountingStreamMachine(distinct_io=distinct_io)
 
 
-def _run_program(program, values: np.ndarray, new_machine):
-    """Run ``program`` on a machine from ``new_machine(distinct_io=...)``.
+def _distinct_io(program) -> bool:
+    """The Section-6.1 rule a machine must enforce for ``program``."""
+    return program.gpu_semantics if isinstance(program, ABiSortConfig) else True
 
-    ``program`` is an :class:`~repro.core.api.ABiSortConfig` or a network's
-    ``(values, machine) -> (out, machine)`` stream function.  Returns
-    ``(out, machine)``.
-    """
-    if not isinstance(program, ABiSortConfig):
-        return program(values, new_machine(distinct_io=True))
-    machines: list[StreamMachine] = []
 
-    def factory(distinct_io: bool) -> StreamMachine:
-        machines.append(new_machine(distinct_io=distinct_io))
-        return machines[-1]
-
-    out = make_sorter(program, machine_factory=factory).sort(values)
-    return out, machines[0]
+def _run_program(program, values: np.ndarray, machine: StreamMachine) -> np.ndarray:
+    """Run ``program`` -- an :class:`~repro.core.api.ABiSortConfig` or a
+    network's stream function -- on ``values`` and ``machine``; returns
+    the sorted output."""
+    if isinstance(program, ABiSortConfig):
+        return make_sorter(program).sort(values, machine)
+    return program(values, machine)[0]
 
 
 def counting_sort_run(
     config: ABiSortConfig, values: np.ndarray
-) -> tuple[np.ndarray, StreamMachine] | None:
-    """Sort ``values`` with the GPU-ABiSort variant ``config``, counting mode.
+) -> tuple[np.ndarray, CountingStreamMachine]:
+    """Sort ``values`` (any length ``n >= 1``) with the GPU-ABiSort variant
+    ``config``, counting mode.
 
-    Returns ``(sorted values, machine)`` -- the machine carrying the
-    reference-identical op log -- or ``None`` when the caller must fall
-    back to a reference run (``validate_levels``, or an unprofiled
-    kernel).  ``values`` meets the input contract (see
-    :func:`sorted_output`).
+    Returns ``(sorted values, machine)``: :func:`sorted_output` of
+    ``values`` and the :func:`counting_machine` carrying the
+    reference-identical op log.  ``values`` meets the input contract.
     """
-    return _counting_run(config, values)
+    return sorted_output(values), counting_machine(config, values)
 
 
 def counting_network_run(
     stream_sorter: Callable, values: np.ndarray
-) -> tuple[np.ndarray, StreamMachine] | None:
+) -> tuple[np.ndarray, CountingStreamMachine]:
     """Run one network stream program in counting mode.
 
     ``stream_sorter`` is a ``(values, machine) -> (out, machine)`` entry
     point such as :func:`repro.baselines.bitonic_network.gpusort_stream`.
     Same contract as :func:`counting_sort_run`.
     """
-    return _counting_run(stream_sorter, values)
+    return sorted_output(values), counting_machine(stream_sorter, values)
 
 
 def sort_on_stream(
@@ -352,29 +318,25 @@ def sort_on_stream(
 
     The one way every caller runs GPU-ABiSort (``program`` an
     :class:`~repro.core.api.ABiSortConfig`) or a sorting network
-    (``program`` its stream function):
-
-    1. pad to a power of two with
-       :func:`~repro.workloads.records.pad_to_power_of_two` (``+inf`` keys,
-       ids above the input's largest id);
-    2. serve the sort from the memo (:func:`counting_sort_run` /
-       :func:`counting_network_run`) unless ``trace`` is set, in which case
-       -- and whenever the memo declines (``validate_levels``) -- the
-       reference interpreter runs it;
-    3. strip the padding: a slice when the padding sorted last, by id
-       otherwise (padding at the uint32 id ceiling).
+    (``program`` its stream function).  Untraced, the memo serves the
+    sort (:func:`counting_sort_run` / :func:`counting_network_run`) and
+    nothing is padded.  With ``trace`` the reference interpreter runs it:
+    pad to a power of two with
+    :func:`~repro.workloads.records.pad_to_power_of_two` (``+inf`` keys,
+    ids above the input's largest id), sort, and strip the padding -- a
+    slice when the padding sorted last, by id otherwise (padding at the
+    uint32 id ceiling).
 
     Returns ``(sorted values, machine)``; cost the machine with
     :func:`modeled_cost`.
     """
-    padded, n = pad_to_power_of_two(values)
-    ran = None
     if not trace:
         if isinstance(program, ABiSortConfig):
-            ran = counting_sort_run(program, padded)
-        else:
-            ran = counting_network_run(program, padded)
-    out, machine = ran or _run_program(program, padded, StreamMachine)
+            return counting_sort_run(program, values)
+        return counting_network_run(program, values)
+    padded, n = pad_to_power_of_two(values)
+    machine = StreamMachine(distinct_io=_distinct_io(program))
+    out = _run_program(program, padded, machine)
     pad_ids = padded["id"][n:]
     if not np.array_equal(out["id"][n:], pad_ids):
         return out[~np.isin(out["id"], pad_ids)], machine

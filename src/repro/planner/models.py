@@ -73,6 +73,7 @@ from repro.stream.gpu_model import (
     transfer_round_trip_ms,
 )
 from repro.stream.stream import PAIR_BYTES
+from repro.workloads.records import padded_length
 
 __all__ = [
     "StreamCostModel",
@@ -87,11 +88,6 @@ __all__ = [
 ]
 
 
-def next_pow2(n: int) -> int:
-    """The smallest power of two >= max(n, 2)."""
-    return 1 << max(n - 1, 1).bit_length()
-
-
 def _shape_n(request) -> int:
     """Input length of a request without packing its arrays."""
     if request.values is not None:
@@ -103,8 +99,9 @@ class StreamCostModel(CostModel):
     """Single-device stream engines (ABiSort variants and the networks).
 
     Cost = calibrated modeled GPU time at the engine's effective length
-    (the next power of two: the ABiSort engines pad, the networks only
-    accept powers of two) + the bus round trip of the actual payload.
+    (:func:`~repro.workloads.records.padded_length`: the ABiSort engines
+    pad, the networks only accept powers of two) + the bus round trip of
+    the actual payload.
     Each engine instance builds its own model, which probes the engine
     registered under ``engine_name`` once per (GPU, mapping) and keeps
     the curve for as long as the engine lives.
@@ -130,7 +127,7 @@ class StreamCostModel(CostModel):
             return CostEstimate()
         curve = self.curve(request)
         return CostEstimate(
-            modeled_gpu_ms=curve.predict_ms(next_pow2(n)),
+            modeled_gpu_ms=curve.predict_ms(padded_length(n)),
             modeled_transfer_ms=transfer_round_trip_ms(n, request.host),
             transfer_bytes=2 * n * PAIR_BYTES,
         )
@@ -177,7 +174,7 @@ class ShardedCostModel(CostModel):
         gpu_ms = 0.0
         for length in plan.lengths():
             sort_ms.append(
-                curve.predict_ms(next_pow2(length)) if length >= 2 else 0.0
+                curve.predict_ms(padded_length(length)) if length >= 2 else 0.0
             )
             gpu_ms += sort_ms[-1]
         comparisons = (
@@ -278,7 +275,7 @@ class ExternalCostModel(CostModel):
 
     def chunk(self, n: int) -> int:
         """In-core run length for ``n`` pairs (the engine sorts with it)."""
-        return min(self.chunk_size, next_pow2(n))
+        return min(self.chunk_size, padded_length(n))
 
     def estimate(self, request, *, devices=None) -> CostEstimate:
         from repro.hybrid.disk import DiskStats
@@ -294,7 +291,7 @@ class ExternalCostModel(CostModel):
         gpu_ms = 0.0
         if runs > 1:
             gpu_ms += (runs - 1) * curve.predict_ms(chunk)
-        gpu_ms += curve.predict_ms(next_pow2(last)) if last >= 2 else 0.0
+        gpu_ms += curve.predict_ms(padded_length(last)) if last >= 2 else 0.0
 
         comparisons = loser_tree_merge_comparisons(n, runs)
         cpu_ms = cpu_sort_time_ms(comparisons, request.host)

@@ -218,6 +218,8 @@ class SortService:
         self._timer: asyncio.TimerHandle | None = None
         self._batches: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
+        #: The first exception an observer hook raised; ``close()`` raises it.
+        self._observer_error: Exception | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -250,7 +252,10 @@ class SortService:
 
         Every already-admitted request completes (its future resolves)
         before ``close`` returns; new submissions are rejected as soon as
-        closing begins, so no batch can start after the seal.  Idempotent.
+        closing begins, so no batch can start after the seal.  An
+        exception raised by an observer hook never changes a request's
+        outcome: the first one is re-raised here, after the drain.
+        Idempotent.
         """
         if not self._started:
             return
@@ -258,6 +263,9 @@ class SortService:
         self._seal()
         await asyncio.gather(*self._batches)
         self._started = False
+        error, self._observer_error = self._observer_error, None
+        if error is not None:
+            raise error
 
     async def __aenter__(self) -> "SortService":
         """Start the service (``async with SortService(...) as svc``)."""
@@ -379,9 +387,30 @@ class SortService:
         """Route, place and execute one sealed batch, then account for it.
 
         Routing failures (an unplannable shape, a cost model rejecting)
-        mark their ticket failed and skip execution; every future is
-        resolved at the end, with the ticket's result or its error.
+        mark their ticket failed and skip execution.  Every ticket is
+        resolved in one ``finally``, with its result or its error, and
+        releases its admission slot there, once.
         """
+        try:
+            await self._execute_batch(tickets)
+        finally:
+            for ticket in tickets:
+                self._pending -= 1
+                if ticket.future.done():
+                    # The submitter cancelled (e.g. wait_for timeout):
+                    # nothing to deliver, but the slot above is still
+                    # released and the rest of the batch resolves normally.
+                    continue
+                if ticket.result is not None:
+                    ticket.future.set_result(ticket.result)
+                else:
+                    self.stats.failed += 1
+                    ticket.future.set_exception(
+                        ticket.error or ServiceError("batch aborted before it ran")
+                    )
+
+    async def _execute_batch(self, tickets: list[_Ticket]) -> None:
+        """Route, place, execute and account; resolves no future."""
         weights: list[float] = []
         for ticket in tickets:
             try:
@@ -403,33 +432,32 @@ class SortService:
             for t, device in zip(tickets, assignment)
             if t.result is not None
         ]
-        if done:
-            results = [t.result for t, _d in done]
-            tasks = pipeline_tasks_for_results(
-                results, [d for _t, d in done], self._devices[0].link
-            )
-            schedule = self._scheduler.run(tasks)
-            self.stats.batches += 1
-            self.stats.service_makespan_ms += schedule.makespan_ms
-            self.stats.serialized_ms += schedule.serialized_ms
-            for result in results:
-                result.telemetry.service_makespan_ms = schedule.makespan_ms
-                self.stats.telemetry.add(result.telemetry)
-                self.stats.completed += 1
-            if self.observer is not None:
-                self.observer.on_batch(done, schedule)
-        for ticket in tickets:
-            self._pending -= 1
-            if ticket.future.done():
-                # The submitter cancelled (e.g. wait_for timeout): nothing
-                # to deliver, but the slot above is still released and the
-                # rest of the batch must resolve normally.
-                continue
-            if ticket.error is not None:
-                self.stats.failed += 1
-                ticket.future.set_exception(ticket.error)
-            else:
-                ticket.future.set_result(ticket.result)
+        if not done:
+            return
+        results = [t.result for t, _d in done]
+        tasks = pipeline_tasks_for_results(
+            results, [d for _t, d in done], self._devices[0].link
+        )
+        schedule = self._scheduler.run(tasks)
+        self.stats.batches += 1
+        self.stats.service_makespan_ms += schedule.makespan_ms
+        self.stats.serialized_ms += schedule.serialized_ms
+        for result in results:
+            result.telemetry.service_makespan_ms = schedule.makespan_ms
+            self.stats.telemetry.add(result.telemetry)
+            self.stats.completed += 1
+        self._observe("on_batch", done, schedule)
+
+    def _observe(self, hook: str, *args) -> None:
+        """Call the observer's ``hook`` if one is attached; keep the first
+        exception a hook raises for ``close()``."""
+        if self.observer is None:
+            return
+        try:
+            getattr(self.observer, hook)(*args)
+        except Exception as err:
+            if self._observer_error is None:
+                self._observer_error = err
 
     def _route(self, ticket: _Ticket) -> float:
         """Resolve one ticket's executing engine; return its LPT weight.
@@ -479,22 +507,20 @@ class SortService:
         """Sort one device's share on an executor thread, in order.
 
         Each ticket gets its result or its own error; the observer's
-        ``on_execute`` fires on this thread right after each sort, before
-        the next one starts.  ``queue_wait_ms`` ends when the sort starts
-        here, so the executor handoff counts as queue wait.
+        ``on_execute`` fires on this thread right after each successful
+        sort, before the next one starts, outside the sort's own ``try``.
+        ``queue_wait_ms`` ends when the sort starts here, so the executor
+        handoff counts as queue wait.
         """
         for ticket in tickets:
             started = time.perf_counter()
             try:
                 result = execute(ticket.exec_engine, ticket.request, ticket.plan)
-                result.telemetry.queue_wait_ms = (
-                    started - ticket.submitted
-                ) * 1e3
-                result.telemetry.coalesce_ms = ticket.coalesce_ms
-                ticket.result = result
-                if self.observer is not None:
-                    self.observer.on_execute(
-                        index, (time.perf_counter() - started) * 1e3, ticket
-                    )
             except Exception as err:  # delivered through the future
                 ticket.error = err
+                continue
+            result.telemetry.queue_wait_ms = (started - ticket.submitted) * 1e3
+            result.telemetry.coalesce_ms = ticket.coalesce_ms
+            ticket.result = result
+            busy_ms = (time.perf_counter() - started) * 1e3
+            self._observe("on_execute", index, busy_ms, ticket)

@@ -67,14 +67,20 @@ class TestStreamCurves:
         assert model.curve(pcie) is pcie_curve
 
     def test_reregistering_an_engine_evicts_its_curves(self, rng):
-        from repro.engines.registry import _REGISTRY
+        from functools import partial
+
+        from repro.engines.adapters import StreamEngine
 
         request = SortRequest(keys=rng.random(1 << 8, np.float32))
-        old = get("abisort").cost_model.curve(request)
+        engine = get("abisort")
+        old = engine.cost_model.curve(request)
         other = get("bitonic-network").cost_model.curve(request)
-        # Re-register the same factory: the replacement must be re-probed,
+        # Re-register an equal factory: the replacement must be re-probed,
         # not priced from the old implementation's measurements.
-        repro.engines.register("abisort", _REGISTRY["abisort"], replace=True)
+        factory = partial(
+            StreamEngine, "abisort", engine.program, engine.description
+        )
+        repro.engines.register("abisort", factory, replace=True)
         recalibrated = get("abisort").cost_model.curve(request)
         assert recalibrated is not old
         assert recalibrated.predict_ms(1 << 8) == old.predict_ms(1 << 8) > 0.0

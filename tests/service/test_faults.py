@@ -3,8 +3,10 @@
 A batch that mixes good requests, an engine that raises and a cancelled
 submitter must still resolve every live future, count exactly one
 failure and release every admission slot; ``close()`` must seal a batch
-held open under a long window instead of waiting it out.  Separately, a
-device sorts one request at a time, in batch order.
+held open under a long window instead of waiting it out.  An observer
+hook that raises changes no request's outcome: ``close()`` re-raises its
+error instead.  Separately, a device sorts one request at a time, in
+batch order.
 """
 
 from __future__ import annotations
@@ -131,3 +133,46 @@ def test_a_device_finishes_one_batch_before_starting_the_next(rng):
     ordered = sorted(spans.values())
     for (_s, end), (start, _e) in zip(ordered, ordered[1:]):
         assert end <= start  # one sort at a time on the device
+
+
+class _ObserverBug(Exception):
+    pass
+
+
+class _RaisingObserver:
+    """Stub observer whose ``hook`` ("on_execute" or "on_batch") raises."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def on_execute(self, device, busy_ms, ticket):
+        if self.hook == "on_execute":
+            raise _ObserverBug(self.hook)
+
+    def on_batch(self, done, schedule):
+        if self.hook == "on_batch":
+            raise _ObserverBug(self.hook)
+
+
+@pytest.mark.parametrize("hook", ["on_execute", "on_batch"])
+def test_an_observer_error_leaves_the_request_outcome_alone(rng, hook):
+    """A raising hook neither fails the finished sort nor strands its
+    future or admission slot; ``close()`` re-raises the hook's error."""
+    request = _request(rng, 64)
+
+    async def run():
+        svc = SortService(devices=2, coalesce_window_ms=0.0)
+        svc.observer = _RaisingObserver(hook)
+        await svc.start()
+        result = await asyncio.wait_for(svc.submit(request), 10.0)
+        pending = svc.pending
+        with pytest.raises(_ObserverBug, match=hook):
+            await svc.close()
+        await svc.close()  # the error is raised once
+        return svc, result, pending
+
+    svc, result, pending = asyncio.run(asyncio.wait_for(run(), TIMEOUT_S))
+    assert result.values.tobytes() == repro.sort(request).values.tobytes()
+    assert pending == 0
+    assert (svc.stats.completed, svc.stats.failed) == (1, 0)
+    assert not svc.is_running

@@ -164,18 +164,11 @@ def test_gather_trace_vs_measured_constants():
     where Z-order is slightly better than asymptotic).
     """
     from repro.core.optimized import OptimizedGPUABiSorter
+    from repro.stream.context import StreamMachine
     from repro.workloads.generators import paper_workload
 
     sorter = OptimizedGPUABiSorter()
-    original_setup = sorter._setup
-
-    def tracing_setup(values):
-        state = original_setup(values)
-        state.machine.trace_gathers = True
-        return state
-
-    sorter._setup = tracing_setup
-    sorter.sort(paper_workload(1 << 14))
+    sorter.sort(paper_workload(1 << 14), StreamMachine(trace_gathers=True))
 
     for mapping, name in [(RowWiseMapping(2048), "row-wise"), (ZOrderMapping(), "z-order")]:
         sim = TextureCacheSim(CacheConfig(block=8, capacity_blocks=128))

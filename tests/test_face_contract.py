@@ -9,6 +9,11 @@ one power of two, with position or shuffled unique ids -- go through
 full-range ``range``.  Each face must return exactly the ``np.lexsort``
 order on (key, id).  One service and one server, on their own event-loop
 thread, serve every example.
+
+Bounded cases then run the planner's switch points -- 512, 16,384,
+49,152 and 65,536 pairs -- through the same four faces with the planner
+choosing the engine, and pin its picks, so a planner change shows up
+here.  49,152 pairs is a non-power-of-two sharded request.
 """
 
 from __future__ import annotations
@@ -147,3 +152,48 @@ def test_every_face_returns_the_lexsort_order(served, face):
         face(served, *case)
 
     check()
+
+
+#: The planner's pick per switch-point length: ``repro.sort`` plans with
+#: up to 4 devices, the service (and its socket) with 1.
+SORT_PICKS = {512: "cpu-std", 16384: "bitonic-network",
+              49152: "sharded-abisort", 65536: "sharded-abisort"}
+SERVICE_PICKS = {512: "cpu-std", 16384: "bitonic-network",
+                 49152: "cpu-std", 65536: "abisort-brook"}
+
+
+def _switch_point_case(n):
+    """Keys with ties and every special key; unique ids spread over uint32
+    up to its ceiling (an odd multiplier is a bijection mod 2^32)."""
+    rng = np.random.default_rng(n)
+    pool = np.array(SPECIAL_KEYS + [-1.0, 0.5, 2.0], np.float32)
+    keys = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                    rng.standard_normal(n)).astype(np.float32)
+    ids = (rng.permutation(n).astype(np.uint64) * 7919 + 2**32 - 8 * n) % 2**32
+    return keys, ids.astype(np.uint32)
+
+
+@pytest.mark.parametrize("n", sorted(SORT_PICKS))
+def test_switch_points_through_every_face(served, n):
+    keys, ids = _switch_point_case(n)
+    loop, service, port = served
+
+    result = repro.sort(repro.SortRequest(keys=keys, ids=ids))
+    assert result.engine == SORT_PICKS[n]
+    _assert_pairs(result.keys, result.ids, keys, ids)
+
+    result = asyncio.run_coroutine_threadsafe(
+        service.submit(repro.SortRequest(keys=keys, ids=ids)), loop
+    ).result(TIMEOUT_S)
+    assert result.engine == SERVICE_PICKS[n]
+    _assert_pairs(result.keys, result.ids, keys, ids)
+
+    line = {"keys": keys.tolist(), "ids": ids.tolist()}
+    with socket.create_connection(("127.0.0.1", port), timeout=TIMEOUT_S) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall((json.dumps(line) + "\n").encode())
+        resp = json.loads(stream.readline())
+    assert resp["engine"] == SERVICE_PICKS[n]
+    _assert_pairs(resp["keys"], resp["ids"], keys, ids)
+
+    _through_store(served, keys, None)
