@@ -129,7 +129,7 @@ def format_sharded_result(result: ShardedSortResult, title: str = "") -> str:
     if result.merge_comparisons:
         lines.append(
             f"  k-way merge: {result.merge_comparisons} comparisons, "
-            f"{result.merge_modeled_ms:.2f} ms on the host"
+            f"{result.schedule.merge_ms:.2f} ms on the host"
         )
     lines.append(format_cluster_schedule(result.schedule))
     return "\n".join(lines)

@@ -1,17 +1,15 @@
-"""The Device abstraction: one modeled GPU with its own machine and bus.
+"""The Device abstraction: one modeled GPU with its own bus.
 
 The paper sorts on *one* stream architecture; everything in
 :mod:`repro.stream` was therefore written against a single implicit
 :class:`~repro.stream.context.StreamMachine` plus a free-standing
-:class:`~repro.stream.gpu_model.GPUModel`.  The cluster layer makes that
-pairing explicit: a :class:`Device` is
-
-* a :class:`GPUModel` (what the hardware cost model is parameterised on),
-* a :class:`~repro.stream.transfer.TransferLink` (its own PCIe/AGP bus,
-  with modeled up/down bandwidth), and
-* a machine log: the machine of every sort dispatched to the device is
-  appended to :attr:`Device.machines`, so op logs and counters accumulate
-  *per device* instead of on a global sorter attribute.
+:class:`~repro.stream.gpu_model.GPUModel`.  The cluster layer makes the
+hardware explicit: a :class:`Device` is its index, a :class:`GPUModel`
+(what the hardware cost model is parameterised on) and a
+:class:`~repro.stream.transfer.TransferLink` (its own PCIe/AGP bus, with
+modeled up/down bandwidth).  A device is a value and holds no log: the
+machines a sort runs on belong to the sort's result
+(:attr:`repro.cluster.sharded.ShardedSortResult.machines`).
 
 :func:`make_devices` builds a homogeneous cluster from the paper's two
 hardware models (Table 2's GeForce 6800 Ultra / AGP and Table 3's GeForce
@@ -20,10 +18,9 @@ hardware models (Table 2's GeForce 6800 Ultra / AGP and Table 3's GeForce
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ModelError
-from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import (
     GEFORCE_7800_GTX,
     PCIE_SYSTEM,
@@ -35,50 +32,13 @@ from repro.stream.transfer import TransferLink, link_for_host
 __all__ = ["Device", "make_devices"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Device:
-    """One simulated GPU: hardware model + transfer link + machine log."""
+    """One simulated GPU: hardware model + transfer link."""
 
     index: int
     gpu: GPUModel
     link: TransferLink
-    #: Every stream machine created for this device, in dispatch order.
-    machines: list[StreamMachine] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        """Display name, e.g. ``dev0 (GeForce 7800 GTX)``."""
-        return f"dev{self.index} ({self.gpu.name})"
-
-    # -- machine management --------------------------------------------------
-
-    def reset(self) -> None:
-        """Drop the accumulated machine log (between scheduling rounds)."""
-        self.machines.clear()
-
-    # -- accounting ----------------------------------------------------------
-
-    def ops(self) -> list[StreamOpRecord]:
-        """All logged stream operations across this device's machines."""
-        out: list[StreamOpRecord] = []
-        for machine in self.machines:
-            out.extend(machine.ops)
-        return out
-
-    def counters(self) -> MachineCounters:
-        """Aggregate counters over every machine run on this device."""
-        agg = MachineCounters()
-        for machine in self.machines:
-            c = machine.counters()
-            agg.stream_ops += c.stream_ops
-            agg.kernel_ops += c.kernel_ops
-            agg.copy_ops += c.copy_ops
-            agg.instances += c.instances
-            agg.linear_read_bytes += c.linear_read_bytes
-            agg.linear_write_bytes += c.linear_write_bytes
-            agg.gather_elems += c.gather_elems
-            agg.gather_bytes += c.gather_bytes
-        return agg
 
 
 def make_devices(

@@ -163,7 +163,7 @@ class ShardedABiSortEngine(SortEngine):
 
     The request is partitioned across ``request.devices`` modeled devices
     (default 2) built from the request's GPU and host models; every shard
-    sorts for real on its own device's stream machines, the scheduler
+    runs on its own stream machine (kept on the result), the scheduler
     overlaps each shard's upload/sort/download over the per-device transfer
     links, and a loser-tree k-way merge recombines the runs.  Output is
     bit-identical to the single-device ``abisort`` engine for any device
@@ -198,13 +198,14 @@ class ShardedABiSortEngine(SortEngine):
         telemetry = SortTelemetry(
             cpu_ops=res.merge_comparisons,
             modeled_gpu_ms=sum(res.shard_sort_ms),
-            modeled_cpu_ms=res.merge_modeled_ms,
+            modeled_cpu_ms=res.schedule.merge_ms,
         )
         fill_schedule_telemetry(
             telemetry, res.schedule, devices=res.plan.used_devices
         )
-        for device in devices:
-            add_machine_counters(telemetry, device.counters())
+        for machine in res.machines:
+            if machine is not None:
+                add_machine_counters(telemetry, machine.counters())
         return res.values, telemetry, None, res
 
 

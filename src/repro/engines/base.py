@@ -284,7 +284,7 @@ class SortResult:
     cluster engine runs on *several* machines and leaves ``machine`` None
     too -- it instead attaches the full
     :class:`repro.cluster.sharded.ShardedSortResult` (shard plan, pipeline
-    schedule, per-device logs) as ``cluster``.  Requests dispatched by the
+    schedule, per-shard machines) as ``cluster``.  Requests dispatched by the
     planner (``engine="auto"``) carry the winning
     :class:`repro.planner.SortPlan` as ``plan``; ``engine`` then names the
     backend that actually served the request.

@@ -52,7 +52,7 @@ def fill_schedule_telemetry(
 
 def add_machine_counters(telemetry: SortTelemetry, counters) -> None:
     """Accumulate one :class:`~repro.stream.context.MachineCounters`
-    record (a stream machine's or a device's op-log totals)."""
+    record (one stream machine's op-log totals)."""
     telemetry.stream_ops += counters.stream_ops
     telemetry.kernel_ops += counters.kernel_ops
     telemetry.copy_ops += counters.copy_ops

@@ -59,11 +59,10 @@ See ``docs/execution.md``.
 
 from __future__ import annotations
 
-from repro.exec.backend import ExecutionBackend, ReferenceBackend
+from repro.exec.backend import ReferenceBackend
 from repro.exec.vectorized import VectorizedBackend
 
 __all__ = [
-    "ExecutionBackend",
     "ReferenceBackend",
     "VectorizedBackend",
     "resolve_request_tier",

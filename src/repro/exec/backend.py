@@ -1,56 +1,23 @@
-"""The execution-backend interface and the exact ``reference`` tier.
+"""The exact ``reference`` tier: the per-element loser-tree merge.
 
-An :class:`ExecutionBackend` is a strategy for running the repository's
-merge hot loop; the algorithm (and therefore the output *and* the
-counted/modeled telemetry) is fixed, only the execution substrate
-changes.  :class:`ReferenceBackend` is the per-element loser-tree merge
-that every layer used before the tier split existed -- it *is* the
-semantics the vectorized tier must reproduce bit for bit.
+:class:`ReferenceBackend` is the per-element loser-tree merge that every
+layer used before the tier split existed -- it *is* the semantics the
+vectorized tier (:class:`~repro.exec.vectorized.VectorizedBackend`) must
+reproduce bit for bit.  Both backends run the same merge contract, the
+one :func:`repro.cluster.sharded.merge_sorted_runs` states.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.hybrid.external import LoserTree
 from repro.stream.stream import VALUE_DTYPE
 
-__all__ = ["ExecutionBackend", "ReferenceBackend"]
+__all__ = ["ReferenceBackend"]
 
 
-class ExecutionBackend(ABC):
-    """One execution strategy for the merge hot loop.
-
-    Implementations must agree bit-for-bit on output and exactly on the
-    comparison count: callers price CPU merge time as
-    ``comparisons * cpu_op_ns`` and benchmark gates assert the tiers'
-    telemetry is indistinguishable.
-    """
-
-    #: The tier name (`"reference"` / `"vectorized"`); requests with
-    #: ``trace=True`` run on the reference tier, all others vectorized.
-    name: str = ""
-
-    @abstractmethod
-    def merge_runs(self, runs: list[np.ndarray]) -> tuple[np.ndarray, int]:
-        """K-way merge of individually sorted ``VALUE_DTYPE`` runs.
-
-        Returns ``(merged, comparisons)`` where ``merged`` is ascending
-        under the (key, id) total order and ``comparisons`` is the cost
-        a :class:`~repro.hybrid.external.LoserTree` would count for the
-        same merge (``K-1`` build matches plus ``log2 K`` per element,
-        ``K`` the tree's power-of-two width over the non-empty runs).
-        Empty runs are skipped; zero or one non-empty run costs zero
-        comparisons.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ExecutionBackend {self.name!r}>"
-
-
-class ReferenceBackend(ExecutionBackend):
+class ReferenceBackend:
     """The exact tier: one :class:`LoserTree` match per comparison.
 
     This is the merge loop :func:`repro.cluster.sharded.merge_sorted_runs`
@@ -60,10 +27,9 @@ class ReferenceBackend(ExecutionBackend):
     numbers but does not physically play the matches.
     """
 
-    name = "reference"
-
     def merge_runs(self, runs: list[np.ndarray]) -> tuple[np.ndarray, int]:
-        """Loser-tree k-way merge (see :class:`ExecutionBackend`)."""
+        """Loser-tree k-way merge of sorted runs: ``(merged, comparisons)``
+        (see :func:`~repro.cluster.sharded.merge_sorted_runs`)."""
         live_runs = [r for r in runs if r.shape[0]]
         total = sum(r.shape[0] for r in live_runs)
         out = np.empty(total, dtype=VALUE_DTYPE)

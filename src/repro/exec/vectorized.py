@@ -44,7 +44,11 @@ request.  Two records can still share a composite in one place:
 explicit ids.  There the reference output depends on the loser tree's
 internal structure (``(-0.0, i)`` and ``(+0.0, i)`` share a composite
 but differ in bytes), so :meth:`VectorizedBackend.merge_runs` runs the
-reference merge for them.
+reference merge for them.  That merge is only right over sorted runs, so
+unsorted runs that share a composite (a direct
+:class:`~repro.cluster.sharded.ShardedSorter` input with a repeated
+record) raise :class:`~repro.errors.SortInputError`, as a single-run sort
+does.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ import sys
 
 import numpy as np
 
-from repro.exec.backend import ExecutionBackend, ReferenceBackend
+from repro.errors import SortInputError
+from repro.exec.backend import ReferenceBackend
 from repro.stream.stream import VALUE_DTYPE, concat_pairs, copy_pairs
 
 __all__ = ["composite_keys", "strict_order", "strict_sort", "VectorizedBackend"]
@@ -152,7 +157,13 @@ def strict_sort(values: np.ndarray) -> np.ndarray | None:
     return out
 
 
-class VectorizedBackend(ExecutionBackend):
+def _is_sorted(values: np.ndarray) -> bool:
+    """Whether ``values`` ascends under the (key, id) order."""
+    composite = composite_keys(values)
+    return not (composite[1:] < composite[:-1]).any()
+
+
+class VectorizedBackend:
     """The serving tier: numpy merges with reference-identical accounting.
 
     Comparisons are charged by the closed form
@@ -164,16 +175,16 @@ class VectorizedBackend(ExecutionBackend):
     outright (see the module docstring).
     """
 
-    name = "vectorized"
-
     def merge_runs(self, runs: list[np.ndarray]) -> tuple[np.ndarray, int]:
-        """Vectorized k-way merge (see :class:`ExecutionBackend`).
+        """Vectorized k-way merge: ``(merged, comparisons)`` (see
+        :func:`~repro.cluster.sharded.merge_sorted_runs`).
 
         One :func:`strict_sort` of the union, so with unique composites
         the runs need not be sorted: two or more live runs come back as
         their sorted union, while a single live run comes back as a copy,
         as given.  Only the shared-composite fallback relies on sorted
-        runs.
+        runs, and raises :class:`~repro.errors.SortInputError` when one
+        is not.
         """
         # Late import: repro.analysis pulls in cluster reporting, which
         # imports the cluster layer, which imports this package.
@@ -186,6 +197,11 @@ class VectorizedBackend(ExecutionBackend):
             return copy_pairs(live_runs[0]), 0
         merged = strict_sort(concat_pairs(live_runs))
         if merged is None:
+            if not all(_is_sorted(run) for run in live_runs):
+                raise SortInputError(
+                    "value ids must be unique: unsorted runs share a "
+                    "(key, id) record"
+                )
             return _REFERENCE.merge_runs(live_runs)
         return merged, loser_tree_merge_comparisons(
             merged.shape[0], len(live_runs)

@@ -159,9 +159,9 @@ class ExternalSorter:
     chunk_size:
         Records sorted in-core per run (power of two: each chunk goes
         straight to GPU-ABiSort).  Models GPU memory capacity.
-    config, gpu, mapping:
-        The GPU-ABiSort variant and the hardware/cost model for the sort
-        stage.
+    gpu, mapping:
+        The hardware/cost model for the sort stage, which runs the
+        ``abisort`` engine's program (``ABiSortConfig()``) on every chunk.
     merge_buffer:
         Records buffered per run during the merge (models main-memory
         budget; smaller buffers mean more seeks, visible in the report).
@@ -176,7 +176,6 @@ class ExternalSorter:
         self,
         chunk_size: int = 1 << 14,
         *,
-        config: ABiSortConfig | None = None,
         gpu: GPUModel = GEFORCE_7800_GTX,
         mapping: Mapping2D | None = None,
         merge_buffer: int = 1 << 10,
@@ -190,7 +189,6 @@ class ExternalSorter:
         if merge_buffer < 1:
             raise SortInputError("merge buffer must hold at least one record")
         self.chunk_size = chunk_size
-        self.config = config or ABiSortConfig()
         self.gpu = gpu
         self.mapping = mapping or ZOrderMapping()
         self.merge_buffer = merge_buffer
@@ -230,7 +228,7 @@ class ExternalSorter:
             chunk = disk.read(input_name, offset, self.chunk_size)
             if chunk.shape[0] >= 2:
                 sorted_chunk, machine = sort_on_stream(
-                    self.config, chunk, trace=self.trace
+                    ABiSortConfig(), chunk, trace=self.trace
                 )
                 report.gpu_modeled_ms += modeled_cost(
                     machine, self.gpu, self.mapping

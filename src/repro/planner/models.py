@@ -14,12 +14,11 @@ ABiSort variants, networks  calibrated stream cost curve
 ``sharded-abisort``         *composed*: the real
                             :class:`~repro.cluster.planner.ShardPlanner`
                             partitions n, each shard is priced by the
-                            ABiSort curve, the real
-                            :class:`~repro.cluster.scheduler.Scheduler`
-                            lays out the overlapped pipeline, and the
-                            loser-tree merge count is closed-form -- so
-                            the predicted makespan runs the same makespan
-                            model the engine's telemetry reports
+                            ABiSort curve, and
+                            :func:`~repro.cluster.sharded.shard_schedule`
+                            -- the rule the engine's own schedule comes
+                            from -- lays out the overlapped pipeline and
+                            the closed-form loser-tree merge
 ``cpu-quicksort``           probed expected operation count fitted over
                             ``{n log2 n, n}`` (data-dependent by a few
                             percent, as the paper's CPU ranges are)
@@ -136,15 +135,13 @@ class StreamCostModel(CostModel):
 class ShardedCostModel(CostModel):
     """The multi-device engine, composed from the planner's own parts.
 
-    Runs the *actual* shard planner and pipeline scheduler on predicted
-    per-shard sort times: :class:`~repro.cluster.planner.ShardPlanner`
-    yields the exact shard lengths, the ABiSort cost curve prices each
-    shard (each is padded to its own power of two, exactly as
-    :class:`~repro.cluster.sharded.ShardedSorter` pads), the loser-tree
-    merge count is closed form, and
-    :class:`~repro.cluster.scheduler.Scheduler` computes the overlapped
-    makespan.  Prediction error therefore reduces to the per-shard curve
-    error -- zero at calibration anchors.
+    Runs the *actual* shard planner on the request, prices each shard
+    with the ABiSort cost curve (each padded to its own power of two, as
+    the stream tier pads it), and hands those times to
+    :func:`~repro.cluster.sharded.shard_schedule`, the rule
+    :class:`~repro.cluster.sharded.ShardedSorter` prices its own schedule
+    by.  Prediction error therefore reduces to the per-shard curve error
+    -- zero at calibration anchors.
     """
 
     #: Device count when the request names none (the engine's default too).
@@ -161,7 +158,7 @@ class ShardedCostModel(CostModel):
     def estimate(self, request, *, devices=None) -> CostEstimate:
         from repro.cluster.device import make_devices
         from repro.cluster.planner import ShardPlanner
-        from repro.cluster.scheduler import Scheduler
+        from repro.cluster.sharded import shard_schedule
 
         n = _shape_n(request)
         count = devices or request.devices or self.default_devices
@@ -169,28 +166,15 @@ class ShardedCostModel(CostModel):
             return CostEstimate(devices=count)
         curve = get("abisort").cost_model.curve(request)
         plan = ShardPlanner(count, self.slices_per_device).plan(n)
-
-        sort_ms = []
-        gpu_ms = 0.0
-        for length in plan.lengths():
-            sort_ms.append(
-                curve.predict_ms(padded_length(length)) if length >= 2 else 0.0
-            )
-            gpu_ms += sort_ms[-1]
-        comparisons = (
-            loser_tree_merge_comparisons(n, len(plan.shards))
-            if len(plan.shards) > 1
-            else 0
-        )
-        merge_ms = cpu_sort_time_ms(comparisons, request.host)
-
+        sort_ms = [
+            curve.predict_ms(padded_length(length)) if length >= 2 else 0.0
+            for length in plan.lengths()
+        ]
         cluster = make_devices(count, gpu=request.gpu, host=request.host)
-        schedule = Scheduler(cluster, overlap=True).run(
-            plan.pipeline_tasks(sort_ms), merge_ms=merge_ms
-        )
+        schedule, _ = shard_schedule(plan, sort_ms, cluster, request.host)
         return CostEstimate(
-            modeled_gpu_ms=gpu_ms,
-            modeled_cpu_ms=merge_ms,
+            modeled_gpu_ms=sum(sort_ms),
+            modeled_cpu_ms=schedule.merge_ms,
             modeled_transfer_ms=schedule.transfer_ms,
             transfer_bytes=schedule.transfer_bytes,
             makespan_ms=schedule.makespan_ms,

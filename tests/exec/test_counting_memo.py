@@ -84,9 +84,10 @@ def _assert_matches_reference(result, ref) -> None:
         assert result.machine.peak_alloc_bytes == ref.machine.peak_alloc_bytes
     if ref.cluster is not None:
         assert result.cluster.shard_sort_ms == ref.cluster.shard_sort_ms
-        for dev, ref_dev in zip(result.cluster.devices, ref.cluster.devices):
-            assert dev.ops() == ref_dev.ops()
-            assert dev.counters() == ref_dev.counters()
+        assert len(result.cluster.machines) == len(ref.cluster.machines)
+        for machine, ref_machine in zip(result.cluster.machines, ref.cluster.machines):
+            assert machine.ops == ref_machine.ops
+            assert machine.counters() == ref_machine.counters()
 
 
 #: (engine, n): lengths whose shards/chunks all pad to one length, so one

@@ -205,8 +205,11 @@ class TestShardedEquivalence:
         assert _telemetry_dict(ref) == _telemetry_dict(vec)
         assert ref.cluster.merge_comparisons == vec.cluster.merge_comparisons
         assert ref.cluster.shard_sort_ms == vec.cluster.shard_sort_ms
-        for dref, dvec in zip(ref.cluster.devices, vec.cluster.devices):
-            assert dref.counters() == dvec.counters()
+        assert len(ref.cluster.machines) == len(vec.cluster.machines)
+        for mref, mvec in zip(ref.cluster.machines, vec.cluster.machines):
+            assert (mref is None) == (mvec is None)
+            if mref is not None:
+                assert mref.counters() == mvec.counters()
 
 
 class TestSortedOutput:
